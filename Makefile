@@ -65,18 +65,25 @@ serve-latency-smoke:
 # Fault-tolerance recovery lane: the priority-1 diagonal of the
 # fault-grid kill matrix (every kill point, sync mode, transport and
 # workload at least once) plus the real-process SIGKILL + resume test,
-# under the race detector (mirrored as a CI step; DESIGN.md §10).
+# under the race detector (mirrored as a CI step; DESIGN.md §10). The
+# diagonal repeats at GOMAXPROCS 1 and 4: which error a rank reports
+# first must not depend on goroutine scheduling.
 fault-grid-smoke:
 	$(GO) test -race -count=1 -run 'TestFaultGridSmoke|TestMeshRedialAfterPeerRestart' ./internal/harness/
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestFaultGridSmoke' ./internal/harness/
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestFaultGridSmoke' ./internal/harness/
 
 # Elastic-membership lane: the priority-1 diagonal of the membership
 # grid (every shape change, sync mode, transport and workload at least
 # once) plus the three second-failure cells, under the race detector;
 # the real-process peer-restart test repeats 3× as a flake gate on the
 # redial path elasticity leans on (mirrored as a CI step; DESIGN.md
-# §11, PROTOCOL.md §10).
+# §11, PROTOCOL.md §10). The grid and second-failure cells repeat at
+# GOMAXPROCS 1 and 4, like fault-grid-smoke.
 membership-smoke:
 	$(GO) test -race -count=1 -run 'TestMembershipGridSmoke|TestSecondFailure' ./internal/harness/
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestMembershipGridSmoke|TestSecondFailure' ./internal/harness/
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestMembershipGridSmoke|TestSecondFailure' ./internal/harness/
 	$(GO) test -count=3 -run 'TestMeshRedialAfterPeerRestart' ./internal/harness/
 
 # Transient-fault resilience lane: the session layer's unit surface
@@ -84,10 +91,13 @@ membership-smoke:
 # every gluon-level chaos class, then the priority-1 diagonal of the
 # chaos grid (every fault class, sync mode and workload at least once),
 # all under the race detector (mirrored as a CI step; DESIGN.md §13,
-# PROTOCOL.md §12).
+# PROTOCOL.md §12). The grid diagonal repeats at GOMAXPROCS 1 and 4,
+# like fault-grid-smoke.
 chaos-smoke:
 	$(GO) test -race -count=1 -run 'TestSession|TestChaos[^G]|TestDialMeshSession' ./internal/gluon/
 	$(GO) test -race -count=1 -run 'TestChaosGridSmoke' ./internal/harness/
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestChaosGridSmoke' ./internal/harness/
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestChaosGridSmoke' ./internal/harness/
 
 # arm64 must compile (simd_stub path).
 cross-arm64:

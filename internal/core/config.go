@@ -64,9 +64,9 @@ type Config struct {
 	// every RNG stream are unchanged — overlapped runs are bit-identical
 	// to serialized ones — so like SyncWorkers this is a per-host
 	// performance knob, excluded from the cluster checksum; hosts
-	// without it simply discard the touched announcements. Capped at 64
-	// hosts (gluon.SetSyncOverlap); larger clusters fall back to
-	// serialized rounds.
+	// without it simply discard the touched announcements. Capped at
+	// gluon.OverlapHostCap (64) hosts: Validate refuses larger clusters
+	// with gluon.ErrOverlapHostCap.
 	SyncOverlap bool
 	// Heal enables the gluon session layer (PROTOCOL.md §12) on TCP
 	// meshes: transient connection faults — resets, partitions, slow
@@ -166,6 +166,8 @@ func (c *Config) Validate() error {
 		return errors.New("core: SyncWorkers must be non-negative")
 	case c.HealBudget < 0:
 		return errors.New("core: HealBudget must be non-negative")
+	case c.SyncOverlap && c.Hosts > gluon.OverlapHostCap:
+		return fmt.Errorf("core: SyncOverlap on %d hosts: %w", c.Hosts, gluon.ErrOverlapHostCap)
 	}
 	if err := c.Params.Validate(); err != nil {
 		return fmt.Errorf("core: %w", err)

@@ -244,7 +244,7 @@ func RunDistributedOpts(cfg Config, rank int, tr gluon.Transport, voc *vocab.Voc
 	if err := eng.sync.Barrier(barrierStart); err != nil {
 		return nil, fmt.Errorf("core: host %d start barrier: %w", rank, err)
 	}
-	res, err := eng.Run(opts.OnEpoch)
+	res, err := eng.Run(opts.OnEpoch, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime/pprof"
@@ -25,15 +24,17 @@ import (
 // alternating with bulk-synchronous model synchronisation — talking to
 // the rest of the cluster only through a gluon.Transport.
 //
-// The same Engine powers both execution modes:
+// Run is the one BSP round schedule, and both execution modes execute
+// it:
 //
-//   - the simulated cluster (core.Trainer) constructs one Engine per
-//     host over an in-process transport and steps them in lockstep so
-//     per-phase timings can be aggregated centrally, and
 //   - the real distributed mode (RunDistributed, cmd/gw2v-worker) runs
-//     a single Engine per OS process over a TCP transport and lets its
-//     Run loop free-run; the BSP protocol's round-tagged messages keep
-//     hosts aligned.
+//     a single Engine per OS process over a TCP transport and lets Run
+//     free-run; the BSP protocol's round-tagged messages keep hosts
+//     aligned, and
+//   - the simulated cluster (core.Trainer) runs one Engine per host,
+//     each on its own goroutine, through the same schedule, with a
+//     lockstep coordinator hooked into every phase so per-phase timings
+//     can be aggregated across hosts.
 //
 // With ThreadsPerHost == 1 every random choice is derived from
 // (Seed, epoch, round, host, thread), so the two modes produce
@@ -62,9 +63,12 @@ type Engine struct {
 	// second half of the double buffer: while an in-flight sync reads
 	// touched (round r), the gated compute of round r+1 records into
 	// touchedNext; syncFinishRound swaps them. gates hold one
-	// sgns.NodeGate per compute thread.
+	// sgns.NodeGate per compute thread; inFlight marks the window
+	// between syncStartRound and syncFinishRound, in which
+	// computeRound runs gated.
 	touchedNext    *bitset.Bitset
 	gates          []*overlapGate
+	inFlight       bool
 	syncStartDur   float64
 	gateBlocked    float64
 	overlapSeconds float64
@@ -79,6 +83,7 @@ type Engine struct {
 	perThread []*bitset.Bitset
 	perStats  []sgns.Stats
 	rands     []*xrand.Rand
+	wg        sync.WaitGroup
 
 	computeSeconds float64
 	syncSeconds    float64
@@ -201,16 +206,26 @@ func (e *Engine) maybeCheckpoint(next uint32) error {
 	return nil
 }
 
-// pprof label sets tagging the engine's phases, so -cpuprofile output
+// phase is one step of Run's round schedule.
+type phase uint8
+
+const (
+	phaseCompute phase = iota // SGNS on the round's chunk (Algorithm 1 line 9)
+	phaseInspect              // PullModel: the next round's access set
+	phaseSync                 // synchronisation (line 10), or its overlapped start/finish
+	phaseGated                // the next round's compute, gated on an in-flight sync
+)
+
+// phaseLabels tag the engine's phases, so -cpuprofile output
 // (cliutil.StartProfiles) attributes samples to compute vs inspect vs
 // sync. Applied via pprof.Do around each phase; goroutines a phase
 // spawns (Hogwild threads, sync workers) inherit the label.
-var (
-	computeLabels = pprof.Labels("gw2v_phase", "compute")
-	inspectLabels = pprof.Labels("gw2v_phase", "inspect")
-	syncLabels    = pprof.Labels("gw2v_phase", "sync")
-	overlapLabels = pprof.Labels("gw2v_phase", "overlap")
-)
+var phaseLabels = [...]pprof.LabelSet{
+	phaseCompute: pprof.Labels("gw2v_phase", "compute"),
+	phaseInspect: pprof.Labels("gw2v_phase", "inspect"),
+	phaseSync:    pprof.Labels("gw2v_phase", "sync"),
+	phaseGated:   pprof.Labels("gw2v_phase", "overlap"),
+}
 
 // validateInputs checks the data a training run needs, shared by
 // NewTrainer and NewEngine.
@@ -317,7 +332,10 @@ func newEngine(cfg Config, host int, tr gluon.Transport, voc *vocab.Vocabulary, 
 		e.rands[th] = xrand.New(0)
 		e.perThread[th] = bitset.New(voc.Size())
 	}
-	if cfg.SyncOverlap && hs.SetSyncOverlap(true) {
+	if cfg.SyncOverlap {
+		if err := hs.SetSyncOverlap(true); err != nil {
+			return nil, err
+		}
 		e.touchedNext = bitset.New(voc.Size())
 		e.gates = make([]*overlapGate, threads)
 		for th := 0; th < threads; th++ {
@@ -326,17 +344,6 @@ func newEngine(cfg Config, host int, tr gluon.Transport, voc *vocab.Vocabulary, 
 	}
 	return e, nil
 }
-
-// Host returns the engine's rank in the cluster.
-func (e *Engine) Host() int { return e.host }
-
-// Local returns the engine's working replica. In the RepModel schemes
-// all replicas agree after a synchronisation; under PullModel only the
-// host's master range is guaranteed canonical.
-func (e *Engine) Local() *model.Model { return e.local }
-
-// Partition returns the cluster's master-ownership map.
-func (e *Engine) Partition() *graph.Partition { return e.part }
 
 // EngineResult is the outcome of one host's Run.
 type EngineResult struct {
@@ -374,13 +381,14 @@ type EngineResult struct {
 // Run executes the full training loop for this host: for every epoch and
 // synchronisation round, compute on the round's worklist chunk, inspect
 // the next round's accesses (PullModel), and synchronise. onEpoch, if
-// non-nil, receives this host's per-epoch counters after each epoch.
-func (e *Engine) Run(onEpoch func(epoch int, alpha float32, train sgns.Stats, comm gluon.Stats)) (*EngineResult, error) {
+// non-nil, receives this host's per-epoch counters after each epoch. ls
+// is the simulated cluster's lockstep coordinator, hooked into every
+// phase, round end and epoch end; nil free-runs.
+func (e *Engine) Run(onEpoch func(epoch int, alpha float32, train sgns.Stats, comm gluon.Stats), ls *lockstep) (*EngineResult, error) {
 	res := &EngineResult{Host: e.host}
 	// A restored engine reports full-run counters: totalStats carries
 	// the epochs the snapshot already covered.
 	res.Train = e.totalStats
-	ctx := context.Background()
 	globalRound := uint32(0)
 	// computedNext marks that the current round's compute already ran,
 	// gated, during the previous round's overlapped sync; its timings
@@ -394,7 +402,7 @@ func (e *Engine) Run(onEpoch func(epoch int, alpha float32, train sgns.Stats, co
 			continue
 		}
 		alpha := e.cfg.alphaForEpoch(epoch)
-		var epochCompute, epochSync, epochOverlap float64
+		var ep EngineResult // this epoch's share of res
 		for round := 0; round < e.cfg.SyncRounds; round++ {
 			if globalRound < e.startRound {
 				// Covered by the snapshot: its effects on the model,
@@ -413,60 +421,57 @@ func (e *Engine) Run(onEpoch func(epoch int, alpha float32, train sgns.Stats, co
 				res.Local = e.local
 				return res, nil
 			}
-			if computedNext {
-				computedNext = false
-			} else {
-				pprof.Do(ctx, computeLabels, func(context.Context) {
-					e.computeRound(epoch, round, alpha)
-				})
-			}
-			epochCompute += e.computeSeconds
-			if e.cfg.Mode == gluon.PullModel {
-				pprof.Do(ctx, inspectLabels, func(context.Context) {
-					e.inspectNext(epoch, round)
-				})
-			}
 			var err error
+			do := func(p phase, fn func() error) {
+				if err == nil {
+					err = ls.step(e, p, fn)
+				}
+			}
+			if !computedNext {
+				do(phaseCompute, func() error { e.computeRound(epoch, round, alpha); return nil })
+			}
+			computedNext = false
+			compute := e.computeSeconds
+			if e.cfg.Mode == gluon.PullModel {
+				do(phaseInspect, func() error { e.inspectNext(epoch, round); return nil })
+			}
 			if e.overlapNextOK(round, globalRound) {
 				// Double-buffered round: launch sync(r) in the
 				// background, run round r+1's compute gated on its
 				// progress, then join. Same fold order, same RNG
 				// streams — bit-identical to the serialized path.
-				pprof.Do(ctx, syncLabels, func(context.Context) {
-					err = e.syncStartRound(globalRound)
-				})
-				if err == nil {
-					pprof.Do(ctx, overlapLabels, func(context.Context) {
-						e.computeRoundGated(epoch, round+1, alpha)
-					})
-					pprof.Do(ctx, syncLabels, func(context.Context) {
-						err = e.syncFinishRound()
-					})
-					computedNext = true
-				}
+				do(phaseSync, func() error { return e.syncStartRound(globalRound) })
+				do(phaseGated, func() error { e.computeRound(epoch, round+1, alpha); return nil })
+				do(phaseSync, e.syncFinishRound)
+				computedNext = true
 			} else {
-				pprof.Do(ctx, syncLabels, func(context.Context) {
-					err = e.syncRound(globalRound)
-				})
+				do(phaseSync, func() error { return e.syncRound(globalRound) })
+			}
+			if err == nil {
+				err = ls.endRound(compute, e.syncSeconds)
 			}
 			if err != nil {
 				return nil, fmt.Errorf("core: host %d epoch %d round %d: %w", e.host, epoch, round, err)
 			}
-			epochSync += e.syncSeconds
-			epochOverlap += e.overlapSeconds
+			ep.ComputeSeconds += compute
+			ep.SyncSeconds += e.syncSeconds
+			ep.OverlapSeconds += e.overlapSeconds
 			globalRound++
 			if err := e.maybeCheckpoint(globalRound); err != nil {
 				return nil, err
 			}
 		}
-		train, comm := e.finishEpoch(epoch)
-		res.Train.Add(train)
-		res.Comm.Add(comm)
-		res.ComputeSeconds += epochCompute
-		res.SyncSeconds += epochSync
-		res.OverlapSeconds += epochOverlap
+		ep.Train, ep.Comm = e.finishEpoch(epoch)
+		res.Train.Add(ep.Train)
+		res.Comm.Add(ep.Comm)
+		res.ComputeSeconds += ep.ComputeSeconds
+		res.SyncSeconds += ep.SyncSeconds
+		res.OverlapSeconds += ep.OverlapSeconds
 		if onEpoch != nil {
-			onEpoch(epoch, alpha, train, comm)
+			onEpoch(epoch, alpha, ep.Train, ep.Comm)
+		}
+		if err := ls.endEpoch(e.host, epoch, alpha, &ep); err != nil {
+			return nil, fmt.Errorf("core: host %d epoch %d: %w", e.host, epoch, err)
 		}
 	}
 	res.Local = e.local
@@ -475,37 +480,63 @@ func (e *Engine) Run(onEpoch func(epoch int, alpha float32, train sgns.Stats, co
 
 // computeRound trains this host on its (epoch, round) worklist chunk
 // (Algorithm 1 line 9) and records the wall time in computeSeconds.
+// While an overlapped sync is in flight it runs gated: identical
+// chunking, seeding and update order, but every row access first passes
+// the thread's overlapGate, and the touched set lands in touchedNext
+// (the in-flight sync owns touched). computeSeconds then records only
+// the productive portion — which is also the sync time hidden behind
+// it, overlapSeconds — and the gate-blocked remainder is charged to the
+// sync critical path.
 func (e *Engine) computeRound(epoch, round int, alpha float32) {
 	chunk := e.roundChunk(epoch, round)
-	e.touched.Reset()
-	start := time.Now()
-	if e.cfg.ThreadsPerHost == 1 {
-		r := e.rands[0]
-		r.Reseed(e.computeSeed(epoch, round, 0))
-		e.trainer.TrainTokens(chunk, alpha, r, e.touched, &e.stats, e.scratches[0])
-	} else {
-		threads := e.cfg.ThreadsPerHost
-		var wg sync.WaitGroup
-		for th := 0; th < threads; th++ {
-			lo := len(chunk) * th / threads
-			hi := len(chunk) * (th + 1) / threads
-			e.perThread[th].Reset()
-			e.perStats[th] = sgns.Stats{}
-			wg.Add(1)
-			go func(th, lo, hi int) {
-				defer wg.Done()
-				r := e.rands[th]
-				r.Reseed(e.computeSeed(epoch, round, th))
-				e.trainer.TrainTokens(chunk[lo:hi], alpha, r, e.perThread[th], &e.perStats[th], e.scratches[th])
-			}(th, lo, hi)
-		}
-		wg.Wait()
-		for th := 0; th < threads; th++ {
-			e.touched.Or(e.perThread[th])
-			e.stats.Add(e.perStats[th])
-		}
+	touched := e.touched
+	if e.inFlight {
+		touched = e.touchedNext
 	}
-	e.computeSeconds = time.Since(start).Seconds()
+	touched.Reset()
+	start := time.Now()
+	// Thread 0 runs inline, straight into touched and stats; the rest
+	// stage into per-thread slots merged after the join.
+	threads := e.cfg.ThreadsPerHost
+	for th := 1; th < threads; th++ {
+		lo := len(chunk) * th / threads
+		hi := len(chunk) * (th + 1) / threads
+		e.perThread[th].Reset()
+		e.perStats[th] = sgns.Stats{}
+		e.wg.Add(1)
+		go func(th, lo, hi int) {
+			defer e.wg.Done()
+			e.trainThread(chunk[lo:hi], epoch, round, th, alpha, e.perThread[th], &e.perStats[th])
+		}(th, lo, hi)
+	}
+	e.trainThread(chunk[:len(chunk)/threads], epoch, round, 0, alpha, touched, &e.stats)
+	e.wg.Wait()
+	for th := 1; th < threads; th++ {
+		touched.Or(e.perThread[th])
+		e.stats.Add(e.perStats[th])
+	}
+	wall := time.Since(start).Seconds()
+	blocked := 0.0
+	if e.inFlight {
+		for _, g := range e.gates {
+			blocked = min(max(blocked, g.blocked.Seconds()), wall)
+		}
+		e.gateBlocked, e.overlapSeconds = blocked, wall-blocked
+	}
+	e.computeSeconds = wall - blocked
+}
+
+// trainThread runs compute thread th's share of a round, through its
+// gate while a sync is in flight.
+func (e *Engine) trainThread(chunk []int32, epoch, round, th int, alpha float32, touched *bitset.Bitset, st *sgns.Stats) {
+	var gate sgns.NodeGate // nil: ungated
+	if e.inFlight {
+		e.gates[th].resetRound()
+		gate = e.gates[th]
+	}
+	r := e.rands[th]
+	r.Reseed(e.computeSeed(epoch, round, th))
+	e.trainer.TrainTokensGated(chunk, alpha, r, touched, st, e.scratches[th], gate)
 }
 
 // inspectNext computes this host's next-round access set by replaying
@@ -569,6 +600,7 @@ func (e *Engine) syncStartRound(round uint32) error {
 	start := time.Now()
 	err := e.sync.SyncStart(round, e.local, e.base, e.touched, e.access)
 	e.syncStartDur = time.Since(start).Seconds()
+	e.inFlight = err == nil
 	return err
 }
 
@@ -582,63 +614,8 @@ func (e *Engine) syncFinishRound() error {
 	finishDur := time.Since(start).Seconds()
 	e.syncSeconds = e.syncStartDur + e.gateBlocked + finishDur
 	e.touched, e.touchedNext = e.touchedNext, e.touched
+	e.inFlight = false
 	return err
-}
-
-// computeRoundGated is computeRound for the round AFTER an in-flight
-// overlapped sync: identical chunking, seeding and update order, but
-// every row access first passes the per-thread overlapGate, and the
-// touched set lands in touchedNext (the in-flight sync owns touched).
-// computeSeconds records only the productive portion; the gate-blocked
-// remainder is charged to the sync critical path, and the productive
-// portion is also the round's overlapSeconds (sync time hidden behind
-// it).
-func (e *Engine) computeRoundGated(epoch, round int, alpha float32) {
-	chunk := e.roundChunk(epoch, round)
-	e.touchedNext.Reset()
-	var blocked time.Duration
-	start := time.Now()
-	if e.cfg.ThreadsPerHost == 1 {
-		g := e.gates[0]
-		g.resetRound()
-		r := e.rands[0]
-		r.Reseed(e.computeSeed(epoch, round, 0))
-		e.trainer.TrainTokensGated(chunk, alpha, r, e.touchedNext, &e.stats, e.scratches[0], g)
-		blocked = g.blocked
-	} else {
-		threads := e.cfg.ThreadsPerHost
-		var wg sync.WaitGroup
-		for th := 0; th < threads; th++ {
-			lo := len(chunk) * th / threads
-			hi := len(chunk) * (th + 1) / threads
-			e.perThread[th].Reset()
-			e.perStats[th] = sgns.Stats{}
-			e.gates[th].resetRound()
-			wg.Add(1)
-			go func(th, lo, hi int) {
-				defer wg.Done()
-				r := e.rands[th]
-				r.Reseed(e.computeSeed(epoch, round, th))
-				e.trainer.TrainTokensGated(chunk[lo:hi], alpha, r, e.perThread[th], &e.perStats[th], e.scratches[th], e.gates[th])
-			}(th, lo, hi)
-		}
-		wg.Wait()
-		for th := 0; th < threads; th++ {
-			e.touchedNext.Or(e.perThread[th])
-			e.stats.Add(e.perStats[th])
-			if e.gates[th].blocked > blocked {
-				blocked = e.gates[th].blocked
-			}
-		}
-	}
-	wall := time.Since(start).Seconds()
-	b := blocked.Seconds()
-	if b > wall {
-		b = wall
-	}
-	e.computeSeconds = wall - b
-	e.gateBlocked = b
-	e.overlapSeconds = wall - b
 }
 
 // finishEpoch returns this host's training counters and communication

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"errors"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"graphword2vec/internal/gluon"
 )
@@ -108,24 +111,82 @@ func TestEngineResultOverlapAccounting(t *testing.T) {
 	}
 }
 
-// TestSetSyncOverlapHostCap: clusters past the 64-host installed-mask
-// width must fall back to serialized rounds rather than misbehave. (A
-// 65-host simulated cluster is too heavy for a unit test; exercise the
-// gluon-level cap directly through an engine-free config check.)
-func TestSetSyncOverlapHostCap(t *testing.T) {
-	v, neg, c := testData(t, repeatedText(4))
-	cfg := smallConfig(2)
+// TestValidateOverlapHostCap: overlap past the 64-host installed-mask
+// width is refused by name at configuration time rather than silently
+// serialized; 64 hosts, and 65 without overlap, stay valid.
+func TestValidateOverlapHostCap(t *testing.T) {
+	cfg := DefaultConfig(65)
 	cfg.SyncOverlap = true
-	tr, err := gluon.NewInProcTransport(2)
-	if err != nil {
-		t.Fatal(err)
+	if err := cfg.Validate(); !errors.Is(err, gluon.ErrOverlapHostCap) {
+		t.Fatalf("65-host overlap: Validate = %v, want ErrOverlapHostCap", err)
 	}
-	defer tr.Close()
-	eng, err := NewEngine(cfg, 0, tr, v, neg, c, 8)
-	if err != nil {
-		t.Fatal(err)
+	cfg.SyncOverlap = false
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("65 hosts without overlap: %v", err)
 	}
-	if !eng.sync.SyncOverlap() {
-		t.Error("2-host engine should accept overlap")
+	cfg = DefaultConfig(64)
+	cfg.SyncOverlap = true
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("64-host overlap: %v", err)
+	}
+}
+
+// errInjectedSend is the fault failingSendTransport injects.
+var errInjectedSend = errors.New("injected send failure")
+
+// failingSendTransport fails every Send after the first `after`.
+type failingSendTransport struct {
+	gluon.Transport
+	after int64
+	sent  atomic.Int64
+}
+
+func (f *failingSendTransport) Send(from, to int, payload []byte) error {
+	if f.sent.Add(1) > f.after {
+		return errInjectedSend
+	}
+	return f.Transport.Send(from, to, payload)
+}
+
+// TestTrainerFailingHostCannotHang: when one host's transport starts
+// failing mid-run, its peers are left waiting on frames that never come
+// — in a serialized sync, or behind a gate while the failed host waits
+// for its sequential compute turn. Trainer.Run must release them and
+// return the failed host's error, not hang or report an echo.
+func TestTrainerFailingHostCannotHang(t *testing.T) {
+	v, neg, c := testData(t, repeatedText(8))
+	for _, mode := range []gluon.Mode{gluon.RepModelOpt, gluon.PullModel} {
+		for _, overlap := range []bool{false, true} {
+			cfg := smallConfig(3)
+			cfg.Mode = mode
+			cfg.SyncOverlap = overlap
+			tr, err := NewTrainer(cfg, v, neg, c, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr.SequentialCompute = true
+			tr.TransportFactory = func(hosts int) ([]gluon.Transport, func(), error) {
+				in, err := gluon.NewInProcTransport(hosts)
+				if err != nil {
+					return nil, nil, err
+				}
+				// Host 1 fails a few rounds in (4–6 sends per round).
+				trs := []gluon.Transport{in, &failingSendTransport{Transport: in, after: 10}, in}
+				return trs, func() { in.Close() }, nil
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := tr.Run()
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if !errors.Is(err, errInjectedSend) {
+					t.Errorf("%v overlap=%v: Run = %v, want the injected send failure", mode, overlap, err)
+				}
+			case <-time.After(20 * time.Second):
+				t.Fatalf("%v overlap=%v: Trainer.Run hung after host 1 failed", mode, overlap)
+			}
+		}
 	}
 }

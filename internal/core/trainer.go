@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime/pprof"
 	"sync"
@@ -14,9 +15,10 @@ import (
 )
 
 // Trainer runs GraphWord2Vec (Algorithm 1) on a simulated cluster: one
-// Engine per host over an in-process transport, stepped in lockstep so
-// each phase's per-host timings can be measured and aggregated. The real
-// multi-process execution path runs the identical Engine free-running
+// Engine per host over an in-process transport, each running its own
+// Engine.Run schedule on its own goroutine, stepped in lockstep so each
+// phase's per-host timings can be measured and aggregated. The real
+// multi-process execution path runs the identical schedule free-running
 // over TCP (see RunDistributed); with ThreadsPerHost == 1 the two paths
 // produce bit-identical models.
 type Trainer struct {
@@ -87,226 +89,241 @@ func (t *Trainer) Run() (*Result, error) {
 	}
 	init := model.New(t.voc.Size(), t.dim)
 	init.InitRandom(cfg.Seed)
-	engines := make([]*Engine, cfg.Hosts)
-	for h := 0; h < cfg.Hosts; h++ {
-		engines[h], err = newEngine(cfg, h, trs[h], t.voc, t.neg, t.src, t.dim, init, part)
+	ls := &lockstep{
+		onEpoch:    cfg.OnEpoch,
+		sequential: t.SequentialCompute,
+		trs:        trs,
+		engines:    make([]*Engine, cfg.Hosts),
+		eps:        make([]EngineResult, cfg.Hosts),
+	}
+	ls.cond = sync.NewCond(&ls.mu)
+	for h := range ls.engines {
+		ls.engines[h], err = newEngine(cfg, h, abortingTransport{trs[h], ls}, t.voc, t.neg, t.src, t.dim, init, part)
 		if err != nil {
 			return nil, err
 		}
 	}
 
-	res := &Result{
-		Hosts:          cfg.Hosts,
-		ComputeSeconds: make([]float64, cfg.Hosts),
-		SyncSeconds:    make([]float64, cfg.Hosts),
-		OverlapSeconds: make([]float64, cfg.Hosts),
+	hostRes := make([]*EngineResult, cfg.Hosts)
+	var wg sync.WaitGroup
+	for h, e := range ls.engines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r, err := e.Run(nil, ls)
+			if err != nil {
+				ls.fail(err)
+			}
+			hostRes[h] = r
+		}()
 	}
-	// overlap is effective only if every engine's HostSync accepted it
-	// (it caps at 64 hosts); engines agree since they share cfg.
-	overlap := cfg.SyncOverlap && cfg.Hosts > 0 && engines[0].sync.SyncOverlap()
-	globalRound := uint32(0)
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		alpha := cfg.alphaForEpoch(epoch)
-		er := EpochResult{
-			Epoch:          epoch,
-			Alpha:          alpha,
-			ComputeSeconds: make([]float64, cfg.Hosts),
-			SyncSeconds:    make([]float64, cfg.Hosts),
-			OverlapSeconds: make([]float64, cfg.Hosts),
-		}
-
-		// computedNext: the round's compute already ran, gated, during
-		// the previous round's overlapped sync (never across epochs —
-		// overlap requires a next round in the same epoch).
-		computedNext := false
-		for round := 0; round < cfg.SyncRounds; round++ {
-			// Compute phase (Algorithm 1 line 9).
-			if computedNext {
-				computedNext = false
-			} else {
-				t.computePhase(engines, epoch, round, alpha)
-			}
-			var roundMax float64
-			for _, e := range engines {
-				if e.computeSeconds > roundMax {
-					roundMax = e.computeSeconds
-				}
-				er.ComputeSeconds[e.host] += e.computeSeconds
-			}
-			er.CriticalComputeSeconds += roundMax
-
-			// PullModel inspection of the next round's accesses.
-			if cfg.Mode == gluon.PullModel {
-				t.inspectPhase(engines, epoch, round)
-			}
-
-			// Synchronisation phase (Algorithm 1 line 10) — overlapped
-			// with round+1's gated compute when there is one.
-			if overlap && round+1 < cfg.SyncRounds {
-				if err := t.overlapPhase(engines, epoch, round, alpha, globalRound); err != nil {
-					return nil, err
-				}
-				computedNext = true
-			} else if err := t.syncPhase(engines, globalRound); err != nil {
-				return nil, err
-			}
-			roundMax = 0
-			for _, e := range engines {
-				if e.syncSeconds > roundMax {
-					roundMax = e.syncSeconds
-				}
-				er.SyncSeconds[e.host] += e.syncSeconds
-				er.OverlapSeconds[e.host] += e.overlapSeconds
-			}
-			er.CriticalSyncSeconds += roundMax
-			globalRound++
-		}
-
-		// Epoch accounting.
-		for _, e := range engines {
-			train, comm := e.finishEpoch(epoch)
-			er.Train.Add(train)
-			er.Comm.Add(comm)
-			res.ComputeSeconds[e.host] += er.ComputeSeconds[e.host]
-			res.SyncSeconds[e.host] += er.SyncSeconds[e.host]
-			res.OverlapSeconds[e.host] += er.OverlapSeconds[e.host]
-		}
-		res.CriticalComputeSeconds += er.CriticalComputeSeconds
-		res.CriticalSyncSeconds += er.CriticalSyncSeconds
+	wg.Wait()
+	// Locked: a failed run's background sync rounds may still be
+	// reporting their transport's closure.
+	ls.mu.Lock()
+	cause := ls.cause
+	ls.mu.Unlock()
+	if cause != nil {
+		return nil, cause
+	}
+	res := &Result{Hosts: cfg.Hosts, Canonical: assembleCanonical(part, ls.engines, t.dim), Epochs: ls.epochs}
+	for _, er := range res.Epochs {
 		res.Comm.Add(er.Comm)
 		res.Train.Add(er.Train)
-		res.Epochs = append(res.Epochs, er)
-
-		if cfg.OnEpoch != nil {
-			cfg.OnEpoch(epoch, ModelView{Model: assembleCanonical(part, engines, t.dim)}, er)
-		}
+		res.CriticalComputeSeconds += er.CriticalComputeSeconds
+		res.CriticalSyncSeconds += er.CriticalSyncSeconds
 	}
-
-	res.Canonical = assembleCanonical(part, engines, t.dim)
+	for _, hr := range hostRes {
+		res.ComputeSeconds = append(res.ComputeSeconds, hr.ComputeSeconds)
+		res.SyncSeconds = append(res.SyncSeconds, hr.SyncSeconds)
+		res.OverlapSeconds = append(res.OverlapSeconds, hr.OverlapSeconds)
+	}
 	return res, nil
 }
 
-// computePhase runs one round's SGNS compute on every host, tagged with
-// the compute pprof label (spawned host goroutines inherit it).
-func (t *Trainer) computePhase(engines []*Engine, epoch, round int, alpha float32) {
-	pprof.Do(context.Background(), computeLabels, func(context.Context) {
-		if t.SequentialCompute {
-			for _, e := range engines {
-				e.computeRound(epoch, round, alpha)
-			}
-			return
-		}
-		var wg sync.WaitGroup
-		for _, e := range engines {
-			wg.Add(1)
-			go func(e *Engine) {
-				defer wg.Done()
-				e.computeRound(epoch, round, alpha)
-			}(e)
-		}
-		wg.Wait()
-	})
+// errLockstepAborted is what a host waiting on the coordinator gets
+// once another host has failed.
+var errLockstepAborted = errors.New("core: lockstep aborted after another host failed")
+
+// lockstep steps a simulated cluster's engines through Engine.Run's
+// schedule together. Every phase ends at a barrier across all hosts, so
+// each phase's per-host timers can be aggregated into the BSP critical
+// path; with sequential set, compute phases (gated ones included) also
+// run one host at a time in host order, so their timings are
+// uncontended. Sequential gated compute cannot deadlock: the barrier
+// after sync start puts every host's background sync in flight first,
+// and those progress without their host's compute. A nil *lockstep is
+// the free-running schedule.
+type lockstep struct {
+	onEpoch    func(epoch int, canonical ModelView, er EpochResult)
+	sequential bool
+	trs        []gluon.Transport
+	engines    []*Engine
+
+	mu      sync.Mutex
+	cond    *sync.Cond
+	arrived int    // hosts at the current barrier
+	gen     uint64 // barriers completed
+	turn    int    // next host to compute when sequential
+	aborted bool
+	cause   error // the run's first real failure
+
+	// Under mu: the open round's and epoch's critical path, each host's
+	// share of the open epoch, and the finished epochs.
+	roundCompute, roundSync float64
+	critCompute, critSync   float64
+	eps                     []EngineResult
+	epochs                  []EpochResult
 }
 
-// inspectPhase computes each host's next-round access set concurrently
-// (paper §4.4's inspection).
-func (t *Trainer) inspectPhase(engines []*Engine, epoch, round int) {
-	pprof.Do(context.Background(), inspectLabels, func(context.Context) {
-		var wg sync.WaitGroup
-		for _, e := range engines {
-			wg.Add(1)
-			go func(e *Engine) {
-				defer wg.Done()
-				e.inspectNext(epoch, round)
-			}(e)
-		}
-		wg.Wait()
-	})
-}
-
-// overlapPhase runs one double-buffered BSP step on every host: all
-// hosts launch sync(round) on background goroutines, run round+1's
-// gated compute concurrently with them, then join. Each engine records
-// its critical-path sync time (launch + gate-blocked + join) in
-// syncSeconds, the hidden window in overlapSeconds, and round+1's
-// productive compute in computeSeconds, exactly as the free-running
-// Engine.Run does. SequentialCompute applies to the gated computes just
-// as it does to plain compute phases — it is deadlock-free because
-// every host's background sync is already in flight before the first
-// gated compute starts, so a sequential host's gate progresses as its
-// peers' background goroutines serve their rounds — and it matters for
-// the same reason: gate-blocked time is a per-host critical-path
-// measurement, and concurrent gated computes contending for cores
-// starve the background syncs and inflate it.
-func (t *Trainer) overlapPhase(engines []*Engine, epoch, round int, alpha float32, globalRound uint32) error {
-	errs := make([]error, len(engines))
-	pprof.Do(context.Background(), syncLabels, func(context.Context) {
-		for i, e := range engines {
-			errs[i] = e.syncStartRound(globalRound)
-		}
-	})
-	for h, err := range errs {
+// step runs phase p of engine e's schedule under its pprof label. On the
+// lockstep path a sequential compute first waits for e's turn, and the
+// phase ends at a cluster-wide barrier.
+func (l *lockstep) step(e *Engine, p phase, fn func() error) (err error) {
+	turn := l != nil && l.sequential && (p == phaseCompute || p == phaseGated)
+	if turn {
+		l.mu.Lock()
+		err = l.wait(func() bool { return l.turn == e.host })
+		l.mu.Unlock()
 		if err != nil {
-			return fmt.Errorf("core: host %d sync start: %w", h, err)
+			return err
 		}
 	}
-	pprof.Do(context.Background(), overlapLabels, func(context.Context) {
-		if t.SequentialCompute {
-			for _, e := range engines {
-				e.computeRoundGated(epoch, round+1, alpha)
-			}
+	pprof.Do(context.Background(), phaseLabels[p], func(context.Context) { err = fn() })
+	if l == nil || err != nil {
+		return err
+	}
+	return l.barrier(func(bool) {
+		if turn {
+			l.turn++
+			l.cond.Broadcast()
+		}
+	})
+}
+
+// endRound closes a round at a barrier, adding the slowest host's
+// compute and sync time to the epoch's critical path.
+func (l *lockstep) endRound(compute, sync float64) error {
+	if l == nil {
+		return nil
+	}
+	return l.barrier(func(last bool) {
+		l.roundCompute = max(l.roundCompute, compute)
+		l.roundSync = max(l.roundSync, sync)
+		if last {
+			l.critCompute += l.roundCompute
+			l.critSync += l.roundSync
+			l.roundCompute, l.roundSync = 0, 0
+		}
+	})
+}
+
+// endEpoch closes an epoch at a barrier. The last host to arrive
+// assembles the EpochResult, folding counters in host order so loss
+// sums are deterministic. Host 0 then hands onEpoch the canonical model
+// outside the lock while its peers wait, quiescent, at a second
+// barrier.
+func (l *lockstep) endEpoch(host, epoch int, alpha float32, ep *EngineResult) error {
+	if l == nil {
+		return nil
+	}
+	err := l.barrier(func(last bool) {
+		l.eps[host] = *ep
+		if !last {
 			return
 		}
-		var wg sync.WaitGroup
-		for _, e := range engines {
-			wg.Add(1)
-			go func(e *Engine) {
-				defer wg.Done()
-				e.computeRoundGated(epoch, round+1, alpha)
-			}(e)
+		er := EpochResult{Epoch: epoch, Alpha: alpha, CriticalComputeSeconds: l.critCompute, CriticalSyncSeconds: l.critSync}
+		for _, hp := range l.eps {
+			er.ComputeSeconds = append(er.ComputeSeconds, hp.ComputeSeconds)
+			er.SyncSeconds = append(er.SyncSeconds, hp.SyncSeconds)
+			er.OverlapSeconds = append(er.OverlapSeconds, hp.OverlapSeconds)
+			er.Comm.Add(hp.Comm)
+			er.Train.Add(hp.Train)
 		}
-		wg.Wait()
+		l.critCompute, l.critSync = 0, 0
+		l.epochs = append(l.epochs, er)
 	})
-	pprof.Do(context.Background(), syncLabels, func(context.Context) {
-		var wg sync.WaitGroup
-		for i, e := range engines {
-			wg.Add(1)
-			go func(i int, e *Engine) {
-				defer wg.Done()
-				errs[i] = e.syncFinishRound()
-			}(i, e)
-		}
-		wg.Wait()
-	})
-	for h, err := range errs {
-		if err != nil {
-			return fmt.Errorf("core: host %d sync finish: %w", h, err)
-		}
+	if err != nil || l.onEpoch == nil {
+		return err
+	}
+	if host == 0 {
+		e := l.engines[0]
+		l.onEpoch(epoch, ModelView{Model: assembleCanonical(e.part, l.engines, e.dim)}, l.epochs[epoch])
+	}
+	return l.barrier(func(bool) {})
+}
+
+// barrier blocks until every host has arrived. arrive runs under the
+// lock on each arrival (last marks the final one).
+func (l *lockstep) barrier(arrive func(last bool)) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.aborted {
+		return errLockstepAborted
+	}
+	l.arrived++
+	last := l.arrived == len(l.engines)
+	arrive(last)
+	if !last {
+		gen := l.gen
+		return l.wait(func() bool { return l.gen != gen })
+	}
+	l.arrived, l.turn = 0, 0
+	l.gen++
+	l.cond.Broadcast()
+	return nil
+}
+
+// wait blocks, with l.mu held, until ready holds or the run aborts.
+func (l *lockstep) wait(ready func() bool) error {
+	for !ready() && !l.aborted {
+		l.cond.Wait()
+	}
+	if l.aborted {
+		return errLockstepAborted
 	}
 	return nil
 }
 
-// syncPhase runs the bulk-synchronous model synchronisation concurrently
-// on every host (each engine records its own wall time in syncSeconds).
-func (t *Trainer) syncPhase(engines []*Engine, round uint32) error {
-	errs := make([]error, len(engines))
-	pprof.Do(context.Background(), syncLabels, func(context.Context) {
-		var wg sync.WaitGroup
-		for i, e := range engines {
-			wg.Add(1)
-			go func(i int, e *Engine) {
-				defer wg.Done()
-				errs[i] = e.syncRound(round)
-			}(i, e)
-		}
-		wg.Wait()
-	})
-	for h, err := range errs {
-		if err != nil {
-			return fmt.Errorf("core: host %d sync: %w", h, err)
+// fail records a host's failure and releases the cluster: waiters at a
+// barrier or turn return errLockstepAborted, and closing the transports
+// unblocks hosts stuck receiving from the failed one, in a sync or
+// behind a gate. The first error that is not such an echo — a closed
+// transport, an aborted wait — becomes the run's cause.
+func (l *lockstep) fail(err error) {
+	echo := func(err error) bool {
+		return errors.Is(err, gluon.ErrTransportClosed) || errors.Is(err, errLockstepAborted)
+	}
+	l.mu.Lock()
+	if l.cause == nil || echo(l.cause) && !echo(err) {
+		l.cause = err
+	}
+	first := !l.aborted
+	l.aborted = true
+	l.cond.Broadcast()
+	l.mu.Unlock()
+	if first {
+		for _, tr := range l.trs {
+			tr.Close()
 		}
 	}
-	return nil
+}
+
+// abortingTransport reports a failed send to the coordinator at once: a
+// host whose overlapped sync fails in the background, while it waits
+// for its sequential compute turn, would otherwise leave its peers
+// blocked behind their gates.
+type abortingTransport struct {
+	gluon.Transport
+	ls *lockstep
+}
+
+func (a abortingTransport) Send(from, to int, payload []byte) error {
+	err := a.Transport.Send(from, to, payload)
+	if err != nil {
+		a.ls.fail(fmt.Errorf("core: host %d send to host %d: %w", from, to, err))
+	}
+	return err
 }
 
 // assembleCanonical builds the canonical model by gathering every owner's

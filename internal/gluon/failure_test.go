@@ -1,6 +1,7 @@
 package gluon
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -189,5 +190,55 @@ func TestSyncModelSizeMismatch(t *testing.T) {
 	wrong := model.New(5, 2)
 	if err := hs.Sync(0, wrong, wrong.Clone(), bitset.New(10), nil); err == nil {
 		t.Fatal("model size mismatch accepted")
+	}
+}
+
+// splitFaultTransport fails Send with sendErr and Recv with recvErr: the
+// shape of a dying link, where one side sees the real fault and the
+// other only sees the transport torn down under it.
+type splitFaultTransport struct {
+	hosts            int
+	sendErr, recvErr error
+}
+
+func (f splitFaultTransport) NumHosts() int                 { return f.hosts }
+func (f splitFaultTransport) Send(int, int, []byte) error   { return f.sendErr }
+func (f splitFaultTransport) Recv(int) (int, []byte, error) { return 0, nil, f.recvErr }
+func (f splitFaultTransport) Close() error                  { return nil }
+
+// TestRoundErrorNamesCause: a round whose receive fails with a real
+// fault while its send workers fail with ErrTransportClosed must report
+// the fault — and vice versa — whatever order the workers finished in.
+// The closed transport is only the verdict when nothing else failed.
+func TestRoundErrorNamesCause(t *testing.T) {
+	fault := errors.New("injected fault")
+	cases := []struct {
+		name             string
+		sendErr, recvErr error
+		want             error
+	}{
+		{"recv fault, send closed", ErrTransportClosed, fault, fault},
+		{"send fault, recv closed", fault, ErrTransportClosed, fault},
+		{"both closed", ErrTransportClosed, ErrTransportClosed, ErrTransportClosed},
+	}
+	part, err := graph.NewPartition(12, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	init := model.New(12, 4)
+	touched := allNodesBitset(12)
+	for _, tc := range cases {
+		for _, workers := range []int{1, 4} {
+			tr := splitFaultTransport{hosts: 4, sendErr: tc.sendErr, recvErr: tc.recvErr}
+			hs, err := NewHostSync(0, part, tr, 4, RepModelOpt, combine.Sum{}, CodecPacked)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hs.SetSyncWorkers(workers)
+			err = hs.Sync(0, init.Clone(), init.Clone(), touched, nil)
+			if !errors.Is(err, tc.want) || tc.want != ErrTransportClosed && errors.Is(err, ErrTransportClosed) {
+				t.Errorf("%s, %d workers: Sync = %v, want %v", tc.name, workers, err, tc.want)
+			}
+		}
 	}
 }

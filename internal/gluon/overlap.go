@@ -131,21 +131,25 @@ func (pr *SyncProgress) postDone() {
 	pr.bump()
 }
 
-// overlapHostCap bounds the cluster size overlap supports: the
-// installed mask is a uint64. Larger clusters fall back to serialized
-// rounds.
-const overlapHostCap = 64
+// OverlapHostCap bounds the cluster size overlap supports: the
+// installed mask is a uint64.
+const OverlapHostCap = 64
+
+// ErrOverlapHostCap refuses overlapped rounds on a cluster wider than
+// OverlapHostCap. core.Config.Validate reports it at configuration time,
+// so no run silently falls back to serialized rounds.
+var ErrOverlapHostCap = fmt.Errorf("gluon: sync overlap supports at most %d hosts", OverlapHostCap)
 
 // SetSyncOverlap configures whether SyncStart/SyncFinish rounds
-// announce and consume touched sets, and reports the effective setting
-// (false on clusters past the 64-host mask width). Like SetSyncWorkers
-// this is a per-host performance knob, excluded from the config
-// checksum: hosts with it off just discard announcements, so mixed
-// clusters interoperate — per-node gating on such a cluster degrades to
+// announce and consume touched sets; clusters past OverlapHostCap are
+// refused with ErrOverlapHostCap. Like SetSyncWorkers this is a
+// per-host performance knob, excluded from the config checksum: hosts
+// with it off just discard announcements, so mixed clusters
+// interoperate — per-node gating on such a cluster degrades to
 // range-level because the union touched set never completes.
-func (hs *HostSync) SetSyncOverlap(on bool) bool {
-	if on && hs.part.NumHosts() > overlapHostCap {
-		on = false
+func (hs *HostSync) SetSyncOverlap(on bool) error {
+	if on && hs.part.NumHosts() > OverlapHostCap {
+		return ErrOverlapHostCap
 	}
 	hs.overlapConfigured = on
 	if on && hs.unionTouched == nil {
@@ -154,7 +158,7 @@ func (hs *HostSync) SetSyncOverlap(on bool) bool {
 		hs.roundCh = make(chan error, 1)
 		hs.goRound = func() { hs.roundCh <- hs.runRound() }
 	}
-	return on
+	return nil
 }
 
 // SyncOverlap reports whether overlapped rounds are configured.

@@ -1,6 +1,7 @@
 package gluon
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -683,20 +684,29 @@ func (hs *HostSync) runRound() (err error) {
 }
 
 // roundError folds a control-goroutine error and the per-peer worker
-// error slots into the round's verdict (first worker error in host
-// order wins, for determinism; the receive error is reported only when
-// no worker failed, since a dead worker usually explains the stalled
-// receive).
+// error slots into the round's verdict. A closed transport is usually
+// the echo of some other failure — a dying peer tears the links down
+// under every worker still using them — so any error other than
+// ErrTransportClosed wins, whether it came from a send, a decode or the
+// receive (workers first in host order, for determinism), and the
+// closed error is reported only when nothing else failed.
 func (hs *HostSync) roundError(recvErr error) error {
+	var closed error
 	for g := range hs.sendErrs {
-		if hs.sendErrs[g] != nil {
-			return hs.sendErrs[g]
-		}
-		if hs.decErrs[g] != nil {
-			return hs.decErrs[g]
+		for _, err := range [...]error{hs.sendErrs[g], hs.decErrs[g]} {
+			switch {
+			case err == nil:
+			case !errors.Is(err, ErrTransportClosed):
+				return err
+			case closed == nil:
+				closed = err
+			}
 		}
 	}
-	return recvErr
+	if closed == nil || recvErr != nil && !errors.Is(recvErr, ErrTransportClosed) {
+		return recvErr
+	}
+	return closed
 }
 
 // reduceWorker builds and sends the reduce frame for peer g: our deltas

@@ -359,31 +359,7 @@ func ChaosGrid(opts Options, cases []ChaosCase) ([]ChaosGridRow, error) {
 		byName[w.name] = w
 	}
 
-	// One fault-free reference per (workload, mode), computed on demand
-	// over the sim transport — transport byte-identity is pinned
-	// separately (TestSyncBitIdentityTCP), so one reference serves
-	// every cell of the group.
-	refs := map[string]string{}
-	reference := func(w *faultWorkload, mode gluon.Mode) (string, error) {
-		key := w.name + "/" + mode.String()
-		if h, ok := refs[key]; ok {
-			return h, nil
-		}
-		trs, closeAll, err := faultGridTransports("sim", chaosGridHosts)
-		if err != nil {
-			return "", err
-		}
-		defer closeAll()
-		results, errs := clusterRun(w, w.cfg(mode), trs, func(int) core.RunOptions { return core.RunOptions{} })
-		for h, err := range errs {
-			if err != nil {
-				return "", fmt.Errorf("harness: chaos-grid reference %s rank %d: %w", key, h, err)
-			}
-		}
-		h := hashCanonical(results[0].Canonical)
-		refs[key] = h
-		return h, nil
-	}
+	reference := gridReference("chaos-grid", chaosGridHosts)
 
 	var rows []ChaosGridRow
 	var failed []string

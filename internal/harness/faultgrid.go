@@ -423,15 +423,8 @@ func runFaultCell(w *faultWorkload, c FaultCase, refHash string, dir string) (Fa
 		return ro
 	})
 	closeAll()
-	for _, err := range errs {
-		if err == nil {
-			// The kill did not land (or a rank finished regardless):
-			// the cell's premise failed.
-			return row, fmt.Errorf("harness: %s: a rank survived the injected fault", c.ID())
-		}
-	}
-	if !errors.Is(errs[victim], errInjectedKill) {
-		return row, fmt.Errorf("harness: %s: victim died of %v, not the injected fault", c.ID(), errs[victim])
+	if err := checkKilled(errs, victim); err != nil {
+		return row, fmt.Errorf("harness: %s: %w", c.ID(), err)
 	}
 
 	// The resume run: a fresh mesh over fresh transports, every rank
@@ -472,30 +465,7 @@ func FaultGrid(opts Options, cases []FaultCase) ([]FaultGridRow, error) {
 		byName[w.name] = w
 	}
 
-	// One uninterrupted reference per (workload, mode), computed on
-	// demand over the sim transport — transport byte-identity is pinned
-	// separately (TestSyncBitIdentityTCP), so one reference serves both.
-	refs := map[string]string{}
-	reference := func(w *faultWorkload, mode gluon.Mode) (string, error) {
-		key := w.name + "/" + mode.String()
-		if h, ok := refs[key]; ok {
-			return h, nil
-		}
-		trs, closeAll, err := faultGridTransports("sim", faultGridHosts)
-		if err != nil {
-			return "", err
-		}
-		defer closeAll()
-		results, errs := clusterRun(w, w.cfg(mode), trs, func(int) core.RunOptions { return core.RunOptions{} })
-		for h, err := range errs {
-			if err != nil {
-				return "", fmt.Errorf("harness: fault-grid reference %s rank %d: %w", key, h, err)
-			}
-		}
-		h := hashCanonical(results[0].Canonical)
-		refs[key] = h
-		return h, nil
-	}
+	reference := gridReference("fault-grid", faultGridHosts)
 
 	var rows []FaultGridRow
 	var failed []string
@@ -539,6 +509,50 @@ func FaultGrid(opts Options, cases []FaultCase) ([]FaultGridRow, error) {
 		return rows, fmt.Errorf("harness: %d fault-grid cells did not recover byte-identically: %v", len(failed), failed)
 	}
 	return rows, nil
+}
+
+// gridReference returns a memoised lookup of the uninterrupted
+// reference model hash per (workload, mode) on a hosts-wide cluster,
+// computed on demand over the sim transport — transport byte-identity
+// is pinned separately (TestSyncBitIdentityTCP), so one reference
+// serves every transport. grid names the caller in errors.
+func gridReference(grid string, hosts int) func(w *faultWorkload, mode gluon.Mode) (string, error) {
+	refs := map[string]string{}
+	return func(w *faultWorkload, mode gluon.Mode) (string, error) {
+		key := w.name + "/" + mode.String()
+		if h, ok := refs[key]; ok {
+			return h, nil
+		}
+		trs, closeAll, err := faultGridTransports("sim", hosts)
+		if err != nil {
+			return "", err
+		}
+		defer closeAll()
+		results, errs := clusterRun(w, w.cfg(mode), trs, func(int) core.RunOptions { return core.RunOptions{} })
+		for h, err := range errs {
+			if err != nil {
+				return "", fmt.Errorf("harness: %s reference %s rank %d: %w", grid, key, h, err)
+			}
+		}
+		h := hashCanonical(results[0].Canonical)
+		refs[key] = h
+		return h, nil
+	}
+}
+
+// checkKilled verifies a kill run's premise: every rank failed (a
+// survivor means the kill did not land, or a rank finished regardless),
+// and the victim died of the injected fault, not of a peer's echo.
+func checkKilled(errs []error, victim int) error {
+	for _, err := range errs {
+		if err == nil {
+			return errors.New("a rank survived the injected fault")
+		}
+	}
+	if !errors.Is(errs[victim], errInjectedKill) {
+		return fmt.Errorf("victim died of %v, not the injected fault", errs[victim])
+	}
+	return nil
 }
 
 // hashCanonical hashes a gathered canonical model's serialised bytes —

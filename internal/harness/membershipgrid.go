@@ -171,13 +171,8 @@ func runKillSetup(w *faultWorkload, cfg core.Config, transport, dir string) erro
 		return core.RunOptions{Checkpoint: &core.CheckpointPolicy{Dir: dir, Every: faultGridCkptEvery}}
 	})
 	closeAll()
-	for _, err := range errs {
-		if err == nil {
-			return fmt.Errorf("harness: a rank survived the injected fault")
-		}
-	}
-	if !errors.Is(errs[victim], errInjectedKill) {
-		return fmt.Errorf("harness: victim died of %v, not the injected fault", errs[victim])
+	if err := checkKilled(errs, victim); err != nil {
+		return fmt.Errorf("harness: %w", err)
 	}
 	return nil
 }
@@ -373,27 +368,7 @@ func MembershipGrid(opts Options, cases []MembershipCase) ([]MembershipGridRow, 
 
 	// Uninterrupted 3-host references, keyed (workload, mode), computed
 	// on demand for the cells that degrade to round 0.
-	refs := map[string]string{}
-	reference := func(w *faultWorkload, mode gluon.Mode) (string, error) {
-		key := w.name + "/" + mode.String()
-		if h, ok := refs[key]; ok {
-			return h, nil
-		}
-		trs, closeAll, err := faultGridTransports("sim", faultGridHosts)
-		if err != nil {
-			return "", err
-		}
-		defer closeAll()
-		results, errs := clusterRun(w, w.cfg(mode), trs, func(int) core.RunOptions { return core.RunOptions{} })
-		for h, err := range errs {
-			if err != nil {
-				return "", fmt.Errorf("harness: membership-grid reference %s rank %d: %w", key, h, err)
-			}
-		}
-		h := hashCanonical(results[0].Canonical)
-		refs[key] = h
-		return h, nil
-	}
+	reference := gridReference("membership-grid", faultGridHosts)
 
 	var rows []MembershipGridRow
 	var failed []string

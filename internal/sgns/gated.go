@@ -2,125 +2,25 @@ package sgns
 
 import (
 	"graphword2vec/internal/bitset"
-	"graphword2vec/internal/vecmath"
 	"graphword2vec/internal/xrand"
 )
 
-// Gated training: the compute half of the compute/sync overlap
-// (DESIGN.md §12). TrainTokensGated is TrainTokens with one extra rule —
-// before touching any model row it asks the gate whether that node is
-// final yet, and the gate BLOCKS until it is. Blocking is the only
-// degree of freedom: the token order, the subsampling decisions, the
-// dynamic windows and every negative draw are byte-for-byte the same
-// RNG stream as the ungated path, so an overlapped round trains the
-// exact same float sequence as a serialized one, just possibly later.
-// Reordering work around a busy node would change which draw lands on
-// which pair and break the hash-pinned bit-identity contract; waiting
-// cannot.
-
 // NodeGate delays access to a model row until the in-flight
-// synchronisation round can no longer read or write it. WaitNode must
-// return immediately once its round is over (the done event), and a nil
-// gate is not allowed — callers without a sync in flight use
-// TrainTokens.
+// synchronisation round can no longer read or write it — the compute
+// half of the compute/sync overlap (DESIGN.md §12). Blocking is the only
+// degree of freedom: the token order, subsampling, dynamic windows and
+// every negative draw stay the ungated RNG stream, so an overlapped
+// round trains the exact same float sequence as a serialized one, just
+// possibly later. WaitNode must return immediately once its round is
+// over.
 type NodeGate interface {
 	// WaitNode blocks until node n's model rows are final for this
 	// round's compute.
 	WaitNode(n int32)
 }
 
-// TrainTokensGated is TrainTokens under a NodeGate: identical RNG
-// draws, identical update order, identical floats — only the timing of
-// each row access may differ. See TrainTokens for the parameter
-// contract.
+// TrainTokensGated is TrainTokens with every row access first passing
+// gate (nil: ungated): identical RNG draws, update order and floats.
 func (t *Trainer) TrainTokensGated(tokens []int32, alpha float32, r *xrand.Rand, touched *bitset.Bitset, st *Stats, sc *Scratch, gate NodeGate) {
-	if sc == nil {
-		sc = t.NewScratch()
-	}
-	for start := 0; start < len(tokens); start += t.Params.MaxSentenceLength {
-		end := start + t.Params.MaxSentenceLength
-		if end > len(tokens) {
-			end = len(tokens)
-		}
-		// Subsampling consumes RNG exactly as TrainTokens does: the
-		// Keep draws precede any gating, so a blocked row cannot shift
-		// the stream.
-		sen := sc.sen[:0]
-		for _, w := range tokens[start:end] {
-			st.TokensSeen++
-			if t.Vocab.Keep(w, r) {
-				sen = append(sen, w)
-				st.TokensKept++
-			}
-		}
-		t.trainSentenceGated(sen, alpha, r, touched, st, sc.neu1e, gate)
-		sc.sen = sen
-	}
-}
-
-// trainSentenceGated mirrors trainSentence; the dynamic-window draw
-// happens before any gate wait.
-func (t *Trainer) trainSentenceGated(sen []int32, alpha float32, r *xrand.Rand, touched *bitset.Bitset, st *Stats, neu1e []float32, gate NodeGate) {
-	window := t.Params.Window
-	for pos, center := range sen {
-		b := r.Intn(window)
-		lo := pos - (window - b)
-		if lo < 0 {
-			lo = 0
-		}
-		hi := pos + (window - b) + 1
-		if hi > len(sen) {
-			hi = len(sen)
-		}
-		for cpos := lo; cpos < hi; cpos++ {
-			if cpos == pos {
-				continue
-			}
-			t.trainPairGated(sen[cpos], center, alpha, r, touched, st, neu1e, gate)
-		}
-	}
-}
-
-// trainPairGated mirrors trainPair with a gate wait before each row
-// access: the context's embedding row once per pair, and each target's
-// training row as it comes up. Negative draws happen before their
-// target's wait, in the same order as the ungated path. Finality is
-// monotone within a round, so a row that was waited for stays safe for
-// the rest of the pair (the trailing Axpy into emb needs no second
-// wait).
-func (t *Trainer) trainPairGated(context, center int32, alpha float32, r *xrand.Rand, touched *bitset.Bitset, st *Stats, neu1e []float32, gate NodeGate) {
-	gate.WaitNode(context)
-	emb := t.Model.EmbRow(context)
-	vecmath.Zero(neu1e)
-	st.Pairs++
-
-	for d := 0; d <= t.Params.Negatives; d++ {
-		var target int32
-		var label float32
-		if d == 0 {
-			target, label = center, 1
-		} else {
-			target = t.Neg.SampleExcluding(r, center)
-			if target == center {
-				continue // single-word vocabulary fallback
-			}
-			label = 0
-		}
-		gate.WaitNode(target)
-		ctx := t.Model.CtxRow(target)
-		f := vecmath.Dot(emb, ctx)
-		g := (label - vecmath.Sigmoid(f)) * alpha
-		if t.Params.TrackLoss {
-			st.LossSum += pairLoss(float64(f), label)
-			st.LossEdges++
-		}
-		vecmath.UpdatePair(emb, ctx, neu1e, g)
-		if touched != nil {
-			touched.Set(int(target))
-		}
-	}
-	vecmath.Axpy(1, neu1e, emb)
-	if touched != nil {
-		touched.Set(int(context))
-	}
+	t.trainTokens(tokens, alpha, r, touched, st, sc, gate)
 }

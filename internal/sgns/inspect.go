@@ -16,8 +16,9 @@ import (
 //	InspectTokens(tokens, seed)  ⊇  touched(TrainTokens(tokens, seed))
 //
 // and because every SGNS read is also a write, the sets are in fact
-// equal. TestInspectMatchesTrain pins this; any change to TrainTokens'
-// randomness consumption must be mirrored here.
+// equal. The replay runs the training loop itself with the model
+// updates switched off, so the two cannot drift apart;
+// TestInspectMatchesTrain pins the equality.
 //
 // sc supplies the reusable sentence buffer exactly as in TrainTokens;
 // nil allocates a fresh one.
@@ -25,51 +26,8 @@ func (t *Trainer) InspectTokens(tokens []int32, r *xrand.Rand, access *bitset.Bi
 	if sc == nil {
 		sc = t.NewScratch()
 	}
-	maxSent := t.Params.MaxSentenceLength
-	for start := 0; start < len(tokens); start += maxSent {
-		end := start + maxSent
-		if end > len(tokens) {
-			end = len(tokens)
-		}
-		sen := sc.sen[:0]
-		for _, w := range tokens[start:end] {
-			if t.Vocab.Keep(w, r) {
-				sen = append(sen, w)
-			}
-		}
-		t.inspectSentence(sen, r, access)
-		sc.sen = sen
-	}
-}
-
-// inspectSentence mirrors trainSentence's control flow and RNG use.
-func (t *Trainer) inspectSentence(sen []int32, r *xrand.Rand, access *bitset.Bitset) {
-	window := t.Params.Window
-	for pos, center := range sen {
-		b := r.Intn(window)
-		lo := pos - (window - b)
-		if lo < 0 {
-			lo = 0
-		}
-		hi := pos + (window - b) + 1
-		if hi > len(sen) {
-			hi = len(sen)
-		}
-		for cpos := lo; cpos < hi; cpos++ {
-			if cpos == pos {
-				continue
-			}
-			// Mirrors trainPair: context's embedding row and each
-			// target's training row are accessed.
-			access.Set(int(sen[cpos]))
-			access.Set(int(center))
-			for d := 1; d <= t.Params.Negatives; d++ {
-				target := t.Neg.SampleExcluding(r, center)
-				if target == center {
-					continue
-				}
-				access.Set(int(target))
-			}
-		}
-	}
+	replay := Scratch{sen: sc.sen} // no gradient buffer: replay only
+	var st Stats
+	t.trainTokens(tokens, 0, r, access, &st, &replay, nil)
+	sc.sen = replay.sen
 }

@@ -150,6 +150,14 @@ func (t *Trainer) NewScratch() *Scratch {
 // sc supplies the reusable hot-path buffers; nil allocates a fresh set
 // (convenient for one-shot callers, allocation-free when reused).
 func (t *Trainer) TrainTokens(tokens []int32, alpha float32, r *xrand.Rand, touched *bitset.Bitset, st *Stats, sc *Scratch) {
+	t.trainTokens(tokens, alpha, r, touched, st, sc, nil)
+}
+
+// trainTokens is TrainTokens under an optional NodeGate (nil: ungated).
+// Every RNG draw — subsampling, dynamic window, negative sample —
+// precedes the gate wait for the row it selects, so a gate can delay
+// row accesses but never shift the stream.
+func (t *Trainer) trainTokens(tokens []int32, alpha float32, r *xrand.Rand, touched *bitset.Bitset, st *Stats, sc *Scratch, gate NodeGate) {
 	if sc == nil {
 		sc = t.NewScratch()
 	}
@@ -169,13 +177,13 @@ func (t *Trainer) TrainTokens(tokens []int32, alpha float32, r *xrand.Rand, touc
 				st.TokensKept++
 			}
 		}
-		t.trainSentence(sen, alpha, r, touched, st, sc.neu1e)
+		t.trainSentence(sen, alpha, r, touched, st, sc.neu1e, gate)
 		sc.sen = sen // retain any growth for the next sentence
 	}
 }
 
 // trainSentence runs the operator over one subsampled sentence.
-func (t *Trainer) trainSentence(sen []int32, alpha float32, r *xrand.Rand, touched *bitset.Bitset, st *Stats, neu1e []float32) {
+func (t *Trainer) trainSentence(sen []int32, alpha float32, r *xrand.Rand, touched *bitset.Bitset, st *Stats, neu1e []float32, gate NodeGate) {
 	window := t.Params.Window
 	for pos, center := range sen {
 		// Dynamic window: uniform in [1, window].
@@ -192,15 +200,24 @@ func (t *Trainer) trainSentence(sen []int32, alpha float32, r *xrand.Rand, touch
 			if cpos == pos {
 				continue
 			}
-			t.trainPair(sen[cpos], center, alpha, r, touched, st, neu1e)
+			t.trainPair(sen[cpos], center, alpha, r, touched, st, neu1e, gate)
 		}
 	}
 }
 
 // trainPair applies one positive edge (context, center) plus Negatives
 // negative edges. context's embedding row and each target's training row
-// are updated; this is the per-edge "operator" in graph terms.
-func (t *Trainer) trainPair(context, center int32, alpha float32, r *xrand.Rand, touched *bitset.Bitset, st *Stats, neu1e []float32) {
+// are updated; this is the per-edge "operator" in graph terms. A non-nil
+// gate is waited on before each row access: the context's embedding row
+// once per pair, each target's training row as it comes up. Finality is
+// monotone within a round, so a row waited for stays safe for the rest
+// of the pair (the trailing Axpy into emb needs no second wait). A nil
+// neu1e only replays the pair (InspectTokens): every draw happens and
+// touched records every row, but the model is neither read nor written.
+func (t *Trainer) trainPair(context, center int32, alpha float32, r *xrand.Rand, touched *bitset.Bitset, st *Stats, neu1e []float32, gate NodeGate) {
+	if gate != nil {
+		gate.WaitNode(context)
+	}
 	emb := t.Model.EmbRow(context)
 	vecmath.Zero(neu1e)
 	st.Pairs++
@@ -217,6 +234,15 @@ func (t *Trainer) trainPair(context, center int32, alpha float32, r *xrand.Rand,
 			}
 			label = 0
 		}
+		if gate != nil {
+			gate.WaitNode(target)
+		}
+		if touched != nil {
+			touched.Set(int(target))
+		}
+		if neu1e == nil {
+			continue
+		}
 		ctx := t.Model.CtxRow(target)
 		f := vecmath.Dot(emb, ctx)
 		g := (label - vecmath.Sigmoid(f)) * alpha
@@ -227,11 +253,10 @@ func (t *Trainer) trainPair(context, center int32, alpha float32, r *xrand.Rand,
 		// Fused neu1e += g·ctx; ctx += g·emb — one pass over the row
 		// pair, bit-identical to the two Axpys it replaces.
 		vecmath.UpdatePair(emb, ctx, neu1e, g)
-		if touched != nil {
-			touched.Set(int(target))
-		}
 	}
-	vecmath.Axpy(1, neu1e, emb)
+	if neu1e != nil {
+		vecmath.Axpy(1, neu1e, emb)
+	}
 	if touched != nil {
 		touched.Set(int(context))
 	}

@@ -203,7 +203,7 @@ func TestGradientNumericCheck(t *testing.T) {
 	neu1e := make([]float32, m.Dim)
 	var st Stats
 	const alpha = 1e-3
-	tr.trainPair(ctxID, centerID, alpha, xrand.New(1), nil, &st, neu1e)
+	tr.trainPair(ctxID, centerID, alpha, xrand.New(1), nil, &st, neu1e, nil)
 
 	// Analytic: ∂L/∂emb = -(1-σ(f))·ctx ; update is emb += α(1-σ(f))·ctx.
 	f := vecmath.Dot(embBefore, ctxBefore)
