@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-portable test-sync-race overlap-smoke bench-smoke sync-latency-smoke serve-smoke serve-latency-smoke fault-grid-smoke membership-smoke chaos-smoke cross-arm64 vet fmt-check fmt docs-check
+.PHONY: all build test test-short test-portable test-sync-race overlap-smoke bench-smoke sync-latency-smoke serve-smoke serve-latency-smoke recovery-smoke chaos-smoke cross-arm64 vet fmt-check fmt docs-check
 
 all: fmt-check vet docs-check build test-short test-sync-race test-portable cross-arm64
 
@@ -62,28 +62,25 @@ serve-smoke:
 serve-latency-smoke:
 	$(GO) test -run 'TestServeLatencySmoke' -count=1 ./internal/harness/
 
-# Fault-tolerance recovery lane: the priority-1 diagonal of the
-# fault-grid kill matrix (every kill point, sync mode, transport and
-# workload at least once) plus the real-process SIGKILL + resume test,
-# under the race detector (mirrored as a CI step; DESIGN.md §10). The
-# diagonal repeats at GOMAXPROCS 1 and 4: which error a rank reports
-# first must not depend on goroutine scheduling.
-fault-grid-smoke:
-	$(GO) test -race -count=1 -run 'TestFaultGridSmoke|TestMeshRedialAfterPeerRestart' ./internal/harness/
-	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestFaultGridSmoke' ./internal/harness/
-	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestFaultGridSmoke' ./internal/harness/
-
-# Elastic-membership lane: the priority-1 diagonal of the membership
-# grid (every shape change, sync mode, transport and workload at least
-# once) plus the three second-failure cells, under the race detector;
-# the real-process peer-restart test repeats 3× as a flake gate on the
-# redial path elasticity leans on (mirrored as a CI step; DESIGN.md
-# §11, PROTOCOL.md §10). The grid and second-failure cells repeat at
-# GOMAXPROCS 1 and 4, like fault-grid-smoke.
-membership-smoke:
-	$(GO) test -race -count=1 -run 'TestMembershipGridSmoke|TestSecondFailure' ./internal/harness/
-	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestMembershipGridSmoke|TestSecondFailure' ./internal/harness/
-	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestMembershipGridSmoke|TestSecondFailure' ./internal/harness/
+# Recovery lane (DESIGN.md §10–§11, PROTOCOL.md §8, §10): every resume
+# runs the one membership negotiation. First its gluon unit surface —
+# the decision policy, decision checks, offer/decision codecs and their
+# fuzz seeds, range migration, and the rejection of undefined frame
+# kinds. Then the priority-1 diagonals of the fault-grid kill matrix
+# (every kill point, sync mode, transport and workload at least once)
+# and of the membership grid (every shape change likewise), the three
+# second-failure cells (another rank dies mid-recovery → clean
+# ErrPeerLost on every survivor) and the real-process peer-restart
+# test, all under the race detector and repeated at GOMAXPROCS 1 and 4:
+# which error a rank reports first must not depend on goroutine
+# scheduling. The peer-restart test then repeats 3× as a flake gate on
+# the redial path recovery leans on (mirrored as a CI step).
+RECOVERY_TESTS = 'TestFaultGridSmoke|TestMembershipGridSmoke|TestSecondFailure|TestMeshRedialAfterPeerRestart'
+recovery-smoke:
+	$(GO) test -race -count=1 -run 'TestDecideMembership|TestCheckMembershipDecision|TestNegotiateMembership|TestNegotiateResume|TestMigrateRanges|TestMembershipOfferRoundTrip|FuzzParseMembership|TestUndefinedFrameKindRejected' ./internal/gluon/
+	$(GO) test -race -count=1 -run $(RECOVERY_TESTS) ./internal/harness/
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run $(RECOVERY_TESTS) ./internal/harness/
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run $(RECOVERY_TESTS) ./internal/harness/
 	$(GO) test -count=3 -run 'TestMeshRedialAfterPeerRestart' ./internal/harness/
 
 # Transient-fault resilience lane: the session layer's unit surface
@@ -92,7 +89,7 @@ membership-smoke:
 # chaos grid (every fault class, sync mode and workload at least once),
 # all under the race detector (mirrored as a CI step; DESIGN.md §13,
 # PROTOCOL.md §12). The grid diagonal repeats at GOMAXPROCS 1 and 4,
-# like fault-grid-smoke.
+# like recovery-smoke.
 chaos-smoke:
 	$(GO) test -race -count=1 -run 'TestSession|TestChaos[^G]|TestDialMeshSession' ./internal/gluon/
 	$(GO) test -race -count=1 -run 'TestChaosGridSmoke' ./internal/harness/

@@ -92,8 +92,7 @@ func main() {
 		resumeFlag  = flag.Bool("resume", false, "resume from the newest cluster-wide checkpoint in -checkpoint-dir (fresh start if none)")
 		maxRestarts = flag.Int("max-restarts", 0, "after losing a peer, re-dial the mesh and resume up to this many times (0 = exit on peer loss)")
 		peerTimeout = flag.Duration("peer-timeout", 0, "declare a silent peer dead after this long; heartbeats are sent every third of it (0 = no failure detection)")
-		elastic     = flag.Bool("elastic", false, "membership-elastic recovery: resumes negotiate the protocol-v4 membership change, and when a lost peer never re-dials within -dial-timeout the survivors re-form a smaller mesh and re-shard its master range instead of wedging (identical on every rank)")
-		minHosts    = flag.Int("min-hosts", 1, "with -elastic, never degrade below this many hosts")
+		minHosts    = flag.Int("min-hosts", 0, "when a lost peer never re-dials within -dial-timeout, the survivors re-form a smaller mesh and re-shard its master range, but never below this many hosts (0 = never degrade: exit instead; identical on every rank)")
 	)
 	flag.Parse()
 	if *peersCSV == "" {
@@ -213,11 +212,11 @@ func main() {
 	if *maxRestarts > 0 && *ckptDir == "" {
 		log.Fatal("-max-restarts requires -checkpoint-dir (recovery resumes from checkpoints)")
 	}
-	if *elastic && *ckptDir == "" {
-		log.Fatal("-elastic requires -checkpoint-dir (membership changes migrate state via checkpoints)")
+	if *minHosts > 0 && *ckptDir == "" {
+		log.Fatal("-min-hosts requires -checkpoint-dir (membership changes migrate state via checkpoints)")
 	}
-	if *minHosts < 1 || *minHosts > hosts {
-		log.Fatalf("-min-hosts %d out of range [1,%d]", *minHosts, hosts)
+	if *minHosts < 0 || *minHosts > hosts {
+		log.Fatalf("-min-hosts %d out of range [0,%d]", *minHosts, hosts)
 	}
 	sum := cfg.Checksum(voc.Size(), src.Len(), *dim, extra...)
 	var tcpOpts gluon.TCPOptions
@@ -253,7 +252,7 @@ func main() {
 	curRank, prevRank := *rank, *rank
 
 	// runOnce dials a fresh mesh and drives one full training attempt.
-	// Resume (or, with -elastic, membership) negotiation happens inside
+	// On resume the membership negotiation happens inside
 	// RunDistributedOpts, before the start barrier, so a re-formed mesh
 	// agrees on a common cut first. lost is filled from the transport's
 	// failure detector after the attempt ends.
@@ -285,7 +284,6 @@ func main() {
 			opts.Checkpoint = &core.CheckpointPolicy{
 				Dir: *ckptDir, Every: *ckptEvery,
 				Resume:  resume,
-				Elastic: *elastic && resume,
 				OldRank: prevRank,
 			}
 		}
@@ -319,7 +317,7 @@ func main() {
 			log.Printf("rank %d: %v — re-forming mesh and resuming (restart %d/%d)", curRank, err, attempt+1, *maxRestarts)
 			time.Sleep(500 * time.Millisecond)
 			resume = true
-		case errors.Is(err, gluon.ErrMeshTimeout) && *elastic && attempt < *maxRestarts &&
+		case errors.Is(err, gluon.ErrMeshTimeout) && *minHosts > 0 && attempt < *maxRestarts &&
 			len(lostNow) > 0 && len(members)-len(lostNow) >= *minHosts:
 			// The dead peers never came back: drop them and continue
 			// degraded. Surviving ranks shift down, preserving order,

@@ -195,7 +195,7 @@ func writeSnapshot(w io.Writer, s *Snapshot) error {
 // Load reads and validates a snapshot written by Save, returning a
 // distinct error for each failure class (see the Err variables).
 // The caller still owns the config-checksum check: compare
-// Snapshot.Checksum, or use Store.Load which does it.
+// Snapshot.Checksum, or use ScanDir which does it.
 func Load(path string) (*Snapshot, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -289,7 +289,8 @@ func writeFloats(w io.Writer, data []float32) error {
 // the current one and, rotated aside on every save, the previous one.
 // Keeping two is what makes a torn current file recoverable, and what
 // lets a cluster whose ranks crashed at different rounds agree on a
-// common restart round (core's resume negotiation).
+// common restart round (core's membership negotiation, which reads
+// every generation back through ScanDir).
 type Store struct {
 	// Dir is the checkpoint directory; all ranks of one run may share
 	// it (file names embed the rank).
@@ -312,8 +313,8 @@ func (st *Store) PrevPath() string { return st.Path() + ".prev" }
 
 // Save rotates the current snapshot to PrevPath and writes s to Path
 // atomically. A crash between the two renames leaves a valid previous
-// snapshot and the fully-written new one at the temp name; Load-side
-// fallback covers that window.
+// snapshot and the fully-written new one at the temp name; ScanDir
+// offers the valid previous generation in that window.
 func (st *Store) Save(s *Snapshot) error {
 	if err := os.MkdirAll(st.Dir, 0o755); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
@@ -333,44 +334,4 @@ func (st *Store) Save(s *Snapshot) error {
 		return fmt.Errorf("checkpoint: install: %w", err)
 	}
 	return nil
-}
-
-// Snapshots loads every generation that exists, validates (hash and
-// config checksum against sum), and returns them newest first. Invalid
-// or missing generations are skipped; the first error encountered is
-// returned alongside whatever loaded, so callers can both resume and
-// report the damage.
-func (st *Store) Snapshots(sum uint64) ([]*Snapshot, error) {
-	var out []*Snapshot
-	var firstErr error
-	for _, path := range []string{st.Path(), st.PrevPath()} {
-		s, err := Load(path)
-		if err == nil && s.Checksum != sum {
-			err = fmt.Errorf("%w: %s has %#x, run has %#x", ErrConfigMismatch, path, s.Checksum, sum)
-		}
-		if err != nil {
-			if firstErr == nil && !errors.Is(err, os.ErrNotExist) {
-				firstErr = err
-			}
-			continue
-		}
-		out = append(out, s)
-	}
-	return out, firstErr
-}
-
-// Load returns the newest valid snapshot matching the config checksum,
-// falling back to the previous generation when the current one is
-// missing or damaged. os.ErrNotExist (wrapped) reports that no
-// generation exists at all; a damage error reports that generations
-// exist but none survived validation.
-func (st *Store) Load(sum uint64) (*Snapshot, error) {
-	snaps, err := st.Snapshots(sum)
-	if len(snaps) > 0 {
-		return snaps[0], nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	return nil, fmt.Errorf("checkpoint: no snapshot in %s for rank %d: %w", st.Dir, st.Rank, os.ErrNotExist)
 }

@@ -154,50 +154,57 @@ func TestCorruptionSuite(t *testing.T) {
 	}
 
 	t.Run("wrong-config-checksum", func(t *testing.T) {
-		st := &Store{Dir: dir, Rank: 9}
+		st := &Store{Dir: t.TempDir(), Rank: 9}
 		if err := st.Save(s); err != nil {
 			t.Fatal(err)
 		}
-		_, err := st.Load(s.Checksum + 1)
-		if !errors.Is(err, ErrConfigMismatch) {
-			t.Fatalf("got error %v, want ErrConfigMismatch", err)
+		entries, damage := ScanDir(st.Dir, s.Checksum+1)
+		if len(entries) != 0 || len(damage) != 1 || !errors.Is(damage[0], ErrConfigMismatch) {
+			t.Fatalf("ScanDir = (%v, %v), want one ErrConfigMismatch", entries, damage)
 		}
 	})
 }
 
-// TestStoreRotationAndFallback covers the two-generation story: saves
-// rotate, a torn current file falls back to the previous snapshot, and
-// both generations damaged is a hard error (never a silent fresh start).
+// TestStoreRotationAndFallback covers the two-generation story as the
+// resume path reads it through ScanDir: saves rotate, a torn current
+// file is reported as damage while the previous snapshot is still
+// offered, and both generations damaged is reported damage (never a
+// silent fresh start).
 func TestStoreRotationAndFallback(t *testing.T) {
 	st := &Store{Dir: t.TempDir(), Rank: 3}
 	sum := uint64(0xfeed)
 	first := randomSnapshot(11, 1)
-	first.Checksum = sum
+	first.Checksum, first.Rank = sum, st.Rank
 	first.NextRound = 4
 	second := randomSnapshot(11, 1)
-	second.Checksum = sum
+	second.Checksum, second.Rank = sum, st.Rank
 	second.NextRound = 8
 
-	if _, err := st.Load(sum); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("empty store: got %v, want ErrNotExist", err)
+	rounds := func() ([]uint32, []error) {
+		t.Helper()
+		entries, damage := ScanDir(st.Dir, sum)
+		var got []uint32
+		for _, e := range entries {
+			if e.Rank != st.Rank {
+				t.Fatalf("entry %+v, want rank %d", e, st.Rank)
+			}
+			got = append(got, e.NextRound)
+		}
+		return got, damage
 	}
+
 	if err := st.Save(first); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Save(second); err != nil {
 		t.Fatal(err)
 	}
-	got, err := st.Load(sum)
-	if err != nil || got.NextRound != 8 {
-		t.Fatalf("want newest snapshot (round 8), got %v err %v", got, err)
-	}
-	snaps, serr := st.Snapshots(sum)
-	if serr != nil || len(snaps) != 2 || snaps[0].NextRound != 8 || snaps[1].NextRound != 4 {
-		t.Fatalf("want generations [8 4], got %d snapshots err %v", len(snaps), serr)
+	if got, damage := rounds(); len(damage) != 0 || len(got) != 2 || got[0] != 8 || got[1] != 4 {
+		t.Fatalf("want generations [8 4], got %v damage %v", got, damage)
 	}
 
-	// Tear the current generation: Load must reject it by hash and fall
-	// back to the previous one.
+	// Tear the current generation: ScanDir must reject it by hash and
+	// still offer the previous one.
 	data, err := os.ReadFile(st.Path())
 	if err != nil {
 		t.Fatal(err)
@@ -205,16 +212,15 @@ func TestStoreRotationAndFallback(t *testing.T) {
 	if err := os.WriteFile(st.Path(), data[:len(data)-100], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err = st.Load(sum)
-	if err != nil || got.NextRound != 4 {
-		t.Fatalf("torn current: want fallback to round 4, got %v err %v", got, err)
+	if got, damage := rounds(); len(damage) != 1 || len(got) != 1 || got[0] != 4 {
+		t.Fatalf("torn current: want fallback to round 4 plus one damage report, got %v damage %v", got, damage)
 	}
 
-	// Both generations damaged: a named error, not a fresh start.
+	// Both generations damaged: named damage, not an empty store.
 	if err := os.WriteFile(st.PrevPath(), []byte("GW2VCKPT"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Load(sum); err == nil || errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("both damaged: want a damage error, got %v", err)
+	if got, damage := rounds(); len(got) != 0 || len(damage) != 2 {
+		t.Fatalf("both damaged: want no entries and two damage reports, got %v damage %v", got, damage)
 	}
 }

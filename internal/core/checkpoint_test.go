@@ -82,8 +82,8 @@ func TestEngineCheckpointRoundTripModes(t *testing.T) {
 				t.Run(fmt.Sprintf("every=%d", tc.every), func(t *testing.T) {
 					dir := t.TempDir()
 					pol := func(resume bool) func(int) RunOptions {
-						return func(int) RunOptions {
-							return RunOptions{Checkpoint: &CheckpointPolicy{Dir: dir, Every: tc.every, Resume: resume}}
+						return func(h int) RunOptions {
+							return RunOptions{Checkpoint: &CheckpointPolicy{Dir: dir, Every: tc.every, Resume: resume, OldRank: h}}
 						}
 					}
 
@@ -138,8 +138,8 @@ func TestRunOptionsNoCheckpointDir(t *testing.T) {
 	cfg := smallConfig(2)
 	_, refHash := runCluster(t, cfg, func(int) RunOptions { return RunOptions{} })
 	dir := t.TempDir()
-	res, hash := runCluster(t, cfg, func(int) RunOptions {
-		return RunOptions{Checkpoint: &CheckpointPolicy{Dir: dir, Every: 2, Resume: true}}
+	res, hash := runCluster(t, cfg, func(h int) RunOptions {
+		return RunOptions{Checkpoint: &CheckpointPolicy{Dir: dir, Every: 2, Resume: true, OldRank: h}}
 	})
 	if hash != refHash {
 		t.Fatalf("fresh-start resume hash %s, want %s", hash, refHash)

@@ -90,31 +90,27 @@ type CheckpointPolicy struct {
 	// Every is the checkpoint cadence in global rounds; <= 0 means
 	// once per epoch.
 	Every int
-	// Resume asks the cluster to restart from its newest commonly-held
-	// snapshot. Ranks negotiate before the start barrier: the chosen
-	// round is the highest one EVERY rank can restore, degrading to a
-	// fresh start (round 0) when no snapshot is shared, so a wiped disk
-	// never wedges the cluster.
+	// Resume asks the cluster to restart from its best jointly
+	// reachable checkpoint cut, via the membership negotiation
+	// (PROTOCOL.md §8, §10) before the start barrier. On an unchanged
+	// cluster that is usually a plain restore of every rank's own
+	// snapshot; a cluster of another shape, a fresh member, or a
+	// straggler missing the newest round gets the canonical model at
+	// the cut assembled by range transfers, re-sharded and
+	// re-checkpointed. With nothing shared it degrades to a fresh start
+	// (round 0), so a wiped disk never wedges the cluster. Every rank
+	// must set Resume identically (a mixed cluster deadlocks until the
+	// transport timeout).
 	Resume bool
-	// Elastic upgrades the resume negotiation to the protocol-v4
-	// membership negotiation (PROTOCOL.md §10): the cluster may be a
-	// different size than the one that wrote the snapshots, ranks may
-	// have changed identity, and fresh members may hold nothing. Rank 0
-	// picks the best jointly reachable cut; if a plain restore is
-	// impossible the full canonical model at that cut is assembled via
-	// range transfers, re-sharded under the new partition map, and
-	// re-checkpointed on every rank before training continues. Every
-	// rank must set Elastic identically (like Resume, a mixed cluster
-	// deadlocks until the transport timeout). Implies Resume.
-	Elastic bool
 	// OldRank is this rank's identity in the cluster that wrote the
-	// snapshots (for an unchanged cluster, its current rank). Use
+	// snapshots: on an unchanged cluster, its current rank. Use
 	// FreshRank (-1) for a member with no prior identity — a brand-new
-	// or replacement host. Only consulted when Elastic is set.
+	// or replacement host. Read whenever Resume is set; two ranks
+	// claiming the same OldRank fail the negotiation by name.
 	OldRank int
 }
 
-// FreshRank marks an elastic member with no identity in the old
+// FreshRank marks a resuming member with no identity in the old
 // cluster (re-exported from gluon for CheckpointPolicy.OldRank).
 const FreshRank = gluon.FreshRank
 
@@ -141,7 +137,7 @@ type RunOptions struct {
 	// multiple of the checkpoint cadence so the boundary itself is
 	// cut), then returns with Engine.Paused set. The cluster stays
 	// consistent — every rank must pass the same value — and a later
-	// run can resume from the boundary, including an Elastic one with
+	// run can resume from the boundary, including on a cluster with
 	// more hosts (scale-up join at a round boundary).
 	StopAfterRound uint32
 	// Warnf, if non-nil, receives non-fatal diagnostics — damaged
@@ -173,10 +169,11 @@ func RunDistributed(cfg Config, rank int, tr gluon.Transport, voc *vocab.Vocabul
 
 // RunDistributedOpts is RunDistributed with checkpoint/resume support.
 // With a Checkpoint policy the engine snapshots at the configured round
-// cadence; with Resume also set the cluster first negotiates the newest
-// round every rank can restore (gluon.HostSync.NegotiateResume, wired
-// before the start barrier on the fresh mesh) and rewinds each engine
-// there, producing a final model bit-identical to an uninterrupted run.
+// cadence; with Resume also set the cluster first runs the membership
+// negotiation (gluon.HostSync.NegotiateMembership, wired before the
+// start barrier on the fresh mesh) and restores every engine at the
+// agreed cut, producing a final model bit-identical to an
+// uninterrupted run.
 func RunDistributedOpts(cfg Config, rank int, tr gluon.Transport, voc *vocab.Vocabulary, neg *vocab.UnigramTable, src corpus.SequenceSource, dim int,
 	opts RunOptions) (*DistributedResult, error) {
 	eng, err := NewEngine(cfg, rank, tr, voc, neg, src, dim)
@@ -190,54 +187,15 @@ func RunDistributedOpts(cfg Config, rank int, tr gluon.Transport, voc *vocab.Voc
 		if sum == 0 {
 			sum = cfg.Checksum(voc.Size(), src.Len(), dim)
 		}
-		store := checkpoint.NewStore(pol.Dir, rank)
-		var sink CheckpointSink = store
+		var sink CheckpointSink = checkpoint.NewStore(pol.Dir, rank)
 		if opts.Sink != nil {
 			sink = opts.Sink
 		}
 		eng.EnableCheckpoints(sink, pol.Every, sum)
-		switch {
-		case pol.Elastic:
-			resumedFrom, err = elasticResume(eng, pol, &opts, sum, sink)
+		if pol.Resume {
+			resumedFrom, err = restoreAtCut(eng, pol, &opts, sum, sink)
 			if err != nil {
 				return nil, fmt.Errorf("core: host %d membership negotiation: %w", rank, err)
-			}
-		case pol.Resume:
-			// Damaged or mismatched snapshots are skipped here, not
-			// fatal: Snapshots already fell back to older generations,
-			// and offering fewer rounds only lowers the common round.
-			// But skipping is not silence — a rank whose whole store is
-			// damage would otherwise offer round 0 exactly like a rank
-			// that never checkpointed, and the discarded history would
-			// leave no trace in any log.
-			snaps, serr := store.Snapshots(sum)
-			if serr != nil {
-				opts.warnf("core: host %d: damaged checkpoint store %s (resuming from older generation or round 0): %v", rank, pol.Dir, serr)
-			}
-			rounds := make([]uint32, 0, len(snaps))
-			for _, s := range snaps {
-				rounds = append(rounds, s.NextRound)
-			}
-			chosen, err := eng.sync.NegotiateResume(rounds)
-			if err != nil {
-				return nil, fmt.Errorf("core: host %d resume negotiation: %w", rank, err)
-			}
-			if chosen > 0 {
-				restored := false
-				for _, s := range snaps {
-					if s.NextRound == chosen {
-						if err := eng.Restore(s); err != nil {
-							return nil, fmt.Errorf("core: host %d restore round %d: %w", rank, chosen, err)
-						}
-						restored = true
-						break
-					}
-				}
-				if !restored {
-					// Unreachable if NegotiateResume honoured our offer.
-					return nil, fmt.Errorf("core: host %d: agreed round %d not among local snapshots", rank, chosen)
-				}
-				resumedFrom = chosen
 			}
 		}
 	}

@@ -10,14 +10,15 @@ import (
 	"graphword2vec/internal/xrand"
 )
 
-// Elastic membership changes (PROTOCOL.md §10, DESIGN.md §11): resume a
-// checkpointed run on a cluster of a *different* shape. The flow mirrors
-// the plain resume — negotiate a cut before the start barrier, restore,
-// train — with one extra mechanism: when ranks cannot simply reload
-// their own snapshots (the host count changed, a member is fresh, or a
-// rank changed identity), the full canonical model at the cut round is
-// assembled from whichever snapshots survive, re-sharded under the new
-// partition map, and immediately re-checkpointed on every rank.
+// Resume after a crash or a membership change (PROTOCOL.md §10,
+// DESIGN.md §11): negotiate a cut before the start barrier, restore,
+// train. When the cluster kept its shape and identities and every rank
+// holds its own snapshot at the best cut, each rank reloads its own
+// snapshot (a plain restore). Otherwise — the host count changed, a
+// member is fresh, a rank changed identity, or a straggler lacks the
+// newest round others can cover — the full canonical model at the cut
+// round is assembled from whichever snapshots survive, re-sharded under
+// the new partition map, and immediately re-checkpointed on every rank.
 //
 // Why the checkpoint cut makes this safe: at a BSP round boundary the
 // canonical model is fully determined — under the RepModel schemes every
@@ -30,17 +31,17 @@ import (
 // re-sharded checkpoint — which is exactly the byte-identity the
 // membership grid asserts.
 
-// elasticResume runs the membership negotiation for one rank and
+// restoreAtCut runs the membership negotiation for one rank and
 // applies the decision: a plain restore, a fresh start at the new
 // shape, or a full re-shard restore (assemble canonical at the cut via
 // range transfers, restore it as both replicas, checkpoint the result).
 // Returns the cut round (0 = fresh start).
-func elasticResume(eng *Engine, pol *CheckpointPolicy, opts *RunOptions, sum uint64, sink CheckpointSink) (uint32, error) {
+func restoreAtCut(eng *Engine, pol *CheckpointPolicy, opts *RunOptions, sum uint64, sink CheckpointSink) (uint32, error) {
 	entries, damage := checkpoint.ScanDir(pol.Dir, sum)
 	for _, err := range damage {
 		opts.warnf("core: host %d: damaged checkpoint in %s (excluded from membership offer): %v", eng.host, pol.Dir, err)
 	}
-	offer := buildElasticOffer(entries, pol.OldRank, eng.cfg.Mode)
+	offer := buildOffer(entries, pol.OldRank, eng.cfg.Mode)
 	dec, err := eng.sync.NegotiateMembership(offer)
 	if err != nil {
 		return 0, err
@@ -153,14 +154,14 @@ func elasticResume(eng *Engine, pol *CheckpointPolicy, opts *RunOptions, sum uin
 	return dec.Round, nil
 }
 
-// buildElasticOffer derives this rank's membership offer from a
+// buildOffer derives this rank's membership offer from a
 // checkpoint-directory scan. The sync mode decides what a snapshot can
 // source: under the RepModel schemes every replica equals the canonical
 // model at a boundary, so ANY valid snapshot at a round covers every
 // old master range; under PullModel only the owner's master range is
 // guaranteed canonical, so old rank q's range requires rank q's own
 // snapshot.
-func buildElasticOffer(entries []checkpoint.DirEntry, oldRank int, mode gluon.Mode) gluon.MembershipOffer {
+func buildOffer(entries []checkpoint.DirEntry, oldRank int, mode gluon.Mode) gluon.MembershipOffer {
 	offer := gluon.MembershipOffer{OldRank: oldRank}
 	// The snapshots to offer are the generation of cluster history this
 	// rank believes is current: the stamp of its own newest snapshot,

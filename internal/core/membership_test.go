@@ -8,12 +8,12 @@ import (
 )
 
 // elasticPolicy builds the per-rank RunOptions of an elastic relaunch:
-// shared checkpoint dir, every rank Elastic, oldRank(h) mapping each
+// shared checkpoint dir, every rank resuming, oldRank(h) mapping each
 // new rank to its identity in the old cluster (FreshRank for joiners).
 func elasticPolicy(dir string, every int, oldRank func(h int) int) func(int) RunOptions {
 	return func(h int) RunOptions {
 		return RunOptions{Checkpoint: &CheckpointPolicy{
-			Dir: dir, Every: every, Resume: true, Elastic: true, OldRank: oldRank(h),
+			Dir: dir, Every: every, Resume: true, OldRank: oldRank(h),
 		}}
 	}
 }
@@ -127,8 +127,8 @@ func TestStopAfterRoundPauseResume(t *testing.T) {
 			t.Fatalf("rank %d not paused at round 3", h)
 		}
 	}
-	res, hash := runCluster(t, cfg, func(int) RunOptions {
-		return RunOptions{Checkpoint: &CheckpointPolicy{Dir: dir, Every: 3, Resume: true}}
+	res, hash := runCluster(t, cfg, func(h int) RunOptions {
+		return RunOptions{Checkpoint: &CheckpointPolicy{Dir: dir, Every: 3, Resume: true, OldRank: h}}
 	})
 	if hash != refHash {
 		t.Fatalf("pause/resume hash %s, want %s", hash, refHash)

@@ -81,12 +81,10 @@ func goldenFrames(t *testing.T) map[string][]byte {
 				dst[i] = float32(n)*10 + float32(i)
 			}
 		}),
-		"barrier":         barrierMessage(9),
-		"access":          accessMessage(2, 3, 17, func(i int) bool { return i == 4 || i == 9 || i == 16 }),
-		"touched":         goldenTouchedFrame(),
-		"heartbeat":       heartbeatMessage(),
-		"resume-offer":    resumeMessage(resumeOffer, []uint32{0, 6, 12}),
-		"resume-decision": resumeMessage(resumeDecision, []uint32{6}),
+		"barrier":   barrierMessage(9),
+		"access":    accessMessage(2, 3, 17, func(i int) bool { return i == 4 || i == 9 || i == 16 }),
+		"touched":   goldenTouchedFrame(),
+		"heartbeat": heartbeatMessage(),
 		"membership-offer": membershipOfferMessage(MembershipOffer{
 			OldHosts: 3, OldRank: 2,
 			Rounds: []RoundSources{{Round: 4, Mask: 0b111, SelfHeld: true}, {Round: 6, Mask: 0b100}},
@@ -173,7 +171,7 @@ func TestWireGolden(t *testing.T) {
 
 	if *updateGolden {
 		var sb strings.Builder
-		sb.WriteString("# Golden wire frames, protocol version 6 (PROTOCOL.md).\n")
+		sb.WriteString("# Golden wire frames, protocol version 7 (PROTOCOL.md).\n")
 		sb.WriteString("# Regenerate ONLY on a deliberate, version-bumped format change:\n")
 		sb.WriteString("#   go test ./internal/gluon -run TestWireGolden -update-golden\n")
 		names := make([]string, 0, len(frames))
@@ -341,20 +339,9 @@ func TestWireGoldenDecodes(t *testing.T) {
 		}
 	}
 
-	// Heartbeat and resume frames (protocol v3).
+	// Heartbeat frame (protocol v3).
 	if !isHeartbeat(lookup["heartbeat"]) {
 		t.Fatalf("heartbeat frame not recognised: %x", lookup["heartbeat"])
-	}
-	rounds, err := parseResumeMessage(lookup["resume-offer"])
-	if err != nil || len(rounds) != 3 || rounds[0] != 0 || rounds[1] != 6 || rounds[2] != 12 {
-		t.Fatalf("resume-offer rounds = %v, %v", rounds, err)
-	}
-	kind, tag, _, err = parseHeader(lookup["resume-decision"])
-	if err != nil || kind != kindResume || tag != resumeDecision {
-		t.Fatalf("resume-decision header = (%d, %d, %v)", kind, tag, err)
-	}
-	if rounds, err = parseResumeMessage(lookup["resume-decision"]); err != nil || len(rounds) != 1 || rounds[0] != 6 {
-		t.Fatalf("resume-decision rounds = %v, %v", rounds, err)
 	}
 
 	// Membership frames (protocol v4).

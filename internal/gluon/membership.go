@@ -2,23 +2,25 @@ package gluon
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/bits"
 
 	"graphword2vec/internal/model"
 )
 
-// Membership negotiation (wire protocol v4, PROTOCOL.md §10).
+// Membership negotiation (wire protocol v4, PROTOCOL.md §10) — the
+// one recovery negotiation every resume runs.
 //
-// The resume negotiation of §8 assumes the restarted mesh has the same
-// shape as the crashed one: every rank restores its own snapshot. The
-// membership negotiation generalises the same cut point — a freshly
-// formed mesh, before the start barrier — to clusters that changed
-// shape: a rank died for good and the survivors continue as N−1, a
-// replacement or extra rank joined, or both. Each rank reports which
-// *old* ranks' master ranges it can reconstruct from its checkpoint
-// store, per candidate round; rank 0 picks the best jointly reachable
-// cut and, when the shape changed (or a plain restore is impossible),
+// It runs on a freshly formed mesh, before the start barrier. Each rank
+// reports which *old* ranks' master ranges it can reconstruct from its
+// checkpoint store, per candidate round; rank 0 picks the best jointly
+// reachable cut. When the cluster kept its shape and every rank its
+// identity, and every rank holds its own snapshot at the best cut, the
+// verdict is a plain restore: each rank reloads its own snapshot, no
+// ranges move (PROTOCOL.md §8). Otherwise — a rank died for good and
+// the survivors continue as N−1, a replacement or extra rank joined, or
+// a straggler lacks the newest snapshot others can cover — rank 0
 // assigns one source rank per old master range. Assigned sources then
 // broadcast their ranges as transfer frames so every rank can assemble
 // the full canonical model at the cut round and re-shard it under the
@@ -30,10 +32,17 @@ import (
 // ranges into whatever replica layout they use.
 
 // Membership-negotiation tags, carried in the membership frame's round
-// field (mirrors resumeOffer/resumeDecision).
+// field.
 const (
 	membershipOffer    = 0
 	membershipDecision = 1
+)
+
+// Identity errors of the membership negotiation: rank 0 rejects offer
+// sets whose old-rank claims are inconsistent instead of guessing.
+var (
+	ErrDuplicateOldRank = errors.New("gluon: old rank claimed twice")
+	ErrOldRankRange     = errors.New("gluon: old rank outside the old cluster")
 )
 
 // FreshRank marks a MembershipOffer from a rank with no prior identity
@@ -72,9 +81,9 @@ type MembershipOffer struct {
 
 // MembershipDecision is rank 0's verdict, broadcast to every rank.
 type MembershipDecision struct {
-	// Plain: every rank restores its own old-rank snapshot at Round,
-	// exactly as the v3 resume path — possible only when the cluster
-	// shape and every rank's identity are unchanged.
+	// Plain: every rank restores its own old-rank snapshot at Round —
+	// possible only when the cluster shape and every rank's identity
+	// are unchanged.
 	Plain bool
 	// Round is the agreed cut round (0 = fresh start at the new shape).
 	Round uint32
@@ -119,11 +128,11 @@ func membershipOfferMessage(o MembershipOffer) []byte {
 func parseMembershipOffer(payload []byte) (MembershipOffer, error) {
 	const entry = 4 + 8 + 1
 	var o MembershipOffer
-	_, _, count, err := parseHeader(payload)
+	count, err := parseMembershipHeader(payload, membershipOffer)
 	if err != nil {
 		return o, err
 	}
-	if len(payload) != headerBytes+8+entry*int(count) {
+	if len(payload) != headerBytes+8+entry*count {
 		return o, fmt.Errorf("gluon: membership offer of %d bytes claims %d rounds", len(payload), count)
 	}
 	o.OldHosts = int(binary.LittleEndian.Uint32(payload[headerBytes:]))
@@ -137,14 +146,32 @@ func parseMembershipOffer(payload []byte) (MembershipOffer, error) {
 	o.Rounds = make([]RoundSources, count)
 	at := headerBytes + 8
 	for i := range o.Rounds {
+		if payload[at+12] > 1 {
+			return o, fmt.Errorf("gluon: membership offer round %d has self-held byte %d", i, payload[at+12])
+		}
 		o.Rounds[i] = RoundSources{
 			Round:    binary.LittleEndian.Uint32(payload[at:]),
 			Mask:     binary.LittleEndian.Uint64(payload[at+4:]),
-			SelfHeld: payload[at+12] != 0,
+			SelfHeld: payload[at+12] == 1,
 		}
 		at += entry
 	}
 	return o, nil
+}
+
+// parseMembershipHeader checks a membership frame's kind and tag and
+// returns its entry count. Parsers accept only frames their encoder
+// could have produced, so every accepted frame re-encodes to the same
+// bytes.
+func parseMembershipHeader(payload []byte, tag uint32) (int, error) {
+	kind, round, count, err := parseHeader(payload)
+	if err != nil {
+		return 0, err
+	}
+	if kind != kindMembership || round != tag {
+		return 0, fmt.Errorf("gluon: frame (kind %d, tag %d) is not a membership frame with tag %d", kind, round, tag)
+	}
+	return int(count), nil
 }
 
 // membershipDecisionMessage packs a MembershipDecision: verdict u8
@@ -167,12 +194,15 @@ func membershipDecisionMessage(d MembershipDecision) []byte {
 // parseMembershipDecision decodes a decision frame.
 func parseMembershipDecision(payload []byte) (MembershipDecision, error) {
 	var d MembershipDecision
-	_, _, count, err := parseHeader(payload)
+	count, err := parseMembershipHeader(payload, membershipDecision)
 	if err != nil {
 		return d, err
 	}
-	if len(payload) != headerBytes+9+4*int(count) {
+	if len(payload) != headerBytes+9+4*count {
 		return d, fmt.Errorf("gluon: membership decision of %d bytes claims %d sources", len(payload), count)
+	}
+	if payload[headerBytes] > 1 {
+		return d, fmt.Errorf("gluon: membership decision has verdict byte %d", payload[headerBytes])
 	}
 	d.Plain = payload[headerBytes] == 0
 	d.Round = binary.LittleEndian.Uint32(payload[headerBytes+1:])
@@ -186,12 +216,13 @@ func parseMembershipDecision(payload []byte) (MembershipDecision, error) {
 	return d, nil
 }
 
-// NegotiateMembership agrees a cluster-wide cut after a membership
-// change (or a suspected one — with an unchanged cluster it reduces to
-// the plain resume of NegotiateResume). Every rank sends its offer to
-// rank 0; rank 0 decides and broadcasts. Like NegotiateResume it must
-// run before the start barrier on a freshly formed mesh, and it cannot
-// fail outright — round 0 at the new shape is always reachable — only
+// NegotiateMembership agrees a cluster-wide cut before a resumed run:
+// after a membership change, or on an unchanged cluster, where it
+// usually settles on a plain restore of every rank's own snapshot.
+// Every rank sends its offer to rank 0; rank 0 decides and broadcasts.
+// It must run before the start barrier on a freshly formed mesh, and
+// apart from the identity errors of decideMembership it cannot fail
+// outright — round 0 at the new shape is always reachable — only
 // degrade. The returned decision is validated against the local offer:
 // a source assignment this rank did not offer is a protocol error.
 func (hs *HostSync) NegotiateMembership(offer MembershipOffer) (MembershipDecision, error) {
@@ -253,10 +284,25 @@ func (hs *HostSync) NegotiateMembership(offer MembershipOffer) (MembershipDecisi
 // offered source masks covers every old master range; otherwise start
 // fresh at the new shape from round 0. Each migrated range is assigned
 // to the lowest-ranked host able to source it, deterministically.
+//
+// Identities are checked first, by name: two ranks claiming the same
+// old rank (ErrDuplicateOldRank) or an old rank outside the old cluster
+// (ErrOldRankRange) are rejected, never resolved — a caller that left
+// every OldRank at 0 would otherwise trigger a silent reshard.
 func decideMembership(offers []MembershipOffer) (MembershipDecision, error) {
 	n := len(offers)
 	oldHosts := 0
+	claimedBy := map[int]int{}
 	for i, o := range offers {
+		if o.OldRank != FreshRank {
+			if o.OldRank < 0 {
+				return MembershipDecision{}, fmt.Errorf("%w: rank %d claims old rank %d", ErrOldRankRange, i, o.OldRank)
+			}
+			if j, dup := claimedBy[o.OldRank]; dup {
+				return MembershipDecision{}, fmt.Errorf("%w: ranks %d and %d both claim old rank %d", ErrDuplicateOldRank, j, i, o.OldRank)
+			}
+			claimedBy[o.OldRank] = i
+		}
 		if o.OldHosts == 0 {
 			continue
 		}
@@ -264,6 +310,11 @@ func decideMembership(offers []MembershipOffer) (MembershipDecision, error) {
 			oldHosts = o.OldHosts
 		} else if o.OldHosts != oldHosts {
 			return MembershipDecision{}, fmt.Errorf("gluon: rank %d offers snapshots from a %d-host cluster, others from %d hosts", i, o.OldHosts, oldHosts)
+		}
+	}
+	for i, o := range offers {
+		if oldHosts > 0 && o.OldRank >= oldHosts {
+			return MembershipDecision{}, fmt.Errorf("%w: rank %d claims old rank %d of a %d-host cluster", ErrOldRankRange, i, o.OldRank, oldHosts)
 		}
 	}
 	if oldHosts == 0 {
@@ -310,9 +361,9 @@ func decideMembership(offers []MembershipOffer) (MembershipDecision, error) {
 			}
 		}
 		// A self-held round is by construction also coverable, so
-		// plainRound <= reshardRound; prefer plain on ties — it keeps
-		// the exact v3 restore semantics (including per-rank mirror
-		// staleness under PullModel).
+		// plainRound <= reshardRound; prefer plain on ties — every rank
+		// restores its own snapshot exactly (including per-rank mirror
+		// staleness under PullModel and its own training counters).
 		if plainRound >= reshardRound {
 			return MembershipDecision{Plain: true, Round: plainRound, OldHosts: oldHosts}, nil
 		}

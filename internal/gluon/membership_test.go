@@ -1,6 +1,7 @@
 package gluon
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -20,16 +21,29 @@ func offerFor(oldHosts, q int, rounds ...uint32) MembershipOffer {
 	return o
 }
 
+// ownOffer builds old rank q's offer under own-range (PullModel) masks:
+// it self-holds every listed round but sources only its own range.
+func ownOffer(oldHosts, q int, rounds ...uint32) MembershipOffer {
+	o := MembershipOffer{OldHosts: oldHosts, OldRank: q}
+	for _, r := range rounds {
+		o.Rounds = append(o.Rounds, RoundSources{Round: r, Mask: 1 << uint(q), SelfHeld: true})
+	}
+	return o
+}
+
 // TestDecideMembership pins rank 0's policy: plain restore preferred
 // when the cluster is unchanged, reshard from the highest coverable
 // round otherwise, fresh start when nothing is coverable, and an error
-// on irreconcilable histories.
+// on irreconcilable histories or inconsistent identities. The resume-*
+// rows are plain restarts of an unchanged cluster, each rank keeping
+// its identity.
 func TestDecideMembership(t *testing.T) {
 	cases := []struct {
 		name    string
 		offers  []MembershipOffer
 		want    MembershipDecision
 		wantErr string
+		wantIs  error
 	}{
 		{
 			// Same size, same identities, everyone self-holds round 6:
@@ -45,6 +59,48 @@ func TestDecideMembership(t *testing.T) {
 			name:   "unchanged-straggler",
 			offers: []MembershipOffer{offerFor(3, 0, 6, 3), offerFor(3, 1, 3), offerFor(3, 2, 6, 3)},
 			want:   MembershipDecision{Round: 6, OldHosts: 3, Sources: []int{0, 0, 0}},
+		},
+		{
+			// All ranks checkpointed the same rounds: resume the newest.
+			name:   "resume-aligned",
+			offers: []MembershipOffer{ownOffer(3, 0, 6, 3), ownOffer(3, 1, 6, 3), ownOffer(3, 2, 6, 3)},
+			want:   MembershipDecision{Plain: true, Round: 6, OldHosts: 3},
+		},
+		{
+			// The straggler under own-range masks: nobody else can cover
+			// rank 1's range at round 6, so the cluster rewinds to the
+			// newest common generation (the RepModel case is
+			// unchanged-straggler above).
+			name:   "resume-straggler-own-masks",
+			offers: []MembershipOffer{ownOffer(3, 0, 6, 3), ownOffer(3, 1, 3), ownOffer(3, 2, 6, 3)},
+			want:   MembershipDecision{Plain: true, Round: 3, OldHosts: 3},
+		},
+		{
+			// A rank with a wiped disk keeps its identity but holds
+			// nothing: a plain fresh start.
+			name:   "resume-wiped-rank",
+			offers: []MembershipOffer{ownOffer(3, 0, 6, 3), {OldRank: 1}, ownOffer(3, 2, 6, 3)},
+			want:   MembershipDecision{Plain: true, Round: 0, OldHosts: 3},
+		},
+		{
+			// Disjoint generations share only the implicit round 0.
+			name:   "resume-disjoint",
+			offers: []MembershipOffer{ownOffer(3, 0, 8), ownOffer(3, 1, 4), ownOffer(3, 2, 2)},
+			want:   MembershipDecision{Plain: true, Round: 0, OldHosts: 3},
+		},
+		{
+			// Two ranks claiming one identity — e.g. a caller that left
+			// every OldRank at 0 — is an error, not a silent reshard.
+			name:   "duplicate-old-rank",
+			offers: []MembershipOffer{offerFor(3, 0, 4), offerFor(3, 0, 4), offerFor(3, 2, 4)},
+			wantIs: ErrDuplicateOldRank,
+		},
+		{
+			// An identity outside the cluster that wrote the snapshots,
+			// even from a rank that holds none.
+			name:   "old-rank-out-of-range",
+			offers: []MembershipOffer{offerFor(2, 0, 4), offerFor(2, 1, 4), {OldRank: 2}},
+			wantIs: ErrOldRankRange,
 		},
 		{
 			// Two survivors of a three-host cluster: never plain.
@@ -101,6 +157,12 @@ func TestDecideMembership(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			got, err := decideMembership(tc.offers)
+			if tc.wantIs != nil {
+				if !errors.Is(err, tc.wantIs) {
+					t.Fatalf("decideMembership = (%+v, %v), want %v", got, err, tc.wantIs)
+				}
+				return
+			}
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("decideMembership = (%+v, %v), want error containing %q", got, err, tc.wantErr)
@@ -227,6 +289,53 @@ func TestNegotiateMembership(t *testing.T) {
 func TestNegotiateMembershipSingleHost(t *testing.T) {
 	c := newCluster(t, 1, 8, 2, RepModelOpt, "SUM")
 	d, err := c.syncs[0].NegotiateMembership(offerFor(1, 0, 4, 2))
+	if err != nil || !d.Plain || d.Round != 4 {
+		t.Fatalf("NegotiateMembership = (%+v, %v), want plain at round 4", d, err)
+	}
+}
+
+// TestNegotiateResume: a plain restart of an unchanged cluster is the
+// unchanged-shape case of membership negotiation. Every rank keeps its
+// identity and offers its own snapshots (own-range masks); all ranks
+// must agree on the highest round every rank can restore, degrading to
+// 0 (fresh start) when the snapshot sets share nothing else.
+func TestNegotiateResume(t *testing.T) {
+	cases := []struct {
+		name   string
+		rounds [][]uint32
+		want   uint32
+	}{
+		// All ranks checkpointed the same rounds: resume the newest.
+		{"aligned", [][]uint32{{6, 3}, {6, 3}, {6, 3}}, 6},
+		// One rank died before its round-6 save: fall back to the
+		// newest common generation.
+		{"straggler", [][]uint32{{6, 3}, {3}, {6, 3}}, 3},
+		// A rank with a wiped disk forces a fresh start.
+		{"wiped-rank", [][]uint32{{6, 3}, nil, {6, 3}}, 0},
+		// Disjoint generations share only the implicit round 0.
+		{"disjoint", [][]uint32{{8}, {4}, {2}}, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			hosts := len(tc.rounds)
+			offers := make([]MembershipOffer, hosts)
+			for q, rs := range tc.rounds {
+				offers[q] = ownOffer(hosts, q, rs...)
+			}
+			for h, d := range negotiateMembership(t, offers) {
+				if !d.Plain || d.Round != tc.want {
+					t.Fatalf("host %d decided %+v, want plain at round %d", h, d, tc.want)
+				}
+			}
+		})
+	}
+}
+
+// TestNegotiateResumeSingleHost: a one-host restart needs no traffic
+// and picks its own newest snapshot, whatever order it lists them in.
+func TestNegotiateResumeSingleHost(t *testing.T) {
+	c := newCluster(t, 1, 8, 2, RepModelOpt, "SUM")
+	d, err := c.syncs[0].NegotiateMembership(ownOffer(1, 0, 2, 4))
 	if err != nil || !d.Plain || d.Round != 4 {
 		t.Fatalf("NegotiateMembership = (%+v, %v), want plain at round 4", d, err)
 	}

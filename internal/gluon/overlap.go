@@ -182,7 +182,7 @@ func (hs *HostSync) UnionTouched() *bitset.Bitset { return hs.unionTouched }
 // nodes the round covers — it may only access rows the Progress events
 // have declared final (the caller enforces this; sgns.NodeGate is the
 // enforcement seam). Requires SetSyncOverlap(true); rounds must not be
-// nested, and Barrier/GatherMasters/NegotiateResume must not run while
+// nested, and Barrier/GatherMasters/NegotiateMembership must not run while
 // a round is in flight.
 func (hs *HostSync) SyncStart(round uint32, local, base *model.Model, touched *bitset.Bitset, nextAccess *bitset.Bitset) error {
 	if !hs.overlapConfigured {

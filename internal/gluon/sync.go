@@ -951,6 +951,11 @@ func (hs *HostSync) nextMessage(kind byte, round uint32) (int, []byte, error) {
 		if err != nil {
 			return 0, nil, err
 		}
+		if !definedKind(k) {
+			// Never buffer it: no caller would ever pop its key, so a
+			// faulty peer could grow the pending queue without bound.
+			return 0, nil, fmt.Errorf("%w %d from host %d", ErrFrameKind, k, from)
+		}
 		if k == kindHeartbeat {
 			// Transport-level liveness; the TCP read loop filters these
 			// before the inbox, but tolerate them from any transport.
@@ -1026,104 +1031,6 @@ func (hs *HostSync) Barrier(tag uint32) error {
 		return fmt.Errorf("gluon: barrier %d release: %w", tag, err)
 	}
 	return nil
-}
-
-// Resume-negotiation tags, carried in the resume frame's round field:
-// every rank offers its valid checkpoint rounds to host 0, which
-// broadcasts the agreed restart round.
-const (
-	resumeOffer    = 0
-	resumeDecision = 1
-)
-
-// NegotiateResume agrees a cluster-wide restart round after a crash.
-// Each rank passes the NextRound values of its locally valid
-// snapshots; the cluster settles on the highest round every rank can
-// restore (ranks killed at different points hold different newest
-// snapshots — BSP lets hosts drift by a round, so their checkpoint
-// generations can differ). Round 0 — a fresh start, always possible
-// because initialisation is deterministic — is an implicit candidate
-// on every rank, so the negotiation cannot fail, only degrade.
-// It must run before the start barrier on a freshly formed mesh.
-func (hs *HostSync) NegotiateResume(candidates []uint32) (uint32, error) {
-	ours := map[uint32]bool{0: true}
-	for _, c := range candidates {
-		ours[c] = true
-	}
-	n := hs.part.NumHosts()
-	if n == 1 {
-		return maxRound(ours), nil
-	}
-	if hs.host != 0 {
-		list := make([]uint32, 0, len(ours))
-		for r := range ours {
-			list = append(list, r)
-		}
-		msg := resumeMessage(resumeOffer, list)
-		if err := hs.send(0, msg); err != nil {
-			return 0, fmt.Errorf("gluon: resume offer: %w", err)
-		}
-		hs.stats.ControlBytes += int64(len(msg))
-		_, payload, err := hs.nextMessage(kindResume, resumeDecision)
-		if err != nil {
-			return 0, fmt.Errorf("gluon: resume decision: %w", err)
-		}
-		rounds, err := parseResumeMessage(payload)
-		if err != nil {
-			return 0, err
-		}
-		if len(rounds) != 1 {
-			return 0, fmt.Errorf("gluon: resume decision carries %d rounds, want 1", len(rounds))
-		}
-		if !ours[rounds[0]] {
-			return 0, fmt.Errorf("gluon: agreed resume round %d is not among this rank's candidates", rounds[0])
-		}
-		return rounds[0], nil
-	}
-	// Host 0 intersects every rank's candidate set and keeps the max.
-	common := make(map[uint32]bool, len(ours))
-	for r := range ours {
-		common[r] = true
-	}
-	for need := n - 1; need > 0; need-- {
-		_, payload, err := hs.nextMessage(kindResume, resumeOffer)
-		if err != nil {
-			return 0, fmt.Errorf("gluon: resume collect: %w", err)
-		}
-		rounds, err := parseResumeMessage(payload)
-		if err != nil {
-			return 0, err
-		}
-		offered := map[uint32]bool{0: true}
-		for _, r := range rounds {
-			offered[r] = true
-		}
-		for r := range common {
-			if !offered[r] {
-				delete(common, r)
-			}
-		}
-	}
-	best := maxRound(common)
-	for g := 1; g < n; g++ {
-		msg := resumeMessage(resumeDecision, []uint32{best})
-		if err := hs.send(g, msg); err != nil {
-			return 0, fmt.Errorf("gluon: resume broadcast: %w", err)
-		}
-		hs.stats.ControlBytes += int64(len(msg))
-	}
-	return best, nil
-}
-
-// maxRound returns the largest round in a non-empty candidate set.
-func maxRound(set map[uint32]bool) uint32 {
-	var best uint32
-	for r := range set {
-		if r > best {
-			best = r
-		}
-	}
-	return best
 }
 
 // GatherMasters assembles the canonical model on host 0 after training:

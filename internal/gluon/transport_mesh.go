@@ -41,8 +41,10 @@ const (
 	// Version 6 added the session layer (sequenced, CRC-protected,
 	// acknowledged frames with transparent reconnect; PROTOCOL.md §12)
 	// and extended this hello with a flags byte and a session token.
+	// Version 7 retired the resume frame kind (7): every resume runs
+	// the membership negotiation, and a v6 peer would still send kind 7.
 	// See PROTOCOL.md §7 for the bump policy.
-	meshVersion = 6
+	meshVersion = 7
 	// meshHelloBytes is the encoded hello size.
 	meshHelloBytes = len(meshMagic) + 4 + 4 + 4 + 8 + 1 + 1 + 8
 	// meshFlagSession marks a rank running the self-healing session
@@ -231,10 +233,10 @@ func DialMesh(cfg MeshConfig) (*TCPTransport, error) {
 }
 
 // ErrMeshTimeout marks a mesh bootstrap that gave up waiting for a
-// peer. Elastic callers (gw2v-worker -elastic) match it with errors.Is
-// to distinguish "a peer never came back" — grounds for degrading to a
-// smaller cluster — from handshake rejections, which mean
-// misconfiguration and must stay fatal.
+// peer. Degrading callers (gw2v-worker -min-hosts) match it with
+// errors.Is to distinguish "a peer never came back" — grounds for
+// degrading to a smaller cluster — from handshake rejections, which
+// mean misconfiguration and must stay fatal.
 var ErrMeshTimeout = fmt.Errorf("gluon: mesh bootstrap timed out")
 
 // dialHello connects to peer (a higher rank), retrying with jittered

@@ -2,20 +2,21 @@ package gluon
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 
 	"graphword2vec/internal/bitset"
 )
 
-// Wire format, version 3 — the byte-level contract is specified in
+// Wire format, version 7 — the byte-level contract is specified in
 // PROTOCOL.md and pinned by the golden frames under testdata/; change
 // either only together with a mesh protocol version bump.
 //
 // Every message starts with a fixed header:
 //
 //	byte 0     kind (reduce / broadcast / access / gather / barrier /
-//	           heartbeat / resume / membership / transfer)
+//	           heartbeat / membership / transfer / touched)
 //	bytes 1–4  round number (uint32 LE)
 //	bytes 5–8  entry count (uint32 LE)
 //
@@ -26,29 +27,30 @@ import (
 // Barrier payloads are empty and use the round field as a caller-chosen
 // tag. Heartbeat frames (v3) are header-only liveness signals emitted
 // and consumed by the transport layer; they never reach the sync
-// engine. Resume frames (v3) carry `count` candidate restart rounds
-// (uint32 LE each) for the crash-recovery negotiation, with the round
-// field distinguishing offers from the decision — see PROTOCOL.md §8.
-// Membership frames (v4) extend that negotiation to membership changes:
-// offers describe which dead ranks' master ranges a host can source
-// from its checkpoint store, the decision carries the agreed cut round
-// plus the per-range source assignment, and transfer frames (v4) are
-// vector frames migrating one departed rank's master range to the whole
-// re-sharded cluster — see PROTOCOL.md §10 and membership.go. Touched
-// frames (v5) carry the sender's whole-vocabulary touched bitset for an
-// overlapped round — the same (lo, bits, packed) bitmap layout as access
-// messages with lo = 0 — so receivers can start the next round's compute
-// on nodes no host updated while the sync is still in flight
-// (PROTOCOL.md §11, overlap.go); hosts running without overlap discard
-// them, so mixed clusters stay compatible.
+// engine. Membership frames (v4) carry the recovery negotiation every
+// resume runs: offers describe which old ranks' master ranges a host
+// can source from its checkpoint store, the decision carries the agreed
+// cut round plus, when ranges must move, the per-range source
+// assignment; transfer frames (v4) are vector frames migrating one old
+// rank's master range to the whole re-sharded cluster — see PROTOCOL.md
+// §10 and membership.go. Touched frames (v5) carry the sender's
+// whole-vocabulary touched bitset for an overlapped round — the same
+// (lo, bits, packed) bitmap layout as access messages with lo = 0 — so
+// receivers can start the next round's compute on nodes no host updated
+// while the sync is still in flight (PROTOCOL.md §11, overlap.go);
+// hosts running without overlap discard them, so mixed clusters stay
+// compatible.
 const (
-	kindReduce     byte = 1
-	kindBroadcast  byte = 2
-	kindAccess     byte = 3
-	kindGather     byte = 4
-	kindBarrier    byte = 5
-	kindHeartbeat  byte = 6
-	kindResume     byte = 7
+	kindReduce    byte = 1
+	kindBroadcast byte = 2
+	kindAccess    byte = 3
+	kindGather    byte = 4
+	kindBarrier   byte = 5
+	kindHeartbeat byte = 6
+	// kindRetired carried the v3 resume negotiation, which v7 folded
+	// into membership negotiation. It is never to be reused: a frame of
+	// this kind is rejected like any other undefined kind.
+	kindRetired    byte = 7
 	kindMembership byte = 8
 	kindTransfer   byte = 9
 	kindTouched    byte = 10
@@ -61,7 +63,6 @@ const (
 const (
 	FrameReduce     = kindReduce
 	FrameBarrier    = kindBarrier
-	FrameResume     = kindResume
 	FrameMembership = kindMembership
 	FrameTransfer   = kindTransfer
 )
@@ -113,31 +114,13 @@ func isHeartbeat(payload []byte) bool {
 	return len(payload) == headerBytes && payload[0] == kindHeartbeat
 }
 
-// resumeMessage packs candidate restart rounds for the resume
-// negotiation; tag distinguishes offers from the final decision.
-func resumeMessage(tag uint32, rounds []uint32) []byte {
-	buf := make([]byte, headerBytes+4*len(rounds))
-	putHeader(buf, kindResume, tag, uint32(len(rounds)))
-	for i, r := range rounds {
-		binary.LittleEndian.PutUint32(buf[headerBytes+4*i:], r)
-	}
-	return buf
-}
+// ErrFrameKind marks a frame whose kind byte the current protocol does
+// not define: 0, the retired kind 7, or anything past kindTouched.
+var ErrFrameKind = errors.New("gluon: undefined frame kind")
 
-// parseResumeMessage decodes a resume frame's candidate round list.
-func parseResumeMessage(payload []byte) ([]uint32, error) {
-	_, _, count, err := parseHeader(payload)
-	if err != nil {
-		return nil, err
-	}
-	if len(payload) != headerBytes+4*int(count) {
-		return nil, fmt.Errorf("gluon: resume message of %d bytes claims %d rounds", len(payload), count)
-	}
-	rounds := make([]uint32, count)
-	for i := range rounds {
-		rounds[i] = binary.LittleEndian.Uint32(payload[headerBytes+4*i:])
-	}
-	return rounds, nil
+// definedKind reports whether k is a frame kind of the current protocol.
+func definedKind(k byte) bool {
+	return k >= kindReduce && k <= kindTouched && k != kindRetired
 }
 
 // accessMessage packs the bits [lo, hi) of isSet into an access

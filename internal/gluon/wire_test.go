@@ -1,6 +1,7 @@
 package gluon
 
 import (
+	"errors"
 	"testing"
 )
 
@@ -170,5 +171,27 @@ func TestModeString(t *testing.T) {
 	}
 	if _, err := ParseMode("bogus"); err == nil {
 		t.Error("bogus mode accepted")
+	}
+}
+
+// TestUndefinedFrameKindRejected: a frame whose kind byte the current
+// protocol does not define — 0, or the retired resume kind 7 — fails
+// the receive with ErrFrameKind instead of parking in the pending queue
+// under a key nobody pops.
+func TestUndefinedFrameKindRejected(t *testing.T) {
+	for _, kind := range []byte{0, kindRetired} {
+		c := newCluster(t, 2, 8, 2, RepModelOpt, "SUM")
+		frame := make([]byte, headerBytes)
+		putHeader(frame, kind, 0, 0)
+		if err := c.tr.Send(1, 0, frame); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := c.syncs[0].nextMessage(kindBarrier, 1)
+		if !errors.Is(err, ErrFrameKind) {
+			t.Fatalf("kind %d: nextMessage error %v, want ErrFrameKind", kind, err)
+		}
+		if n := c.syncs[0].pendingCount(); n != 0 {
+			t.Fatalf("kind %d: %d pending keys buffered, want 0", kind, n)
+		}
 	}
 }

@@ -3,8 +3,6 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"os"
-	"text/tabwriter"
 	"time"
 
 	"graphword2vec/internal/core"
@@ -83,12 +81,11 @@ func (c ChaosClass) String() string {
 	}
 }
 
-// chaosGrid cell shape: the same 2 epochs × 3 rounds over 3 hosts the
-// fault grid uses, with the storm arming on round 3 so one checkpoint
-// generation (round 2, cadence 2) predates the escalation.
+// chaosGrid cell shape: the fault grid's 2 epochs × 3 rounds over 3
+// hosts, checkpointed every 2 rounds, with the storm arming on round 3
+// so one checkpoint generation (round 2) predates the escalation.
 const (
 	chaosGridHosts       = faultGridHosts
-	chaosGridCkptEvery   = 2
 	chaosGridStormRound  = 3
 	chaosGridHealBudget  = 3 * time.Second
 	chaosGridStormBudget = 300 * time.Millisecond
@@ -158,6 +155,8 @@ type ChaosCase struct {
 func (c ChaosCase) ID() string {
 	return fmt.Sprintf("%s/%v/%s", c.Workload, c.Mode, c.Class)
 }
+
+func (c ChaosCase) axes() (string, gluon.Mode) { return c.Workload, c.Mode }
 
 // ChaosGridCases enumerates the full matrix: fault classes × modes ×
 // workloads, all over the TCP transport (the session layer has no sim
@@ -241,35 +240,20 @@ func chaosGridTCPOpts(class ChaosClass, plan *gluon.ChaosPlan) gluon.TCPOptions 
 	}
 }
 
-// chaosGridTransports builds one session-healing TCP cluster, returning
-// both the concrete transports (for stats) and the interface slice
-// clusterRun wants.
-func chaosGridTransports(opts gluon.TCPOptions) ([]*gluon.TCPTransport, []gluon.Transport, func(), error) {
-	trs, err := gluon.NewTCPClusterOpts(chaosGridHosts, opts)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	gts := make([]gluon.Transport, len(trs))
-	for h := range trs {
-		gts[h] = trs[h]
-	}
-	return trs, gts, func() {
-		for _, tr := range trs {
-			tr.Close()
-		}
-	}, nil
-}
-
 // runChaosCell executes one cell and renders its verdict.
-func runChaosCell(w *faultWorkload, c ChaosCase, seed uint64, refHash, dir string) (ChaosGridRow, error) {
-	cfg := w.cfg(c.Mode)
-	plan := c.Class.Plan(seed)
+func runChaosCell(cell gridCell, c ChaosCase) (ChaosGridRow, error) {
+	cfg := cell.w.cfg(c.Mode)
+	plan := c.Class.Plan(cell.seed)
 	row := ChaosGridRow{
 		ID: c.ID(), Priority: c.Priority, Workload: c.Workload,
 		Mode: c.Mode.String(), Class: c.Class.String(),
 	}
+	refHash, err := cell.ref()
+	if err != nil {
+		return row, err
+	}
 
-	trs, gts, closeAll, err := chaosGridTransports(chaosGridTCPOpts(c.Class, &plan))
+	trs, gts, closeAll, err := tcpCluster(chaosGridHosts, chaosGridTCPOpts(c.Class, &plan))
 	if err != nil {
 		return row, err
 	}
@@ -279,10 +263,10 @@ func runChaosCell(w *faultWorkload, c ChaosCase, seed uint64, refHash, dir strin
 		// resume from, exactly like a production -heal -checkpoint-dir
 		// deployment.
 		mkOpts = func(int) core.RunOptions {
-			return core.RunOptions{Checkpoint: &core.CheckpointPolicy{Dir: dir, Every: chaosGridCkptEvery}}
+			return core.RunOptions{Checkpoint: &core.CheckpointPolicy{Dir: cell.dir, Every: faultGridCkptEvery}}
 		}
 	}
-	results, errs := clusterRun(w, cfg, gts, mkOpts)
+	results, errs := clusterRun(cell.w, cfg, gts, mkOpts)
 	for _, tr := range trs {
 		row.Injections += tr.ChaosInjections()
 		st := tr.SessionStats()
@@ -323,18 +307,14 @@ func runChaosCell(w *faultWorkload, c ChaosCase, seed uint64, refHash, dir strin
 			return row, fmt.Errorf("harness: %s: rank %d died of %v, not budget escalation", c.ID(), h, err)
 		}
 	}
-	_, gts, closeAll, err = chaosGridTransports(chaosGridTCPOpts(ChaosDrop, nil))
+	_, gts, closeAll, err = tcpCluster(chaosGridHosts, chaosGridTCPOpts(ChaosDrop, nil))
 	if err != nil {
 		return row, err
 	}
 	defer closeAll()
-	results, errs = clusterRun(w, cfg, gts, func(int) core.RunOptions {
-		return core.RunOptions{Checkpoint: &core.CheckpointPolicy{Dir: dir, Every: chaosGridCkptEvery, Resume: true}}
-	})
-	for h, err := range errs {
-		if err != nil {
-			return row, fmt.Errorf("harness: %s: resume rank %d: %w", c.ID(), h, err)
-		}
+	results, err = clusterRunAll(cell.w, cfg, gts, resumeOpts(cell.dir))
+	if err != nil {
+		return row, fmt.Errorf("harness: %s: resume %w", c.ID(), err)
 	}
 	row.Escalated = true
 	row.ResumedFrom = results[0].ResumedFrom
@@ -349,58 +329,19 @@ func runChaosCell(w *faultWorkload, c ChaosCase, seed uint64, refHash, dir strin
 // resume) byte-identically makes the whole grid return an error
 // alongside the rows collected so far.
 func ChaosGrid(opts Options, cases []ChaosCase) ([]ChaosGridRow, error) {
-	opts = opts.WithDefaults()
-	workloads, err := faultWorkloads(opts)
-	if err != nil {
-		return nil, err
-	}
-	byName := map[string]*faultWorkload{}
-	for _, w := range workloads {
-		byName[w.name] = w
-	}
-
-	reference := gridReference("chaos-grid", chaosGridHosts)
-
-	var rows []ChaosGridRow
-	var failed []string
-	for i, c := range cases {
-		w, ok := byName[c.Workload]
-		if !ok {
-			return rows, fmt.Errorf("harness: unknown chaos-grid workload %q", c.Workload)
-		}
-		refHash, err := reference(w, c.Mode)
-		if err != nil {
-			return rows, err
-		}
-		dir, err := os.MkdirTemp("", "gw2v-chaosgrid-*")
-		if err != nil {
-			return rows, err
-		}
-		row, err := runChaosCell(w, c, opts.Seed*1000+uint64(i), refHash, dir)
-		os.RemoveAll(dir)
-		if err != nil {
-			return rows, err
-		}
-		rows = append(rows, row)
-		if !row.Identical || (!row.Healed && !row.Escalated) {
-			failed = append(failed, row.ID)
-		}
-	}
-
-	tw := tabwriter.NewWriter(opts.out(), 0, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "Chaos grid (scale=%s, %d hosts over TCP, session healing on, heal budget %v / storm %v)\n",
-		opts.Scale, chaosGridHosts, chaosGridHealBudget, chaosGridStormBudget)
-	fmt.Fprintln(tw, "P\tWorkload\tMode\tFault class\tInjected\tHeals\tDups\tEscalated\tResume@\tHealed\tByte-identical")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%d\t%s\t%s\t%s\t%d\t%d\t%d\t%v\t%d\t%v\t%v\n",
-			r.Priority, r.Workload, r.Mode, r.Class,
-			r.Injections, r.Heals, r.Dups, r.Escalated, r.ResumedFrom, r.Healed, r.Identical)
-	}
-	if err := tw.Flush(); err != nil {
-		return rows, err
-	}
-	if len(failed) > 0 {
-		return rows, fmt.Errorf("harness: %d chaos-grid cells did not survive byte-identically: %v", len(failed), failed)
-	}
-	return rows, nil
+	return runGrid(opts, cases, gridSpec[ChaosCase, ChaosGridRow]{
+		name:  "chaos-grid",
+		title: "Chaos grid",
+		detail: fmt.Sprintf("%d hosts over TCP, session healing on, heal budget %v / storm %v",
+			chaosGridHosts, chaosGridHealBudget, chaosGridStormBudget),
+		header: "P\tWorkload\tMode\tFault class\tInjected\tHeals\tDups\tEscalated\tResume@\tHealed\tByte-identical",
+		line: func(r ChaosGridRow) string {
+			return fmt.Sprintf("%d\t%s\t%s\t%s\t%d\t%d\t%d\t%v\t%d\t%v\t%v",
+				r.Priority, r.Workload, r.Mode, r.Class,
+				r.Injections, r.Heals, r.Dups, r.Escalated, r.ResumedFrom, r.Healed, r.Identical)
+		},
+		run:  runChaosCell,
+		ok:   func(r ChaosGridRow) bool { return r.Identical && (r.Healed || r.Escalated) },
+		fail: "survive byte-identically",
+	})
 }

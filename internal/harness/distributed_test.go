@@ -247,7 +247,7 @@ func runWorkerProcess() error {
 	defer tr.Close()
 	ro := core.RunOptions{}
 	if ckptDir != "" {
-		ro.Checkpoint = &core.CheckpointPolicy{Dir: ckptDir, Every: 2, Resume: os.Getenv(envWorkerResume) == "1"}
+		ro.Checkpoint = &core.CheckpointPolicy{Dir: ckptDir, Every: 2, Resume: os.Getenv(envWorkerResume) == "1", OldRank: rank}
 	}
 	res, err := core.RunDistributedOpts(cfg, rank, tr, d.Vocab, d.Neg, d.Corp, opts.Dim, ro)
 	if err != nil {

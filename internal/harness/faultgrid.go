@@ -1,19 +1,12 @@
 package harness
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"errors"
 	"fmt"
 	"os"
-	"sync"
-	"text/tabwriter"
-	"time"
 
 	"graphword2vec/internal/checkpoint"
 	"graphword2vec/internal/core"
 	"graphword2vec/internal/gluon"
-	"graphword2vec/internal/model"
 )
 
 // The fault grid is the elasticity experiment (DESIGN.md §10): a
@@ -23,7 +16,7 @@ import (
 // decoding a peer's, at the finish barrier, and in the middle of a
 // checkpoint write that tears the on-disk snapshot — across all three
 // communication schemes, both transports, and both workloads. Every
-// cell must recover by re-forming the mesh, negotiating the newest
+// cell must recover by re-forming the mesh, negotiating the best
 // cluster-wide checkpoint, and finishing with a final model
 // byte-identical to an uninterrupted run.
 
@@ -46,8 +39,10 @@ const (
 	// after all training rounds completed.
 	FaultAtBarrier
 	// FaultMidCheckpoint crashes the victim halfway through writing a
-	// checkpoint, leaving a torn snapshot file that the store must
-	// reject by hash, falling back to the previous generation.
+	// checkpoint, leaving a torn snapshot file that must be rejected by
+	// hash: the victim offers only its previous generation, and the
+	// negotiation either rewinds to it or, where the survivors' newer
+	// snapshots cover the victim's range, reshards past it.
 	FaultMidCheckpoint
 )
 
@@ -66,6 +61,24 @@ func (p FaultPoint) String() string {
 		return "mid-ckpt-write"
 	default:
 		return fmt.Sprintf("FaultPoint(%d)", int(p))
+	}
+}
+
+// trigger returns the kill trigger for the point, aimed at round
+// faultGridKillRound.
+func (p FaultPoint) trigger() *faultTrigger {
+	switch p {
+	case FaultAtCompute:
+		return &faultTrigger{onSend: true, kind: gluon.FrameReduce, round: faultGridKillRound, nth: 1}
+	case FaultMidEncode:
+		return &faultTrigger{onSend: true, kind: gluon.FrameReduce, round: faultGridKillRound, nth: 2}
+	case FaultMidDecode:
+		return &faultTrigger{kind: gluon.FrameReduce, round: faultGridKillRound, nth: 2}
+	case FaultAtBarrier:
+		// Tag 2 is the distributed runner's finish barrier.
+		return &faultTrigger{onSend: true, kind: gluon.FrameBarrier, round: 2, nth: 1}
+	default: // FaultMidCheckpoint: the tearing sink kills
+		return &faultTrigger{}
 	}
 }
 
@@ -89,6 +102,8 @@ type FaultCase struct {
 func (c FaultCase) ID() string {
 	return fmt.Sprintf("%s/%v/%s/%s", c.Workload, c.Mode, c.Transport, c.Point)
 }
+
+func (c FaultCase) axes() (string, gluon.Mode) { return c.Workload, c.Mode }
 
 // FaultGridCases enumerates the full matrix: kill points × modes ×
 // transports × workloads. Priority 1 marks a representative diagonal —
@@ -150,97 +165,6 @@ const (
 	faultGridKillRound  = 3
 )
 
-// faultTrigger decides, under its own lock, whether an observed frame
-// is the one to die on.
-type faultTrigger struct {
-	point FaultPoint
-	round uint32
-
-	mu    sync.Mutex
-	sends int
-	recvs int
-	fired bool
-}
-
-// onSend reports whether the victim must die instead of sending payload.
-func (g *faultTrigger) onSend(payload []byte) bool {
-	kind, round := gluon.InspectFrame(payload)
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.fired {
-		return false
-	}
-	switch g.point {
-	case FaultAtCompute:
-		if kind == gluon.FrameReduce && round == g.round {
-			g.fired = true
-		}
-	case FaultMidEncode:
-		if kind == gluon.FrameReduce && round == g.round {
-			g.sends++
-			g.fired = g.sends == 2
-		}
-	case FaultAtBarrier:
-		// Tag 2 is the distributed runner's finish barrier.
-		if kind == gluon.FrameBarrier && round == 2 {
-			g.fired = true
-		}
-	}
-	return g.fired
-}
-
-// onRecv reports whether the victim must die instead of delivering a
-// just-received payload.
-func (g *faultTrigger) onRecv(payload []byte) bool {
-	kind, round := gluon.InspectFrame(payload)
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.fired || g.point != FaultMidDecode {
-		return false
-	}
-	if kind == gluon.FrameReduce && round == g.round {
-		g.recvs++
-		g.fired = g.recvs == 2
-	}
-	return g.fired
-}
-
-// errInjectedKill marks faults the grid injected itself, so cells can
-// verify the faulted run died of the intended cause.
-var errInjectedKill = errors.New("faultgrid: injected kill")
-
-// faultTransport wraps the victim rank's transport and simulates a
-// process kill at the trigger point: the underlying transport is closed
-// (dropping every connection, exactly what a SIGKILL does to sockets)
-// and the current operation fails.
-type faultTransport struct {
-	gluon.Transport
-	trig *faultTrigger
-}
-
-func (f *faultTransport) kill() error {
-	f.Transport.Close()
-	return fmt.Errorf("%w at %v", errInjectedKill, f.trig.point)
-}
-
-func (f *faultTransport) Send(from, to int, payload []byte) error {
-	if f.trig.onSend(payload) {
-		return f.kill()
-	}
-	return f.Transport.Send(from, to, payload)
-}
-
-func (f *faultTransport) Recv(host int) (int, []byte, error) {
-	from, payload, err := f.Transport.Recv(host)
-	if err != nil {
-		return from, payload, err
-	}
-	if f.trig.onRecv(payload) {
-		return 0, nil, f.kill()
-	}
-	return from, payload, nil
-}
-
 // tearingSink is the FaultMidCheckpoint victim's checkpoint sink: it
 // saves normally until the target generation, then simulates a crash
 // halfway through the store's write-new/rotate sequence — the old
@@ -279,109 +203,10 @@ func (s *tearingSink) Save(snap *checkpoint.Snapshot) error {
 	return s.kill()
 }
 
-// faultWorkload carries one materialised workload's constructors.
-type faultWorkload struct {
-	name string
-	cfg  func(mode gluon.Mode) core.Config
-	run  func(cfg core.Config, rank int, tr gluon.Transport, opts core.RunOptions) (*core.DistributedResult, error)
-}
-
-// faultWorkloads materialises the text and graph datasets once.
-func faultWorkloads(opts Options) ([]*faultWorkload, error) {
-	text, err := LoadDataset("1-billion", opts)
-	if err != nil {
-		return nil, err
-	}
-	graph, err := LoadGraphDataset(opts)
-	if err != nil {
-		return nil, err
-	}
-	shape := func(cfg core.Config) core.Config {
-		cfg.Epochs = faultGridEpochs
-		cfg.SyncRounds = faultGridSyncRounds
-		return cfg
-	}
-	return []*faultWorkload{
-		{
-			name: "text",
-			cfg: func(mode gluon.Mode) core.Config {
-				return shape(distConfig(opts, faultGridHosts, faultGridSyncRounds, "MC", mode, opts.BaseAlpha))
-			},
-			run: func(cfg core.Config, rank int, tr gluon.Transport, ro core.RunOptions) (*core.DistributedResult, error) {
-				return core.RunDistributedOpts(cfg, rank, tr, text.Vocab, text.Neg, text.Corp, opts.Dim, ro)
-			},
-		},
-		{
-			name: "graph",
-			cfg: func(mode gluon.Mode) core.Config {
-				return shape(GraphTrainConfig(opts, faultGridHosts, mode))
-			},
-			run: func(cfg core.Config, rank int, tr gluon.Transport, ro core.RunOptions) (*core.DistributedResult, error) {
-				return core.RunDistributedOpts(cfg, rank, tr, graph.Vocab, graph.Neg, graph.Walker, opts.Dim, ro)
-			},
-		},
-	}, nil
-}
-
-// faultGridTransports builds the per-rank transports for one cluster
-// attempt of the given size. The "tcp" flavour uses tight
-// failure-detection deadlines so survivors notice a kill in
-// milliseconds, not the 5 s default.
-func faultGridTransports(kind string, hosts int) ([]gluon.Transport, func(), error) {
-	switch kind {
-	case "sim":
-		tr, err := gluon.NewInProcTransport(hosts)
-		if err != nil {
-			return nil, nil, err
-		}
-		out := make([]gluon.Transport, hosts)
-		for h := range out {
-			out[h] = tr
-		}
-		return out, func() { tr.Close() }, nil
-	case "tcp":
-		trs, err := gluon.NewTCPClusterOpts(hosts, gluon.TCPOptions{
-			HeartbeatInterval: 20 * time.Millisecond,
-			PeerLossGrace:     100 * time.Millisecond,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		out := make([]gluon.Transport, hosts)
-		for h := range out {
-			out[h] = trs[h]
-		}
-		return out, func() {
-			for _, tr := range trs {
-				tr.Close()
-			}
-		}, nil
-	default:
-		return nil, nil, fmt.Errorf("harness: unknown fault-grid transport %q", kind)
-	}
-}
-
-// clusterRun drives all ranks of one cluster attempt concurrently and
-// returns the per-rank results and errors.
-func clusterRun(w *faultWorkload, cfg core.Config, trs []gluon.Transport, mkOpts func(rank int) core.RunOptions) ([]*core.DistributedResult, []error) {
-	results := make([]*core.DistributedResult, cfg.Hosts)
-	errs := make([]error, cfg.Hosts)
-	var wg sync.WaitGroup
-	for h := 0; h < cfg.Hosts; h++ {
-		wg.Add(1)
-		go func(h int) {
-			defer wg.Done()
-			results[h], errs[h] = w.run(cfg, h, trs[h], mkOpts(h))
-		}(h)
-	}
-	wg.Wait()
-	return results, errs
-}
-
-// runFaultCell executes one cell: reference hash, faulted run, resume
-// run, byte-identity verdict.
-func runFaultCell(w *faultWorkload, c FaultCase, refHash string, dir string) (FaultGridRow, error) {
-	cfg := w.cfg(c.Mode)
+// runFaultCell executes one cell: faulted run, resume run,
+// byte-identity verdict against the uninterrupted reference.
+func runFaultCell(cell gridCell, c FaultCase) (FaultGridRow, error) {
+	cfg := cell.w.cfg(c.Mode)
 	row := FaultGridRow{
 		ID: c.ID(), Priority: c.Priority, Workload: c.Workload,
 		Mode: c.Mode.String(), Transport: c.Transport, Point: c.Point.String(),
@@ -396,52 +221,35 @@ func runFaultCell(w *faultWorkload, c FaultCase, refHash string, dir string) (Fa
 		// exists to fall back to.
 		row.FaultRound = 2 * faultGridCkptEvery
 	}
-	policy := func(resume bool) *core.CheckpointPolicy {
-		return &core.CheckpointPolicy{Dir: dir, Every: faultGridCkptEvery, Resume: resume}
-	}
-
-	// The faulted run: the victim (rank 1 — a non-root rank, so the
-	// negotiation's coordinator survives) dies at the kill point; every
-	// rank must surface an error rather than hang.
-	trs, closeAll, err := faultGridTransports(c.Transport, faultGridHosts)
+	refHash, err := cell.ref()
 	if err != nil {
 		return row, err
 	}
-	const victim = 1
-	trig := &faultTrigger{point: c.Point, round: faultGridKillRound}
-	ft := &faultTransport{Transport: trs[victim], trig: trig}
-	trs[victim] = ft
-	_, errs := clusterRun(w, cfg, trs, func(rank int) core.RunOptions {
-		ro := core.RunOptions{Checkpoint: policy(false)}
-		if rank == victim && c.Point == FaultMidCheckpoint {
-			ro.Sink = &tearingSink{
-				store: checkpoint.NewStore(dir, victim),
-				round: row.FaultRound,
-				kill:  ft.kill,
-			}
+
+	// The faulted run: the victim dies at the kill point; every rank
+	// must surface an error rather than hang.
+	var sink func(kill func() error) core.CheckpointSink
+	if c.Point == FaultMidCheckpoint {
+		sink = func(kill func() error) core.CheckpointSink {
+			return &tearingSink{store: checkpoint.NewStore(cell.dir, faultGridVictim), round: row.FaultRound, kill: kill}
 		}
-		return ro
-	})
-	closeAll()
-	if err := checkKilled(errs, victim); err != nil {
+	}
+	if err := killRun(cell.w, cfg, c.Transport, cell.dir, c.Point.trigger(), sink); err != nil {
 		return row, fmt.Errorf("harness: %s: %w", c.ID(), err)
 	}
 
 	// The resume run: a fresh mesh over fresh transports, every rank
-	// asking to resume. The cluster must agree on a checkpointed round
-	// > 0 and finish byte-identical to the uninterrupted reference.
-	trs, closeAll, err = faultGridTransports(c.Transport, faultGridHosts)
+	// resuming under its own identity. The cluster must agree on a
+	// checkpointed round > 0 and finish byte-identical to the
+	// uninterrupted reference.
+	trs, closeAll, err := gridTransports(c.Transport, faultGridHosts)
 	if err != nil {
 		return row, err
 	}
 	defer closeAll()
-	results, errs := clusterRun(w, cfg, trs, func(int) core.RunOptions {
-		return core.RunOptions{Checkpoint: policy(true)}
-	})
-	for h, err := range errs {
-		if err != nil {
-			return row, fmt.Errorf("harness: %s: resume rank %d: %w", c.ID(), h, err)
-		}
+	results, err := clusterRunAll(cell.w, cfg, trs, resumeOpts(cell.dir))
+	if err != nil {
+		return row, fmt.Errorf("harness: %s: resume %w", c.ID(), err)
 	}
 	row.Recovered = true
 	row.ResumedFrom = results[0].ResumedFrom
@@ -455,114 +263,19 @@ func runFaultCell(w *faultWorkload, c FaultCase, refHash string, dir string) (Fa
 // cell that fails to recover or recovers a divergent model makes the
 // whole grid return an error alongside the rows collected so far.
 func FaultGrid(opts Options, cases []FaultCase) ([]FaultGridRow, error) {
-	opts = opts.WithDefaults()
-	workloads, err := faultWorkloads(opts)
-	if err != nil {
-		return nil, err
-	}
-	byName := map[string]*faultWorkload{}
-	for _, w := range workloads {
-		byName[w.name] = w
-	}
-
-	reference := gridReference("fault-grid", faultGridHosts)
-
-	var rows []FaultGridRow
-	var failed []string
-	for _, c := range cases {
-		w, ok := byName[c.Workload]
-		if !ok {
-			return rows, fmt.Errorf("harness: unknown fault-grid workload %q", c.Workload)
-		}
-		refHash, err := reference(w, c.Mode)
-		if err != nil {
-			return rows, err
-		}
-		dir, err := os.MkdirTemp("", "gw2v-faultgrid-*")
-		if err != nil {
-			return rows, err
-		}
-		row, err := runFaultCell(w, c, refHash, dir)
-		os.RemoveAll(dir)
-		if err != nil {
-			return rows, err
-		}
-		rows = append(rows, row)
-		if !row.Recovered || !row.Identical {
-			failed = append(failed, row.ID)
-		}
-	}
-
-	tw := tabwriter.NewWriter(opts.out(), 0, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "Fault grid (scale=%s, %d hosts, ckpt every %d rounds, kill rank 1)\n",
-		opts.Scale, faultGridHosts, faultGridCkptEvery)
-	fmt.Fprintln(tw, "P\tWorkload\tMode\tTransport\tKill point\tFault@\tResume@\tRecovered\tByte-identical")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%d\t%s\t%s\t%s\t%s\t%d\t%d\t%v\t%v\n",
-			r.Priority, r.Workload, r.Mode, r.Transport, r.Point,
-			r.FaultRound, r.ResumedFrom, r.Recovered, r.Identical)
-	}
-	if err := tw.Flush(); err != nil {
-		return rows, err
-	}
-	if len(failed) > 0 {
-		return rows, fmt.Errorf("harness: %d fault-grid cells did not recover byte-identically: %v", len(failed), failed)
-	}
-	return rows, nil
-}
-
-// gridReference returns a memoised lookup of the uninterrupted
-// reference model hash per (workload, mode) on a hosts-wide cluster,
-// computed on demand over the sim transport — transport byte-identity
-// is pinned separately (TestSyncBitIdentityTCP), so one reference
-// serves every transport. grid names the caller in errors.
-func gridReference(grid string, hosts int) func(w *faultWorkload, mode gluon.Mode) (string, error) {
-	refs := map[string]string{}
-	return func(w *faultWorkload, mode gluon.Mode) (string, error) {
-		key := w.name + "/" + mode.String()
-		if h, ok := refs[key]; ok {
-			return h, nil
-		}
-		trs, closeAll, err := faultGridTransports("sim", hosts)
-		if err != nil {
-			return "", err
-		}
-		defer closeAll()
-		results, errs := clusterRun(w, w.cfg(mode), trs, func(int) core.RunOptions { return core.RunOptions{} })
-		for h, err := range errs {
-			if err != nil {
-				return "", fmt.Errorf("harness: %s reference %s rank %d: %w", grid, key, h, err)
-			}
-		}
-		h := hashCanonical(results[0].Canonical)
-		refs[key] = h
-		return h, nil
-	}
-}
-
-// checkKilled verifies a kill run's premise: every rank failed (a
-// survivor means the kill did not land, or a rank finished regardless),
-// and the victim died of the injected fault, not of a peer's echo.
-func checkKilled(errs []error, victim int) error {
-	for _, err := range errs {
-		if err == nil {
-			return errors.New("a rank survived the injected fault")
-		}
-	}
-	if !errors.Is(errs[victim], errInjectedKill) {
-		return fmt.Errorf("victim died of %v, not the injected fault", errs[victim])
-	}
-	return nil
-}
-
-// hashCanonical hashes a gathered canonical model's serialised bytes —
-// the byte-identity verdict's currency.
-func hashCanonical(m *model.Model) string {
-	h := sha256.New()
-	if err := m.Save(h); err != nil {
-		// model.Save to a hash never fails short of OOM; keep the
-		// signature simple and make any failure visible in the verdict.
-		return "unhashable: " + err.Error()
-	}
-	return hex.EncodeToString(h.Sum(nil))
+	return runGrid(opts, cases, gridSpec[FaultCase, FaultGridRow]{
+		name:  "fault-grid",
+		title: "Fault grid",
+		detail: fmt.Sprintf("%d hosts, ckpt every %d rounds, kill rank %d",
+			faultGridHosts, faultGridCkptEvery, faultGridVictim),
+		header: "P\tWorkload\tMode\tTransport\tKill point\tFault@\tResume@\tRecovered\tByte-identical",
+		line: func(r FaultGridRow) string {
+			return fmt.Sprintf("%d\t%s\t%s\t%s\t%s\t%d\t%d\t%v\t%v",
+				r.Priority, r.Workload, r.Mode, r.Transport, r.Point,
+				r.FaultRound, r.ResumedFrom, r.Recovered, r.Identical)
+		},
+		run:  runFaultCell,
+		ok:   func(r FaultGridRow) bool { return r.Recovered && r.Identical },
+		fail: "recover byte-identically",
+	})
 }

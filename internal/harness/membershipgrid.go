@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
-	"text/tabwriter"
 
 	"graphword2vec/internal/checkpoint"
 	"graphword2vec/internal/core"
@@ -64,7 +62,7 @@ func (s MembershipScenario) String() string {
 // MembershipCase is one cell of the grid.
 type MembershipCase struct {
 	// Priority grades the cell: 1 cells form the CI smoke lane
-	// (membership-smoke), 2 the full grid.
+	// (recovery-smoke), 2 the full grid.
 	Priority int
 	// Workload is "text" or "graph".
 	Workload string
@@ -81,9 +79,11 @@ func (c MembershipCase) ID() string {
 	return fmt.Sprintf("%s/%v/%s/%s", c.Workload, c.Mode, c.Transport, c.Scenario)
 }
 
+func (c MembershipCase) axes() (string, gluon.Mode) { return c.Workload, c.Mode }
+
 // MembershipGridCases enumerates the full matrix: scenarios × modes ×
 // transports × workloads. Priority 1 marks a striding diagonal that
-// still touches every axis value — the membership-smoke CI lane.
+// still touches every axis value — part of the recovery-smoke CI lane.
 func MembershipGridCases() []MembershipCase {
 	scenarios := []MembershipScenario{ScenarioDepart, ScenarioReplace, ScenarioGrow}
 	modes := []gluon.Mode{gluon.RepModelNaive, gluon.RepModelOpt, gluon.PullModel}
@@ -156,42 +156,19 @@ func (s *captureSink) Save(snap *checkpoint.Snapshot) error {
 	return nil
 }
 
-// runKillSetup runs the 3-host faulted generation a depart/replace cell
-// starts from: rank 1 dies at the kill round, every rank errors, and
-// the shared dir is left holding the round-2 checkpoint generation.
-func runKillSetup(w *faultWorkload, cfg core.Config, transport, dir string) error {
-	trs, closeAll, err := faultGridTransports(transport, cfg.Hosts)
-	if err != nil {
-		return err
-	}
-	const victim = 1
-	trig := &faultTrigger{point: FaultAtCompute, round: faultGridKillRound}
-	trs[victim] = &faultTransport{Transport: trs[victim], trig: trig}
-	_, errs := clusterRun(w, cfg, trs, func(int) core.RunOptions {
-		return core.RunOptions{Checkpoint: &core.CheckpointPolicy{Dir: dir, Every: faultGridCkptEvery}}
-	})
-	closeAll()
-	if err := checkKilled(errs, victim); err != nil {
-		return fmt.Errorf("harness: %w", err)
-	}
-	return nil
-}
-
-// elasticRun drives one elastic relaunch at the new shape: every rank
-// resumes with the membership negotiation enabled, oldRank mapping new
-// ranks to their old identities (core.FreshRank for joiners), and the
-// cut-round checkpoint generation mirrored into refDir.
+// elasticRun drives one relaunch at the new shape: every rank resumes,
+// oldRank mapping new ranks to their old identities (core.FreshRank
+// for joiners), and the cut-round checkpoint generation is mirrored
+// into refDir.
 func elasticRun(w *faultWorkload, cfg core.Config, transport, dir, refDir string, cut uint32, oldRank func(rank int) int) ([]*core.DistributedResult, error) {
-	trs, closeAll, err := faultGridTransports(transport, cfg.Hosts)
+	trs, closeAll, err := gridTransports(transport, cfg.Hosts)
 	if err != nil {
 		return nil, err
 	}
 	defer closeAll()
-	results, errs := clusterRun(w, cfg, trs, func(rank int) core.RunOptions {
+	results, err := clusterRunAll(w, cfg, trs, func(rank int) core.RunOptions {
 		return core.RunOptions{
-			Checkpoint: &core.CheckpointPolicy{
-				Dir: dir, Every: faultGridCkptEvery, Resume: true, Elastic: true, OldRank: oldRank(rank),
-			},
+			Checkpoint: &core.CheckpointPolicy{Dir: dir, Every: faultGridCkptEvery, Resume: true, OldRank: oldRank(rank)},
 			Sink: &captureSink{
 				store: checkpoint.NewStore(dir, rank),
 				ref:   checkpoint.NewStore(refDir, rank),
@@ -199,32 +176,26 @@ func elasticRun(w *faultWorkload, cfg core.Config, transport, dir, refDir string
 			},
 		}
 	})
-	for h, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("elastic rank %d: %w", h, err)
-		}
+	if err != nil {
+		return nil, fmt.Errorf("elastic %w", err)
 	}
 	return results, nil
 }
 
-// referenceFromDir runs a plain-resume cluster straight from the
+// referenceFromDir resumes an unchanged cluster straight from the
 // captured re-sharded checkpoints and returns its final hash — the
 // byte-identity oracle: a membership change is correct exactly when
 // continuing through it equals launching a brand-new cluster of the
 // new shape from the checkpoint it wrote.
 func referenceFromDir(w *faultWorkload, cfg core.Config, transport, refDir string, cut uint32) (string, error) {
-	trs, closeAll, err := faultGridTransports(transport, cfg.Hosts)
+	trs, closeAll, err := gridTransports(transport, cfg.Hosts)
 	if err != nil {
 		return "", err
 	}
 	defer closeAll()
-	results, errs := clusterRun(w, cfg, trs, func(int) core.RunOptions {
-		return core.RunOptions{Checkpoint: &core.CheckpointPolicy{Dir: refDir, Every: faultGridCkptEvery, Resume: true}}
-	})
-	for h, err := range errs {
-		if err != nil {
-			return "", fmt.Errorf("reference rank %d: %w", h, err)
-		}
+	results, err := clusterRunAll(w, cfg, trs, resumeOpts(refDir))
+	if err != nil {
+		return "", fmt.Errorf("reference %w", err)
 	}
 	for h, r := range results {
 		if r.ResumedFrom != cut {
@@ -234,10 +205,13 @@ func referenceFromDir(w *faultWorkload, cfg core.Config, transport, refDir strin
 	return hashCanonical(results[0].Canonical), nil
 }
 
-// runMembershipCell executes one cell. freshRef lazily computes the
-// uninterrupted 3-host reference hash — needed only by cells whose
-// negotiation legitimately degrades to round 0.
-func runMembershipCell(w *faultWorkload, c MembershipCase, freshRef func() (string, error), dir, refDir string) (MembershipGridRow, error) {
+// runMembershipCell executes one cell. The uninterrupted 3-host
+// reference (cell.ref) is needed only by cells whose negotiation
+// legitimately degrades to round 0; the others are checked against a
+// cluster launched from the captured cut-round checkpoints in a
+// subdirectory of the cell's dir.
+func runMembershipCell(cell gridCell, c MembershipCase) (MembershipGridRow, error) {
+	w, dir, refDir := cell.w, cell.dir, filepath.Join(cell.dir, "ref")
 	cfg3 := w.cfg(c.Mode)
 	cfg2 := cfg3
 	cfg2.Hosts = 2
@@ -254,7 +228,7 @@ func runMembershipCell(w *faultWorkload, c MembershipCase, freshRef func() (stri
 	switch c.Scenario {
 	case ScenarioDepart:
 		row.OldHosts, row.NewHosts = 3, 2
-		if err := runKillSetup(w, cfg3, c.Transport, dir); err != nil {
+		if err := killRun(w, cfg3, c.Transport, dir, FaultAtCompute.trigger(), nil); err != nil {
 			return row, fmt.Errorf("harness: %s: %w", c.ID(), err)
 		}
 		// Survivors are old ranks 0 and 2; the newest checkpoint every
@@ -263,7 +237,7 @@ func runMembershipCell(w *faultWorkload, c MembershipCase, freshRef func() (stri
 		oldRank = func(rank int) int { return []int{0, 2}[rank] }
 	case ScenarioReplace:
 		row.OldHosts, row.NewHosts = 3, 3
-		if err := runKillSetup(w, cfg3, c.Transport, dir); err != nil {
+		if err := killRun(w, cfg3, c.Transport, dir, FaultAtCompute.trigger(), nil); err != nil {
 			return row, fmt.Errorf("harness: %s: %w", c.ID(), err)
 		}
 		// The replacement host's disk is wiped: the dead rank's files
@@ -289,21 +263,19 @@ func runMembershipCell(w *faultWorkload, c MembershipCase, freshRef func() (stri
 		row.OldHosts, row.NewHosts = 2, 3
 		// The 2-host generation: train to the pause boundary and
 		// checkpoint exactly there.
-		trs, closeAll, err := faultGridTransports(c.Transport, 2)
+		trs, closeAll, err := gridTransports(c.Transport, 2)
 		if err != nil {
 			return row, err
 		}
-		results, errs := clusterRun(w, cfg2, trs, func(int) core.RunOptions {
+		results, err := clusterRunAll(w, cfg2, trs, func(int) core.RunOptions {
 			return core.RunOptions{
 				Checkpoint:     &core.CheckpointPolicy{Dir: dir, Every: membershipGrowCut},
 				StopAfterRound: membershipGrowCut,
 			}
 		})
 		closeAll()
-		for h, err := range errs {
-			if err != nil {
-				return row, fmt.Errorf("harness: %s: paused run rank %d: %w", c.ID(), h, err)
-			}
+		if err != nil {
+			return row, fmt.Errorf("harness: %s: paused run %w", c.ID(), err)
 		}
 		for h, r := range results {
 			if !r.Engine.Paused {
@@ -339,7 +311,7 @@ func runMembershipCell(w *faultWorkload, c MembershipCase, freshRef func() (stri
 	// The byte-identity verdict.
 	var refHash string
 	if cut == 0 {
-		refHash, err = freshRef()
+		refHash, err = cell.ref()
 	} else {
 		refHash, err = referenceFromDir(w, contCfg, c.Transport, refDir, cut)
 	}
@@ -356,63 +328,20 @@ func runMembershipCell(w *faultWorkload, c MembershipCase, freshRef func() (stri
 // diverges from its reference makes the grid return an error alongside
 // the rows collected so far.
 func MembershipGrid(opts Options, cases []MembershipCase) ([]MembershipGridRow, error) {
-	opts = opts.WithDefaults()
-	workloads, err := faultWorkloads(opts)
-	if err != nil {
-		return nil, err
-	}
-	byName := map[string]*faultWorkload{}
-	for _, w := range workloads {
-		byName[w.name] = w
-	}
-
-	// Uninterrupted 3-host references, keyed (workload, mode), computed
-	// on demand for the cells that degrade to round 0.
-	reference := gridReference("membership-grid", faultGridHosts)
-
-	var rows []MembershipGridRow
-	var failed []string
-	for _, c := range cases {
-		w, ok := byName[c.Workload]
-		if !ok {
-			return rows, fmt.Errorf("harness: unknown membership-grid workload %q", c.Workload)
-		}
-		dir, err := os.MkdirTemp("", "gw2v-membership-*")
-		if err != nil {
-			return rows, err
-		}
-		refDir, err := os.MkdirTemp("", "gw2v-membership-ref-*")
-		if err != nil {
-			os.RemoveAll(dir)
-			return rows, err
-		}
-		row, err := runMembershipCell(w, c, func() (string, error) { return reference(w, c.Mode) }, dir, refDir)
-		os.RemoveAll(dir)
-		os.RemoveAll(refDir)
-		if err != nil {
-			return rows, err
-		}
-		rows = append(rows, row)
-		if !row.Recovered || !row.Identical {
-			failed = append(failed, row.ID)
-		}
-	}
-
-	tw := tabwriter.NewWriter(opts.out(), 0, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "Membership grid (scale=%s, ckpt every %d rounds)\n", opts.Scale, faultGridCkptEvery)
-	fmt.Fprintln(tw, "P\tWorkload\tMode\tTransport\tScenario\tHosts\tCut@\tConverged\tByte-identical")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%d\t%s\t%s\t%s\t%s\t%d→%d\t%d\t%v\t%v\n",
-			r.Priority, r.Workload, r.Mode, r.Transport, r.Scenario,
-			r.OldHosts, r.NewHosts, r.CutRound, r.Recovered, r.Identical)
-	}
-	if err := tw.Flush(); err != nil {
-		return rows, err
-	}
-	if len(failed) > 0 {
-		return rows, fmt.Errorf("harness: %d membership-grid cells did not continue byte-identically: %v", len(failed), failed)
-	}
-	return rows, nil
+	return runGrid(opts, cases, gridSpec[MembershipCase, MembershipGridRow]{
+		name:   "membership-grid",
+		title:  "Membership grid",
+		detail: fmt.Sprintf("ckpt every %d rounds", faultGridCkptEvery),
+		header: "P\tWorkload\tMode\tTransport\tScenario\tHosts\tCut@\tConverged\tByte-identical",
+		line: func(r MembershipGridRow) string {
+			return fmt.Sprintf("%d\t%s\t%s\t%s\t%s\t%d→%d\t%d\t%v\t%v",
+				r.Priority, r.Workload, r.Mode, r.Transport, r.Scenario,
+				r.OldHosts, r.NewHosts, r.CutRound, r.Recovered, r.Identical)
+		},
+		run:  runMembershipCell,
+		ok:   func(r MembershipGridRow) bool { return r.Recovered && r.Identical },
+		fail: "continue byte-identically",
+	})
 }
 
 // SecondFaultPoint is where a SECOND rank dies while the cluster is
@@ -420,11 +349,13 @@ func MembershipGrid(opts Options, cases []MembershipCase) ([]MembershipGridRow, 
 type SecondFaultPoint int
 
 const (
-	// SecondFaultResumeOffer kills a survivor as it sends its resume
-	// offer — mid plain-resume negotiation.
+	// SecondFaultResumeOffer kills a survivor as it sends its offer
+	// while the cluster restarts at its full, unchanged shape — mid
+	// plain-resume negotiation.
 	SecondFaultResumeOffer SecondFaultPoint = iota
 	// SecondFaultMembershipOffer kills a survivor as it sends its
-	// membership offer — mid elastic negotiation.
+	// offer while the survivors continue as a smaller cluster — mid
+	// resharding negotiation.
 	SecondFaultMembershipOffer
 	// SecondFaultTransfer kills a survivor as the first migrated range
 	// arrives — mid range transfer.
@@ -445,74 +376,21 @@ func (p SecondFaultPoint) String() string {
 	}
 }
 
-// killOnFrame kills on the first observed frame of a kind: before the
-// send, or instead of delivering the receive.
-type killOnFrame struct {
-	sendKind byte
-	recvKind byte
-
-	mu    sync.Mutex
-	fired bool
-}
-
-func (g *killOnFrame) match(payload []byte, want byte) bool {
-	if want == 0 {
-		return false
-	}
-	kind, _ := gluon.InspectFrame(payload)
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.fired || kind != want {
-		return false
-	}
-	g.fired = true
-	return true
-}
-
-// killTransport is faultTransport's sibling for second-failure cells.
-type killTransport struct {
-	gluon.Transport
-	trig *killOnFrame
-}
-
-func (f *killTransport) kill() error {
-	f.Transport.Close()
-	return fmt.Errorf("%w on frame", errInjectedKill)
-}
-
-func (f *killTransport) Send(from, to int, payload []byte) error {
-	if f.trig.match(payload, f.trig.sendKind) {
-		return f.kill()
-	}
-	return f.Transport.Send(from, to, payload)
-}
-
-func (f *killTransport) Recv(host int) (int, []byte, error) {
-	from, payload, err := f.Transport.Recv(host)
-	if err != nil {
-		return from, payload, err
-	}
-	if f.trig.match(payload, f.trig.recvKind) {
-		return 0, nil, f.kill()
-	}
-	return from, payload, nil
-}
-
 // SecondFailure exercises a second rank dying while the cluster is
-// already recovering from a first kill: during the plain resume
-// negotiation, during the elastic membership negotiation, or in the
-// middle of a range transfer. The recovery attempt must not hang —
-// every survivor must surface gluon.ErrPeerLost — and the new victim
-// must die of the injected kill. TCP only: the assertion is about the
-// failure detector, which the in-process transport does not model.
+// already recovering from a first kill: during the negotiation of a
+// plain restart, during the negotiation of a shrink, or in the middle
+// of a range transfer. The recovery attempt must not hang — every
+// survivor must surface gluon.ErrPeerLost — and the new victim must die
+// of the injected kill. TCP only: the assertion is about the failure
+// detector, which the in-process transport does not model.
 func SecondFailure(opts Options, point SecondFaultPoint) error {
 	opts = opts.WithDefaults()
 	workloads, err := faultWorkloads(opts)
 	if err != nil {
 		return err
 	}
-	w := workloads[0] // text; the kill points are workload-agnostic
-	cfg3 := w.cfg(gluon.RepModelOpt)
+	w := workloads["text"] // the kill points are workload-agnostic
+	cfg := w.cfg(gluon.RepModelOpt)
 	dir, err := os.MkdirTemp("", "gw2v-secondfail-*")
 	if err != nil {
 		return err
@@ -520,49 +398,39 @@ func SecondFailure(opts Options, point SecondFaultPoint) error {
 	defer os.RemoveAll(dir)
 
 	// First failure: rank 1 of the 3-host cluster dies for good.
-	if err := runKillSetup(w, cfg3, "tcp", dir); err != nil {
-		return err
+	if err := killRun(w, cfg, "tcp", dir, FaultAtCompute.trigger(), nil); err != nil {
+		return fmt.Errorf("harness: %w", err)
 	}
 
 	// Recovery attempt with a second kill armed. The resume-offer point
 	// retries at the full shape (a plain restart, as if rank 1 came
-	// straight back); the elastic points continue as the 2 survivors.
-	trig := &killOnFrame{}
-	cfg := cfg3
-	pol := func(rank int) *core.CheckpointPolicy {
-		return &core.CheckpointPolicy{Dir: dir, Every: faultGridCkptEvery, Resume: true}
-	}
+	// straight back); the others continue as the 2 survivors. An offer
+	// is a membership frame with tag 0.
+	trig := &faultTrigger{onSend: true, kind: gluon.FrameMembership, round: 0, nth: 1}
 	victim := 2
+	oldRank := func(rank int) int { return rank }
 	switch point {
 	case SecondFaultResumeOffer:
-		trig.sendKind = gluon.FrameResume
 	case SecondFaultMembershipOffer, SecondFaultTransfer:
-		if point == SecondFaultMembershipOffer {
-			trig.sendKind = gluon.FrameMembership
-		} else {
-			trig.recvKind = gluon.FrameTransfer
+		if point == SecondFaultTransfer {
+			// Rank 0 sources every old range (RepModel snapshots cover
+			// them all) and sends old rank 0's first.
+			trig = &faultTrigger{kind: gluon.FrameTransfer, round: 0, nth: 1}
 		}
-		cfg = cfg3
 		cfg.Hosts = 2
 		victim = 1 // old rank 2, the non-root survivor
-		base := pol
-		pol = func(rank int) *core.CheckpointPolicy {
-			p := base(rank)
-			p.Elastic = true
-			p.OldRank = []int{0, 2}[rank]
-			return p
-		}
+		oldRank = func(rank int) int { return []int{0, 2}[rank] }
 	default:
 		return fmt.Errorf("harness: unknown second-fault point %v", point)
 	}
-	trs, closeAll, err := faultGridTransports("tcp", cfg.Hosts)
+	trs, closeAll, err := gridTransports("tcp", cfg.Hosts)
 	if err != nil {
 		return err
 	}
 	defer closeAll()
-	trs[victim] = &killTransport{Transport: trs[victim], trig: trig}
+	trs[victim] = &faultTransport{Transport: trs[victim], trig: trig}
 	_, errs := clusterRun(w, cfg, trs, func(rank int) core.RunOptions {
-		return core.RunOptions{Checkpoint: pol(rank)}
+		return core.RunOptions{Checkpoint: &core.CheckpointPolicy{Dir: dir, Every: faultGridCkptEvery, Resume: true, OldRank: oldRank(rank)}}
 	})
 	for h, err := range errs {
 		switch {
