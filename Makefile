@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-portable test-sync-race overlap-smoke bench-smoke sync-latency-smoke serve-smoke serve-latency-smoke recovery-smoke chaos-smoke cross-arm64 vet fmt-check fmt docs-check
+.PHONY: all build test test-short test-portable test-sync-race overlap-smoke bench-smoke sync-latency-smoke serve-smoke serve-latency-smoke recovery-smoke chaos-smoke fuzz-smoke cross-arm64 vet fmt-check fmt docs-check
 
 all: fmt-check vet docs-check build test-short test-sync-race test-portable cross-arm64
 
@@ -84,17 +84,29 @@ recovery-smoke:
 	$(GO) test -count=3 -run 'TestMeshRedialAfterPeerRestart' ./internal/harness/
 
 # Transient-fault resilience lane: the session layer's unit surface
-# (reconnect, replay, corrupt-frame rejection, budget escalation) and
-# every gluon-level chaos class, then the priority-1 diagonal of the
-# chaos grid (every fault class, sync mode and workload at least once),
-# all under the race detector (mirrored as a CI step; DESIGN.md §13,
-# PROTOCOL.md §12). The grid diagonal repeats at GOMAXPROCS 1 and 4,
-# like recovery-smoke.
+# (reconnect, replay, corrupt-frame rejection, budget escalation, the
+# retransmit limit), the heal-off error-class table, the mixed-heal
+# mesh and every gluon-level chaos class, then the priority-1 diagonal
+# of the chaos grid (every fault class, sync mode and workload at least
+# once), all under the race detector (mirrored as a CI step; DESIGN.md
+# §13, PROTOCOL.md §12). The grid diagonal repeats at GOMAXPROCS 1 and
+# 4, like recovery-smoke.
 chaos-smoke:
-	$(GO) test -race -count=1 -run 'TestSession|TestChaos[^G]|TestDialMeshSession' ./internal/gluon/
+	$(GO) test -race -count=1 -run 'TestSession|TestChaos[^G]|TestDialMeshSession|TestDialMeshMixedHeal|TestTCPDeadlineTable|TestTCPWriteDeadline' ./internal/gluon/
 	$(GO) test -race -count=1 -run 'TestChaosGridSmoke' ./internal/harness/
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestChaosGridSmoke' ./internal/harness/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestChaosGridSmoke' ./internal/harness/
+
+# Fuzz lane: every Fuzz* target in internal/gluon — the parsers that
+# face the wire (mesh hello, session frame, resume hello, membership
+# offer and decision) — runs FUZZTIME past its golden seed corpus
+# (mirrored as a CI step). A crasher lands in internal/gluon/testdata/fuzz.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	@for f in $$($(GO) test -list '^Fuzz' ./internal/gluon/ | grep '^Fuzz'); do \
+		echo "fuzz $$f"; \
+		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) ./internal/gluon/ || exit 1; \
+	done
 
 # arm64 must compile (simd_stub path).
 cross-arm64:

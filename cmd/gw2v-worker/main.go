@@ -91,7 +91,7 @@ func main() {
 		ckptEvery   = flag.Int("checkpoint-every", 0, "checkpoint cadence in sync rounds (0 = once per epoch)")
 		resumeFlag  = flag.Bool("resume", false, "resume from the newest cluster-wide checkpoint in -checkpoint-dir (fresh start if none)")
 		maxRestarts = flag.Int("max-restarts", 0, "after losing a peer, re-dial the mesh and resume up to this many times (0 = exit on peer loss)")
-		peerTimeout = flag.Duration("peer-timeout", 0, "declare a silent peer dead after this long; heartbeats are sent every third of it (0 = no failure detection)")
+		peerTimeout = flag.Duration("peer-timeout", 0, "read and write deadline: a peer silent or not draining its socket for this long is dead (healed instead with -heal); heartbeats are sent every third of it (0 = no deadlines). With -heal off and -heal-budget unset, a peer whose connection drops is also declared dead once it stays down this long (5s when 0)")
 		minHosts    = flag.Int("min-hosts", 0, "when a lost peer never re-dials within -dial-timeout, the survivors re-form a smaller mesh and re-shard its master range, but never below this many hosts (0 = never degrade: exit instead; identical on every rank)")
 	)
 	flag.Parse()
@@ -202,6 +202,13 @@ func main() {
 	cfg.SyncOverlap = perfFlags.SyncOverlap
 	cfg.Heal = healFlags.Heal
 	cfg.HealBudget = healFlags.Budget
+	budgetSet := false
+	flag.Visit(func(f *flag.Flag) { budgetSet = budgetSet || f.Name == "heal-budget" })
+	if !cfg.Heal && !budgetSet {
+		// Without healing a dropped connection is a dead peer once it
+		// outlasts -peer-timeout, like a silent one (0: the library's 5s).
+		cfg.HealBudget = *peerTimeout
+	}
 	if *syncRounds > 0 {
 		cfg.SyncRounds = *syncRounds
 	}
@@ -225,7 +232,6 @@ func main() {
 			HeartbeatInterval: *peerTimeout / 3,
 			ReadTimeout:       *peerTimeout,
 			WriteTimeout:      *peerTimeout,
-			PeerLossGrace:     *peerTimeout,
 		}
 	}
 	tcpOpts.Session = cfg.HealOptions()

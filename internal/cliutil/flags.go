@@ -73,14 +73,16 @@ func RegisterPerf(fs *flag.FlagSet) *PerfFlags {
 }
 
 // HealFlags holds the session-healing knobs after parsing — the
-// transport-resilience pair consumed by gluon's session layer
-// (PROTOCOL.md §12). Like PerfFlags they never change what is
-// computed, only how the bytes survive the network, so they are
-// excluded from the cluster checksum.
+// per-rank reaction to a broken TCP connection, consumed by gluon's
+// session layer (PROTOCOL.md §12). Like PerfFlags they never change
+// what is computed, only how the bytes survive the network, so they
+// are excluded from the cluster checksum and may differ between ranks.
 type HealFlags struct {
-	// Heal enables session-layer reconnect/retransmit healing.
+	// Heal redials a broken connection and replays unacknowledged
+	// frames instead of escalating.
 	Heal bool
-	// Budget bounds the per-peer-pair healing time before escalation.
+	// Budget bounds how long a peer pair may stay broken (healing, or
+	// without Heal waiting for a clean shutdown) before escalation.
 	Budget time.Duration
 }
 
@@ -89,9 +91,9 @@ type HealFlags struct {
 func RegisterHeal(fs *flag.FlagSet) *HealFlags {
 	h := &HealFlags{}
 	fs.BoolVar(&h.Heal, "heal", false,
-		"session-layer fault healing: transient connection resets, partitions and slow links are healed in place by transparent reconnection and retransmission of unacknowledged frames instead of surfacing as peer loss; healed runs are bit-identical to fault-free ones, so this knob is excluded from the cluster checksum, but every rank must still agree on it — the mesh handshake enforces that (PROTOCOL.md §12)")
+		"redial broken connections: transient connection resets, partitions and slow links are healed in place by transparent reconnection and retransmission of unacknowledged frames instead of surfacing as peer loss; every TCP frame carries the session header either way, so this is a per-rank policy that ranks may disagree on, and healed runs are bit-identical to fault-free ones, so it is excluded from the cluster checksum (PROTOCOL.md §12)")
 	fs.DurationVar(&h.Budget, "heal-budget", 10*time.Second,
-		"with -heal, how long one peer pair may stay broken before the session layer gives up and escalates to the checkpoint/membership recovery ladder (DESIGN.md §13); excluded from the cluster checksum")
+		"how long one peer pair may stay broken before the peer is declared lost and the checkpoint/membership recovery ladder takes over (DESIGN.md §13): with -heal the redial budget, without it how long a dropped connection may linger before it counts as a dead peer rather than a clean shutdown; excluded from the cluster checksum")
 	return h
 }
 

@@ -68,24 +68,25 @@ type Config struct {
 	// gluon.OverlapHostCap (64) hosts: Validate refuses larger clusters
 	// with gluon.ErrOverlapHostCap.
 	SyncOverlap bool
-	// Heal enables the gluon session layer (PROTOCOL.md §12) on TCP
-	// meshes: transient connection faults — resets, partitions, slow
-	// links — are healed in place by transparent reconnection and
+	// Heal sets this rank's gluon session policy (PROTOCOL.md §12) on
+	// TCP meshes: transient connection faults — resets, partitions,
+	// slow links — are healed in place by transparent reconnection and
 	// retransmission of unacknowledged frames instead of surfacing as
-	// ErrPeerLost. Healing changes only when bytes move, never what is
-	// computed — a healed run is bit-identical to a fault-free one — so
-	// like SyncWorkers and SyncOverlap this knob is excluded from the
-	// cluster checksum. The mesh handshake still requires every rank to
-	// agree on it (mixed meshes would strand frames), which is exactly
-	// why it cannot live in the checksum: the handshake carries it in a
-	// dedicated hello field checked before the checksum comparison.
-	// Ignored by the in-process simulated cluster.
+	// ErrPeerLost. Every TCP connection speaks the same session framing
+	// either way, so this is a per-rank policy, not a framing, and
+	// ranks may disagree. Healing changes only when bytes move, never
+	// what is computed — a healed run is bit-identical to a fault-free
+	// one — so like SyncWorkers and SyncOverlap this knob is excluded
+	// from the cluster checksum. Ignored by the in-process simulated
+	// cluster.
 	Heal bool
 	// HealBudget bounds how long one peer pair may spend broken before
-	// the session layer gives up and escalates to ErrPeerLost, handing
-	// the fault to the checkpoint/membership ladder (DESIGN.md §13).
-	// Zero means the gluon default (10s). Excluded from the cluster
-	// checksum like Heal; ranks may legitimately disagree.
+	// the transport escalates to ErrPeerLost, handing the fault to the
+	// checkpoint/membership ladder (DESIGN.md §13): the redial budget
+	// with Heal, and without it how long a dropped connection may
+	// linger before it counts as a dead peer rather than a clean
+	// shutdown. Zero means the gluon default (10s). Excluded from the
+	// cluster checksum like Heal; ranks may legitimately disagree.
 	HealBudget time.Duration
 	// Params are the Skip-Gram hyper-parameters.
 	Params sgns.Params

@@ -43,9 +43,7 @@ const (
 // Per-host performance knobs that never change what is computed —
 // SyncWorkers, SyncOverlap, and the session-healing pair Heal /
 // HealBudget — are likewise excluded: ranks of one cluster may
-// legitimately disagree on them. (Heal does have to match across the
-// mesh, but the handshake enforces that through a dedicated hello
-// field, not the checksum; see PROTOCOL.md §12.)
+// legitimately disagree on them (PROTOCOL.md §12).
 func (c *Config) Checksum(vocabSize, corpusLen, dim int, extra ...uint64) uint64 {
 	var shuffle uint64
 	if c.ShuffleEachEpoch {

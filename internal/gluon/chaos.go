@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// Deterministic fault injection for the session layer. A ChaosPlan on
+// Deterministic fault injection below the session layer. A ChaosPlan on
 // TCPOptions wraps every post-handshake connection in a chaosConn that
 // mutates whole frames at the Write boundary — drops, duplicates,
 // reorders, bit flips, artificial delays, connection resets, one-way
@@ -18,10 +18,12 @@ import (
 // reconnects, so a healed session replays into the SAME fault stream
 // it broke under, and two runs of one plan inject identically.
 //
-// Chaos requires the session layer (SessionOptions.Heal): the legacy
-// transport treats every anomaly a chaosConn produces as a poisoning
-// protocol violation, which is exactly the behaviour the session layer
-// exists to replace.
+// Chaos is meant for healing ranks (SessionOptions.Heal). Every
+// connection speaks the session framing, so a chaosConn works under
+// any policy, but a rank that does not heal answers the first injected
+// fault with the heal-off verdict (ErrPeerLost, or poisoning with the
+// framing error for a corrupted frame) — which is what the plan's
+// faults are there to avoid.
 
 // ChaosPlan is a seeded fault schedule. Every "Every" field counts
 // frames written in one direction; 0 disables that fault class. At
@@ -58,13 +60,6 @@ type ChaosPlan struct {
 	// attempt fails until the budget degrades the run into the
 	// ErrPeerLost → checkpoint-resume path.
 	StormRound uint32
-}
-
-// active reports whether the plan injects anything at all.
-func (p ChaosPlan) active() bool {
-	return p.DropEvery > 0 || p.DupEvery > 0 || p.ReorderEvery > 0 ||
-		p.CorruptEvery > 0 || p.DelayEvery > 0 || p.ResetEvery > 0 ||
-		p.BlackholeFrames > 0 || p.StormRound > 0
 }
 
 // errChaosReset is the write error a chaos-injected connection reset

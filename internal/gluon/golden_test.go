@@ -103,15 +103,15 @@ func goldenFrames(t *testing.T) map[string][]byte {
 		}),
 	}
 
-	// The session frame (v6): rank 1 sending seq 7 / ack 3 wrapping the
+	// The session frame (every TCP frame since v8): rank 1 sending seq 7 / ack 3 wrapping the
 	// pinned barrier payload, and the session resume hello: rank 1,
 	// token 0x1122334455667788, lastRecv 42.
 	frames["session-data"] = sessionFrameAppend(nil, 1, 7, 3, barrierMessage(9))
 	frames["session-hello"] = goldenSessionHello(t)
 
 	// The mesh hello, captured off a pipe: rank 1 of 3, checksum
-	// 0x0123456789ABCDEF, packed codec, session healing on with token
-	// 0x1122334455667788 (v6 flags byte = 1).
+	// 0x0123456789ABCDEF, packed codec, session token
+	// 0x1122334455667788.
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
@@ -125,10 +125,7 @@ func goldenFrames(t *testing.T) map[string][]byte {
 		}
 		helloCh <- buf
 	}()
-	cfg := MeshConfig{
-		Rank: 1, Peers: []string{"a", "b", "c"}, Checksum: 0x0123456789ABCDEF, Wire: CodecPacked,
-		TCP: TCPOptions{Session: SessionOptions{Heal: true}},
-	}
+	cfg := MeshConfig{Rank: 1, Peers: []string{"a", "b", "c"}, Checksum: 0x0123456789ABCDEF, Wire: CodecPacked}
 	if err := writeHello(a, cfg, 0x1122334455667788, time.Now().Add(5*time.Second)); err != nil {
 		t.Fatalf("writeHello: %v", err)
 	}
@@ -171,7 +168,7 @@ func TestWireGolden(t *testing.T) {
 
 	if *updateGolden {
 		var sb strings.Builder
-		sb.WriteString("# Golden wire frames, protocol version 7 (PROTOCOL.md).\n")
+		sb.WriteString("# Golden wire frames, protocol version 8 (PROTOCOL.md).\n")
 		sb.WriteString("# Regenerate ONLY on a deliberate, version-bumped format change:\n")
 		sb.WriteString("#   go test ./internal/gluon -run TestWireGolden -update-golden\n")
 		names := make([]string, 0, len(frames))

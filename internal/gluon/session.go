@@ -13,60 +13,72 @@ import (
 	"time"
 )
 
-// Session layer (protocol v6): transient-fault healing below the
-// kill-and-relaunch machinery. With SessionOptions.Heal enabled every
-// data frame carries a per-peer-pair sequence number, an acknowledgement
-// of the highest frame received from that peer, and a CRC32 over header
-// and payload; every sent frame is retained in a bounded retransmit
-// buffer until the peer acknowledges it. When a connection breaks — a
-// reset, a read/write deadline expiry, a corrupt or out-of-order frame —
-// the session tears the connection down and heals in place: the lower
-// rank redials the higher rank's persistent resume listener with
-// jittered exponential backoff, the two sides exchange a resume hello
-// ("GW2VSESS") carrying their session tokens and last-received sequence
-// numbers, and the unacknowledged tail of the retransmit buffer is
-// replayed. Receivers discard duplicates (seq <= lastRecv) and treat
-// gaps (seq > lastRecv+1) as a new break, so delivery stays exactly-once
-// and in order — the sync engine above never observes the fault.
+// Session layer: the one TCP framing (PROTOCOL.md §2, §12). Every data
+// frame carries a per-peer-pair sequence number, an acknowledgement of
+// the highest frame received from that peer, and a CRC32 over header
+// and payload; a healing rank retains every sent frame in a bounded
+// retransmit buffer until the peer acknowledges it. One long-lived
+// reader per peer reads whichever connection is installed.
+//
+// SessionOptions.Heal sets what a rank does when a connection breaks —
+// a reset, a read/write deadline expiry, a corrupt or out-of-order
+// frame. With Heal the session tears the connection down and heals in
+// place: the lower rank redials the higher rank's persistent resume
+// listener with jittered exponential backoff, the two sides exchange a
+// resume hello ("GW2VSESS") carrying their session tokens and
+// last-received sequence numbers, and the unacknowledged tail of the
+// retransmit buffer is replayed. Receivers discard duplicates
+// (seq <= lastRecv) and treat gaps (seq > lastRecv+1) as a new break,
+// so delivery stays exactly-once and in order — the sync engine above
+// never observes the fault. Without Heal nothing is redialed: a
+// malformed frame poisons the transport with its framing error, a
+// deadline expiry or failed write is ErrPeerLost at once, and a dropped
+// connection is ErrPeerLost unless the transport closes within
+// HealBudget (a clean shutdown).
 //
 // Faults that outlast SessionOptions.HealBudget (measured from the
 // FIRST break, so a storm of failed re-heals cannot reset the clock)
-// degrade into the existing escalation ladder: the peer is declared
-// lost and the transport poisoned with ErrPeerLost, handing control to
-// the checkpoint-resume and elastic-membership paths (PROTOCOL.md §12,
+// degrade into the escalation ladder: the peer is declared lost and
+// the transport poisoned with ErrPeerLost, handing control to the
+// checkpoint-resume and elastic-membership paths (PROTOCOL.md §12,
 // DESIGN.md §13).
 //
-// Session frame, all little-endian, inside the standard TCP framing
-// (sender uint32, length uint32):
+// Session frame, all little-endian:
 //
-//	bytes 0–7   sequence number (uint64; 0 = unsequenced control —
+//	bytes 0–3   sender id (uint32)
+//	bytes 4–7   length L of the rest (uint32)
+//	bytes 8–15  sequence number (uint64; 0 = unsequenced control —
 //	            only heartbeats, which carry acks between data frames)
-//	bytes 8–15  ack: highest sequence received from the destination
-//	bytes 16–19 CRC32 (IEEE) over the seq+ack bytes and the payload
-//	bytes 20–   wire payload (wire.go)
+//	bytes 16–23 ack: highest sequence received from the destination
+//	bytes 24–27 CRC32 (IEEE) over the seq+ack bytes and the payload
+//	bytes 28–   wire payload (wire.go)
 //
 // Resume hello, all little-endian: magic "GW2VSESS" (8 bytes),
 // version (uint32, = meshVersion), sender rank (uint32), session
 // token (uint64), lastRecv (uint64). See PROTOCOL.md §12.
 
-// SessionOptions enables and tunes the self-healing session layer on a
-// TCPTransport. The zero value disables it entirely, preserving the
-// legacy transport behaviour (any connection fault poisons the
-// transport after the peer-loss grace). All ranks must agree on Heal —
-// the v6 mesh hello carries the flag and rejects mixed clusters.
+// SessionOptions sets one rank's reaction to a broken connection. The
+// framing does not depend on it, so ranks of one mesh may disagree.
+// The zero value does not heal: a break escalates as described above,
+// with a dropped connection allowed the default 5s budget.
 type SessionOptions struct {
-	// Heal turns the session layer on: sequenced, CRC-protected,
-	// acknowledged frames with transparent reconnect and replay.
+	// Heal redials a broken connection and replays unacknowledged
+	// frames instead of escalating.
 	Heal bool
 	// HealBudget bounds how long one outage may last — measured from
 	// the first break of the connection, across every redial attempt —
-	// before the peer is declared lost (ErrPeerLost). Zero means 10s.
+	// before the peer is declared lost (ErrPeerLost). Without Heal it
+	// is how long a dropped connection may linger before the peer is
+	// declared lost; a clean shutdown closes the transport well inside
+	// it. Zero means 10s with Heal and 5s without.
 	HealBudget time.Duration
-	// RetransmitLimit bounds the per-peer retransmit buffer in bytes.
-	// A peer that persistently fails to acknowledge past this limit is
-	// declared lost immediately (it is either dead or unrecoverably
-	// slow, and buffering more would only defer the verdict while
-	// consuming memory). Zero means 256 MiB.
+	// RetransmitLimit bounds a healing rank's per-peer retransmit
+	// buffer in bytes. A peer that persistently fails to acknowledge
+	// past this limit is declared lost immediately (it is either dead
+	// or unrecoverably slow, and buffering more would only defer the
+	// verdict while consuming memory). A single frame into an empty
+	// buffer is always accepted. A rank without Heal keeps no buffer,
+	// since nothing would replay it. Zero means 256 MiB.
 	RetransmitLimit int
 	// RedialMin / RedialMax bound the jittered exponential backoff
 	// between reconnect attempts. Zero means 10ms / 500ms.
@@ -79,41 +91,28 @@ const (
 	// sessionHelloBytes is the encoded resume-hello size.
 	sessionHelloBytes = len(sessionMagic) + 4 + 4 + 8 + 8
 	// sessionHeaderBytes is the per-frame session header (seq, ack, crc)
-	// prepended to every payload in session mode.
+	// between the framing prefix and every payload.
 	sessionHeaderBytes = 8 + 8 + 4
-
-	defaultHealBudget      = 10 * time.Second
-	defaultRetransmitLimit = 256 << 20
-	defaultRedialMin       = 10 * time.Millisecond
-	defaultRedialMax       = 500 * time.Millisecond
 )
 
-func (o SessionOptions) budget() time.Duration {
-	if o.HealBudget > 0 {
-		return o.HealBudget
+// withDefaults fills the zero fields with their documented defaults.
+func (o SessionOptions) withDefaults() SessionOptions {
+	if o.HealBudget <= 0 {
+		o.HealBudget = 5 * time.Second
+		if o.Heal {
+			o.HealBudget = 10 * time.Second
+		}
 	}
-	return defaultHealBudget
-}
-
-func (o SessionOptions) retransmitLimit() int {
-	if o.RetransmitLimit > 0 {
-		return o.RetransmitLimit
+	if o.RetransmitLimit <= 0 {
+		o.RetransmitLimit = 256 << 20
 	}
-	return defaultRetransmitLimit
-}
-
-func (o SessionOptions) redialMin() time.Duration {
-	if o.RedialMin > 0 {
-		return o.RedialMin
+	if o.RedialMin <= 0 {
+		o.RedialMin = 10 * time.Millisecond
 	}
-	return defaultRedialMin
-}
-
-func (o SessionOptions) redialMax() time.Duration {
-	if o.RedialMax > 0 {
-		return o.RedialMax
+	if o.RedialMax <= 0 {
+		o.RedialMax = 500 * time.Millisecond
 	}
-	return defaultRedialMax
+	return o
 }
 
 // SessionStats aggregates healing activity across all peers of one
@@ -160,7 +159,6 @@ type peerSession struct {
 
 	stash      []sessionFrame // unacked frames, ascending seq
 	stashBytes int
-	free       [][]byte // recycled payload buffers (bounded)
 
 	// Ack-stall detection (see sessionStallCheck): the oldest unacked
 	// seq and since when it has been stuck at the head of the stash.
@@ -178,33 +176,12 @@ func newPeerSession() *peerSession {
 	return ps
 }
 
-// takeBufLocked returns a payload buffer of length n, recycling an
-// acknowledged one when possible. Caller holds ps.mu. Recycled buffers
-// are safe even while a replay is in flight: buffers only enter the
-// free list on acknowledgement, and nothing takes from it until
-// writers unblock — which happens strictly after the replay completes.
-func (ps *peerSession) takeBufLocked(n int) []byte {
-	for i := len(ps.free) - 1; i >= 0; i-- {
-		if cap(ps.free[i]) >= n {
-			b := ps.free[i][:n]
-			ps.free[i] = ps.free[len(ps.free)-1]
-			ps.free[len(ps.free)-1] = nil
-			ps.free = ps.free[:len(ps.free)-1]
-			return b
-		}
-	}
-	return make([]byte, n)
-}
-
-// evictAckedLocked drops stash entries with seq <= ack, recycling their
-// buffers. Caller holds ps.mu.
+// evictAckedLocked drops stash entries with seq <= ack. Caller holds
+// ps.mu.
 func (ps *peerSession) evictAckedLocked(ack uint64) {
 	i := 0
 	for i < len(ps.stash) && ps.stash[i].seq <= ack {
 		ps.stashBytes -= len(ps.stash[i].payload)
-		if len(ps.free) < 64 {
-			ps.free = append(ps.free, ps.stash[i].payload[:0])
-		}
 		ps.stash[i] = sessionFrame{}
 		i++
 	}
@@ -213,10 +190,10 @@ func (ps *peerSession) evictAckedLocked(ack uint64) {
 	}
 }
 
-// sessionFrameAppend appends a complete session frame — TCP framing
-// header, session header, payload — to dst and returns the extended
+// sessionFrameAppend appends a complete session frame — framing
+// prefix, session header, payload — to dst and returns the extended
 // slice. The CRC covers the seq+ack bytes and the payload (not the
-// sender/length framing, which the receiver validates structurally),
+// sender/length prefix, which the receiver validates structurally),
 // and is recomputed on every write because the ack varies on replay.
 func sessionFrameAppend(dst []byte, sender int, seq, ack uint64, payload []byte) []byte {
 	need := 8 + sessionHeaderBytes + len(payload)
@@ -237,6 +214,78 @@ func sessionFrameAppend(dst []byte, sender int, seq, ack uint64, payload []byte)
 	crc = crc32.Update(crc, crc32.IEEETable, payload)
 	binary.LittleEndian.PutUint32(frame[24:], crc)
 	return dst
+}
+
+// frameError is a malformed session frame: a sender mismatch, a short
+// or oversized length, a CRC mismatch, unsequenced data or a sequence
+// gap. A healing rank heals it like any break; any other rank poisons
+// the transport with it — a protocol violation, not peer loss.
+type frameError struct{ error }
+
+func malformed(format string, args ...any) error {
+	return frameError{fmt.Errorf(format, args...)}
+}
+
+// linkDrop wraps an I/O failure that may be a peer shutting down
+// cleanly — a failed read or heartbeat write — rather than a hung or
+// dead one; without healing it gets the budget before escalating.
+type linkDrop struct{ error }
+
+func (d linkDrop) Unwrap() error { return d.error }
+
+// ioBreak classifies a failed read or heartbeat write: a deadline
+// expiry means a hung peer and stays a plain error, anything else is a
+// linkDrop.
+func ioBreak(err error) error {
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		return err
+	}
+	return linkDrop{err}
+}
+
+// parseFrameHeader decodes the 8-byte framing prefix of a session
+// frame: the sender id and the length of the rest, which must hold a
+// session header and at most maxFrameBytes of payload.
+func parseFrameHeader(hdr []byte) (from int, length uint32, err error) {
+	if len(hdr) < 8 {
+		return 0, 0, malformed("gluon: session frame of %d bytes is shorter than its 8-byte prefix", len(hdr))
+	}
+	from = int(binary.LittleEndian.Uint32(hdr))
+	length = binary.LittleEndian.Uint32(hdr[4:])
+	if length < sessionHeaderBytes {
+		return 0, 0, malformed("gluon: session frame of %d bytes from host %d below header size %d", length, from, sessionHeaderBytes)
+	}
+	if length-sessionHeaderBytes > maxFrameBytes {
+		return 0, 0, malformed("gluon: session frame of %d bytes from host %d exceeds limit %d", length, from, maxFrameBytes)
+	}
+	return from, length, nil
+}
+
+// parseSessionFrame decodes one complete frame as sessionFrameAppend
+// encodes it, checking its length against the prefix, its CRC, and
+// that only heartbeats go unsequenced. payload aliases frame.
+func parseSessionFrame(frame []byte) (from int, seq, ack uint64, payload []byte, err error) {
+	from, length, err := parseFrameHeader(frame)
+	if err != nil {
+		return 0, 0, 0, nil, err
+	}
+	if want := 8 + uint64(length); uint64(len(frame)) != want {
+		return 0, 0, 0, nil, malformed("gluon: session frame from host %d is %d bytes, its prefix says %d", from, len(frame), want)
+	}
+	seq = binary.LittleEndian.Uint64(frame[8:])
+	ack = binary.LittleEndian.Uint64(frame[16:])
+	crc := binary.LittleEndian.Uint32(frame[24:])
+	payload = frame[8+sessionHeaderBytes:]
+	sum := crc32.ChecksumIEEE(frame[8:24])
+	sum = crc32.Update(sum, crc32.IEEETable, payload)
+	if sum != crc {
+		return 0, 0, 0, nil, malformed("gluon: session frame seq %d from host %d fails CRC (%#x != %#x)", seq, from, sum, crc)
+	}
+	if seq == 0 && !isHeartbeat(payload) {
+		return 0, 0, 0, nil, malformed("gluon: unsequenced non-heartbeat frame from host %d", from)
+	}
+	return from, seq, ack, payload, nil
 }
 
 // newSessionToken draws a random nonzero session token identifying one
@@ -275,31 +324,6 @@ func jitterBackoff(attempt int, lo, hi time.Duration) time.Duration {
 	return half + time.Duration(mrand.Int63n(int64(half)+1))
 }
 
-// initSession builds the per-peer session state, wrapping any already
-// wired bootstrap connections (which start ready at generation 1).
-func (t *TCPTransport) initSession() {
-	if t.opts.Chaos != nil {
-		t.chaos = make([]*chaosState, t.n)
-		for g := 0; g < t.n; g++ {
-			if g != t.host {
-				t.chaos[g] = newChaosState(*t.opts.Chaos, t.host, g)
-			}
-		}
-	}
-	t.sess = make([]*peerSession, t.n)
-	for g := 0; g < t.n; g++ {
-		if g == t.host {
-			continue
-		}
-		ps := newPeerSession()
-		if conn := t.conns[g]; conn != nil {
-			ps.conn = t.wrapConn(g, conn)
-			ps.ready = true
-		}
-		t.sess[g] = ps
-	}
-}
-
 // wrapConn applies the chaos-injection wrapper to a post-handshake
 // connection when a ChaosPlan is configured. The chaos state is
 // per-direction and persists across reconnects, so the injection
@@ -311,93 +335,51 @@ func (t *TCPTransport) wrapConn(peer int, conn net.Conn) net.Conn {
 	return &chaosConn{Conn: conn, st: t.chaos[peer]}
 }
 
-// sessionSend implements Send in session mode: assign a sequence
-// number, stash a copy for retransmission, and write. The stash append
-// and the write both happen under writeMu, so stash order is write
-// order. A write error is NOT surfaced to the caller — the frame is
-// stashed, the break is reported (sessionBroken) and the replay after
-// the heal delivers it; only an exhausted healing budget or an
-// overflowing stash escalates to ErrPeerLost.
-func (t *TCPTransport) sessionSend(to int, payload []byte) error {
-	ps := t.sess[to]
-	t.writeMu[to].Lock()
-	defer t.writeMu[to].Unlock()
-
-	ps.mu.Lock()
-	for !ps.ready {
+// heartbeatLoop periodically writes an unsequenced (seq 0) heartbeat
+// to every ready peer and runs the ack-stall check. Heartbeats carry
+// the current ack, so acknowledgements flow even when there is no data
+// to send, and keep peers with a read deadline from mistaking a long
+// compute phase for a hang. TryLock keeps a heartbeat from queueing
+// behind a large blocked send.
+func (t *TCPTransport) heartbeatLoop() {
+	defer t.wg.Done()
+	ticker := time.NewTicker(t.opts.HeartbeatInterval)
+	defer ticker.Stop()
+	hb := heartbeatMessage()
+	for {
 		select {
 		case <-t.done:
+			return
+		case <-ticker.C:
+		}
+		for g, ps := range t.sess {
+			if ps == nil {
+				continue
+			}
+			t.sessionStallCheck(g, ps)
+			if !t.writeMu[g].TryLock() {
+				continue
+			}
+			ps.mu.Lock()
+			if !ps.ready {
+				ps.mu.Unlock()
+				t.writeMu[g].Unlock()
+				continue
+			}
+			conn := ps.conn
+			gen := ps.gen
+			ack := ps.lastRecv
 			ps.mu.Unlock()
-			return t.closedErr()
-		default:
-		}
-		ps.cond.Wait()
-	}
-	if ps.stashBytes+len(payload) > t.opts.Session.retransmitLimit() {
-		ps.mu.Unlock()
-		t.markLost(to)
-		err := fmt.Errorf("%w: retransmit buffer for host %d exceeds %d bytes (peer not acknowledging)",
-			ErrPeerLost, to, t.opts.Session.retransmitLimit())
-		t.fail(err)
-		return err
-	}
-	seq := ps.nextSeq
-	ps.nextSeq++
-	buf := ps.takeBufLocked(len(payload))
-	copy(buf, payload)
-	ps.stash = append(ps.stash, sessionFrame{seq: seq, payload: buf})
-	ps.stashBytes += len(buf)
-	conn := ps.conn
-	gen := ps.gen
-	ack := ps.lastRecv
-	ps.mu.Unlock()
-
-	// Frame and write outside ps.mu: holding it across a blocking Write
-	// could deadlock two hosts whose TCP windows are both full, since
-	// draining requires the readers to take ps.mu for ack processing.
-	frame := sessionFrameAppend(t.sendBufs[to][:0], t.host, seq, ack, payload)
-	t.sendBufs[to] = frame
-	if t.opts.WriteTimeout > 0 {
-		conn.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
-	}
-	if _, err := conn.Write(frame); err != nil {
-		t.sessionBroken(to, gen, fmt.Errorf("gluon: session write to host %d: %w", to, err))
-	}
-	return nil
-}
-
-// sessionHeartbeatTick emits one unsequenced (seq 0) heartbeat to every
-// ready peer, carrying the current ack so acknowledgements flow even
-// when we have no data to send, and runs the ack-stall check. TryLock
-// keeps the heartbeat from queueing behind a large blocked send.
-func (t *TCPTransport) sessionHeartbeatTick(hb []byte) {
-	for g, ps := range t.sess {
-		if g == t.host || ps == nil {
-			continue
-		}
-		t.sessionStallCheck(g, ps)
-		if !t.writeMu[g].TryLock() {
-			continue
-		}
-		ps.mu.Lock()
-		if !ps.ready {
-			ps.mu.Unlock()
+			frame := sessionFrameAppend(t.sendBufs[g][:0], t.host, 0, ack, hb)
+			t.sendBufs[g] = frame
+			if t.opts.WriteTimeout > 0 {
+				conn.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
+			}
+			if _, err := conn.Write(frame); err != nil {
+				t.sessionBroken(g, gen, ioBreak(fmt.Errorf("gluon: heartbeat to host %d: %w", g, err)))
+			}
 			t.writeMu[g].Unlock()
-			continue
 		}
-		conn := ps.conn
-		gen := ps.gen
-		ack := ps.lastRecv
-		ps.mu.Unlock()
-		frame := sessionFrameAppend(t.sendBufs[g][:0], t.host, 0, ack, hb)
-		t.sendBufs[g] = frame
-		if t.opts.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
-		}
-		if _, err := conn.Write(frame); err != nil {
-			t.sessionBroken(g, gen, fmt.Errorf("gluon: session heartbeat to host %d: %w", g, err))
-		}
-		t.writeMu[g].Unlock()
 	}
 }
 
@@ -407,8 +389,12 @@ func (t *TCPTransport) sessionHeartbeatTick(hb []byte) {
 // vanished in flight — tear the connection so the heal's replay
 // retransmits it. Without this, a dropped final frame of a round would
 // hang both sides forever (heartbeats keep the read deadline fed, so
-// no other detector fires).
+// no other detector fires). A rank that does not heal skips it: there
+// is no replay to force, and the write deadline covers a hung reader.
 func (t *TCPTransport) sessionStallCheck(peer int, ps *peerSession) {
+	if !t.opts.Session.Heal {
+		return
+	}
 	timeout := t.opts.ReadTimeout
 	if timeout <= 0 {
 		timeout = time.Second
@@ -471,12 +457,11 @@ func (t *TCPTransport) sessionReadLoop(peer int) {
 }
 
 // sessionReadConn decodes session frames from one connection until it
-// errors. Unlike the legacy readLoop, NO anomaly poisons the transport
-// here — a bad sender id, a short or oversized frame, a CRC mismatch,
-// a sequence gap or a deadline expiry all return an error and let the
-// session heal (tearing the connection also resynchronises framing
-// after corruption). Duplicates (seq <= lastRecv) are discarded
-// silently; acks are processed on every frame including heartbeats.
+// errors. Nothing here poisons the transport: a malformed frame
+// (frameError), a deadline expiry and any other I/O failure (linkDrop)
+// are returned for sessionBroken to judge under this rank's policy.
+// Duplicates (seq <= lastRecv) are discarded silently; acks are
+// processed on every frame including heartbeats.
 func (t *TCPTransport) sessionReadConn(conn net.Conn, peer int, ps *peerSession) error {
 	hdr := make([]byte, 8)
 	for {
@@ -484,41 +469,30 @@ func (t *TCPTransport) sessionReadConn(conn net.Conn, peer int, ps *peerSession)
 			conn.SetReadDeadline(time.Now().Add(t.opts.ReadTimeout))
 		}
 		if _, err := io.ReadFull(conn, hdr); err != nil {
-			return fmt.Errorf("gluon: session read from host %d: %w", peer, err)
+			return ioBreak(fmt.Errorf("gluon: read from host %d: %w", peer, err))
 		}
-		from := int(binary.LittleEndian.Uint32(hdr))
-		length := binary.LittleEndian.Uint32(hdr[4:])
+		from, length, err := parseFrameHeader(hdr)
+		if err != nil {
+			return err
+		}
 		if from != peer {
-			return fmt.Errorf("gluon: session frame claims sender %d on connection to host %d", from, peer)
+			return malformed("gluon: session frame claims sender %d on connection to host %d", from, peer)
 		}
-		if length < sessionHeaderBytes {
-			return fmt.Errorf("gluon: session frame of %d bytes from host %d below header size %d", length, peer, sessionHeaderBytes)
+		frame := make([]byte, 8+int(length))
+		copy(frame, hdr)
+		if _, err := io.ReadFull(conn, frame[8:]); err != nil {
+			return ioBreak(fmt.Errorf("gluon: read from host %d: %w", peer, err))
 		}
-		if length-sessionHeaderBytes > maxFrameBytes {
-			return fmt.Errorf("gluon: session frame of %d bytes from host %d exceeds limit %d", length, peer, maxFrameBytes)
-		}
-		body := make([]byte, length)
-		if _, err := io.ReadFull(conn, body); err != nil {
-			return fmt.Errorf("gluon: session read from host %d: %w", peer, err)
-		}
-		seq := binary.LittleEndian.Uint64(body)
-		ack := binary.LittleEndian.Uint64(body[8:])
-		crc := binary.LittleEndian.Uint32(body[16:])
-		payload := body[sessionHeaderBytes:]
-		sum := crc32.ChecksumIEEE(body[:16])
-		sum = crc32.Update(sum, crc32.IEEETable, payload)
-		if sum != crc {
-			return fmt.Errorf("gluon: session frame seq %d from host %d fails CRC (%#x != %#x)", seq, peer, sum, crc)
+		_, seq, ack, payload, err := parseSessionFrame(frame)
+		if err != nil {
+			return err
 		}
 
 		ps.mu.Lock()
 		ps.evictAckedLocked(ack)
 		if seq == 0 {
 			ps.mu.Unlock()
-			if !isHeartbeat(payload) {
-				return fmt.Errorf("gluon: unsequenced non-heartbeat frame from host %d", peer)
-			}
-			continue
+			continue // heartbeat: its ack is all it carries
 		}
 		if seq <= ps.lastRecv {
 			ps.dups++
@@ -528,7 +502,7 @@ func (t *TCPTransport) sessionReadConn(conn net.Conn, peer int, ps *peerSession)
 		if seq != ps.lastRecv+1 {
 			last := ps.lastRecv
 			ps.mu.Unlock()
-			return fmt.Errorf("gluon: session gap from host %d: seq %d after %d", peer, seq, last)
+			return malformed("gluon: session gap from host %d: seq %d after %d", peer, seq, last)
 		}
 		ps.lastRecv = seq
 		ps.mu.Unlock()
@@ -545,17 +519,25 @@ func (t *TCPTransport) sessionReadConn(conn net.Conn, peer int, ps *peerSession)
 }
 
 // sessionBroken reports that the connection of generation gen to peer
-// broke. Stale reports (a retired generation, or no connection
-// installed) are ignored, so the writer and the reader racing on the
-// same dead connection tear it down exactly once. The side that dials
-// (lower rank) starts the redial loop; the side that accepts starts a
-// watchdog enforcing the healing budget while it waits to be redialed.
-func (t *TCPTransport) sessionBroken(peer, gen int, cause error) {
+// broke and applies this rank's policy to it. Stale reports (a retired
+// generation, or no connection installed) are ignored, so the writer
+// and the reader racing on the same dead connection tear it down
+// exactly once. With Heal the side that dials (lower rank) starts the
+// redial loop and the side that accepts starts a watchdog enforcing
+// the budget while it waits to be redialed. Without Heal:
+//
+//   - a malformed frame poisons the transport with its framing error;
+//   - a deadline expiry or a failed data write is ErrPeerLost at once;
+//   - a dropped connection (linkDrop) gets the budget watchdog, which a
+//     clean shutdown outruns by closing the transport.
+//
+// It returns the error the break escalated to at once, if any.
+func (t *TCPTransport) sessionBroken(peer, gen int, cause error) error {
 	ps := t.sess[peer]
 	ps.mu.Lock()
 	if ps.gen != gen || ps.conn == nil {
 		ps.mu.Unlock()
-		return
+		return nil
 	}
 	conn := ps.conn
 	ps.conn = nil
@@ -569,14 +551,23 @@ func (t *TCPTransport) sessionBroken(peer, gen int, cause error) {
 	conn.Close()
 	select {
 	case <-t.done:
-		return
+		return nil
 	default:
 	}
-	if t.host < peer {
+	switch {
+	case t.opts.Session.Heal && t.host < peer:
 		go t.healDial(peer, since, cause)
-	} else {
+	case t.opts.Session.Heal:
+		go t.healWatchdog(peer, since, cause)
+	case errors.As(cause, new(frameError)):
+		t.fail(cause)
+		return cause
+	case !errors.As(cause, new(linkDrop)):
+		return t.declareLost(peer, fmt.Errorf("%w: %v", ErrPeerLost, cause))
+	default:
 		go t.healWatchdog(peer, since, cause)
 	}
+	return nil
 }
 
 // healDial redials peer's resume listener with jittered exponential
@@ -584,7 +575,7 @@ func (t *TCPTransport) sessionBroken(peer, gen int, cause error) {
 // first break of the outage) runs out.
 func (t *TCPTransport) healDial(peer int, since time.Time, cause error) {
 	ps := t.sess[peer]
-	deadline := since.Add(t.opts.Session.budget())
+	deadline := since.Add(t.opts.Session.HealBudget)
 	lastErr := cause
 	for attempt := 0; ; attempt++ {
 		select {
@@ -605,7 +596,7 @@ func (t *TCPTransport) healDial(peer int, since time.Time, cause error) {
 			return
 		}
 		lastErr = err
-		d := jitterBackoff(attempt, t.opts.Session.redialMin(), t.opts.Session.redialMax())
+		d := jitterBackoff(attempt, t.opts.Session.RedialMin, t.opts.Session.RedialMax)
 		if remain := time.Until(deadline); d > remain {
 			d = remain
 		}
@@ -617,14 +608,16 @@ func (t *TCPTransport) healDial(peer int, since time.Time, cause error) {
 	}
 }
 
-// healWatchdog is the acceptor side's budget enforcement: it fires at
-// the end of the healing budget and, if the outage that started at
-// `since` is still unhealed, declares the peer lost. A heal followed by
+// healWatchdog enforces the budget where this rank does not redial —
+// the accepting side of a healing pair, and a dropped connection on a
+// rank that does not heal: it fires at the end of the budget and, if
+// the outage that started at `since` is still unhealed and the
+// transport still open, declares the peer lost. A heal followed by
 // a later break spawns its own watchdog; this one then sees a younger
 // brokenSince and stands down.
 func (t *TCPTransport) healWatchdog(peer int, since time.Time, cause error) {
 	ps := t.sess[peer]
-	budget := t.opts.Session.budget()
+	budget := t.opts.Session.HealBudget
 	timer := time.NewTimer(time.Until(since.Add(budget)))
 	defer timer.Stop()
 	select {
@@ -640,13 +633,12 @@ func (t *TCPTransport) healWatchdog(peer int, since time.Time, cause error) {
 	}
 }
 
-// healFailed escalates an unhealable outage into the legacy failure
-// path: mark the peer lost and poison the transport with ErrPeerLost,
-// handing control to the checkpoint/membership machinery.
+// healFailed escalates an outage that outlasted the budget: mark the
+// peer lost and poison the transport with ErrPeerLost, handing control
+// to the checkpoint/membership machinery.
 func (t *TCPTransport) healFailed(peer int, cause error) {
-	t.markLost(peer)
-	t.fail(fmt.Errorf("%w: healing budget %v exhausted for host %d: %v",
-		ErrPeerLost, t.opts.Session.budget(), peer, cause))
+	t.declareLost(peer, fmt.Errorf("%w: connection to host %d down past the %v budget: %v",
+		ErrPeerLost, peer, t.opts.Session.HealBudget, cause))
 }
 
 // dialResume makes one reconnect attempt: dial, exchange resume hellos,
@@ -708,7 +700,7 @@ func (t *TCPTransport) acceptLoop() {
 // the restarted worker's bootstrap then times out into the existing
 // elastic re-form path.
 func (t *TCPTransport) handleResume(conn net.Conn) {
-	conn.SetDeadline(time.Now().Add(t.opts.Session.budget()))
+	conn.SetDeadline(time.Now().Add(t.opts.Session.HealBudget))
 	rank, token, peerLast, err := readSessionHello(conn)
 	if err != nil || rank < 0 || rank >= t.n || rank >= t.host ||
 		t.peerTokens == nil || t.peerTokens[rank] == 0 || token != t.peerTokens[rank] {
@@ -801,15 +793,19 @@ func (t *TCPTransport) finishInstall(peer, gen int, conn net.Conn, peerLast uint
 	ps.mu.Unlock()
 }
 
+// encodeSessionHello builds one resume hello.
+func encodeSessionHello(rank int, token, lastRecv uint64) []byte {
+	buf := make([]byte, 0, sessionHelloBytes)
+	buf = append(buf, sessionMagic...)
+	buf = binary.LittleEndian.AppendUint32(buf, meshVersion)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(rank))
+	buf = binary.LittleEndian.AppendUint64(buf, token)
+	return binary.LittleEndian.AppendUint64(buf, lastRecv)
+}
+
 // writeSessionHello sends one resume hello.
 func writeSessionHello(conn net.Conn, rank int, token, lastRecv uint64) error {
-	buf := make([]byte, sessionHelloBytes)
-	off := copy(buf, sessionMagic)
-	binary.LittleEndian.PutUint32(buf[off:], meshVersion)
-	binary.LittleEndian.PutUint32(buf[off+4:], uint32(rank))
-	binary.LittleEndian.PutUint64(buf[off+8:], token)
-	binary.LittleEndian.PutUint64(buf[off+16:], lastRecv)
-	if _, err := conn.Write(buf); err != nil {
+	if _, err := conn.Write(encodeSessionHello(rank, token, lastRecv)); err != nil {
 		return fmt.Errorf("gluon: session hello write: %w", err)
 	}
 	return nil
@@ -822,10 +818,10 @@ var errNotSessionHello = errors.New("gluon: not a session resume hello")
 // readSessionHello reads and validates one resume hello. Magic and
 // version are checked before the remainder so foreign protocols (the
 // mesh bootstrap hello, port scanners) fail fast.
-func readSessionHello(conn net.Conn) (rank int, token, lastRecv uint64, err error) {
+func readSessionHello(r io.Reader) (rank int, token, lastRecv uint64, err error) {
 	buf := make([]byte, sessionHelloBytes)
 	off := len(sessionMagic)
-	if _, err = io.ReadFull(conn, buf[:off+4]); err != nil {
+	if _, err = io.ReadFull(r, buf[:off+4]); err != nil {
 		return 0, 0, 0, fmt.Errorf("gluon: session hello read: %w", err)
 	}
 	if string(buf[:off]) != sessionMagic {
@@ -834,7 +830,7 @@ func readSessionHello(conn net.Conn) (rank int, token, lastRecv uint64, err erro
 	if v := binary.LittleEndian.Uint32(buf[off:]); v != meshVersion {
 		return 0, 0, 0, fmt.Errorf("%w: version %d, want %d", errNotSessionHello, v, meshVersion)
 	}
-	if _, err = io.ReadFull(conn, buf[off+4:]); err != nil {
+	if _, err = io.ReadFull(r, buf[off+4:]); err != nil {
 		return 0, 0, 0, fmt.Errorf("gluon: session hello read: %w", err)
 	}
 	rank = int(binary.LittleEndian.Uint32(buf[off+4:]))
@@ -843,8 +839,8 @@ func readSessionHello(conn net.Conn) (rank int, token, lastRecv uint64, err erro
 	return rank, token, lastRecv, nil
 }
 
-// SessionStats sums healing counters across all peers. Zero when the
-// session layer is disabled.
+// SessionStats sums healing counters across all peers. Heals and
+// Replayed stay zero on a rank that does not heal.
 func (t *TCPTransport) SessionStats() SessionStats {
 	var s SessionStats
 	for _, ps := range t.sess {

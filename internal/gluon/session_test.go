@@ -198,13 +198,11 @@ func TestSessionBudgetEscalatesToPeerLost(t *testing.T) {
 	}
 }
 
-// sessionReadTransport builds an unwired session-mode transport whose
-// read path tests can feed by hand through an in-memory pipe.
+// sessionReadTransport builds an unwired healing transport whose read
+// path tests can feed by hand through an in-memory pipe.
 func sessionReadTransport(t *testing.T, n, peer int) (*TCPTransport, net.Conn, chan error) {
 	t.Helper()
-	tr := newTCPTransport(0, n)
-	tr.opts = TCPOptions{ReadTimeout: time.Second, Session: SessionOptions{Heal: true}}
-	tr.initSession()
+	tr := newTCPTransport(0, n, TCPOptions{ReadTimeout: time.Second, Session: SessionOptions{Heal: true}})
 	ours, theirs := net.Pipe()
 	errCh := make(chan error, 1)
 	go func() {
@@ -335,37 +333,145 @@ func TestSessionHelloRejectsForeignProtocol(t *testing.T) {
 	}
 }
 
-// TestDialMeshSessionFlagMismatch: one rank healing and one not would
-// frame traffic incompatibly; the v6 hello must reject the mix with a
-// named error, before the (heal-agnostic) checksum check can mask it.
-func TestDialMeshSessionFlagMismatch(t *testing.T) {
-	addrs := meshAddrs(t, 2)
+// TestDialMeshMixedHeal: Heal is a per-rank policy, not a framing, so
+// a mesh where rank 0 heals and rank 1 does not forms and routes in
+// order like any other. A connection reset then escalates on both
+// ranks within their budgets: rank 0 redials a rank that keeps no
+// resume listener until its budget runs out, and rank 1 waits out its
+// own budget for a clean shutdown that never comes.
+func TestDialMeshMixedHeal(t *testing.T) {
+	const n = 2
+	addrs := meshAddrs(t, n)
+	trs := make([]*TCPTransport, n)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	trs := make([]*TCPTransport, 2)
-	for r := 0; r < 2; r++ {
+	for r := 0; r < n; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			cfg := MeshConfig{Rank: r, Peers: addrs, Checksum: 7, Timeout: 5 * time.Second}
-			cfg.TCP.Session.Heal = r == 0
+			cfg := MeshConfig{Rank: r, Peers: addrs, Checksum: 7, Timeout: 10 * time.Second}
+			cfg.TCP.Session = SessionOptions{
+				Heal:       r == 0,
+				HealBudget: 300 * time.Millisecond,
+				RedialMin:  2 * time.Millisecond,
+				RedialMax:  50 * time.Millisecond,
+			}
 			trs[r], errs[r] = DialMesh(cfg)
 		}(r)
 	}
 	wg.Wait()
-	closeAll(trs)
-	if errs[0] == nil && errs[1] == nil {
-		t.Fatal("mixed session healing accepted by both ranks")
-	}
-	mentioned := false
-	for _, err := range errs {
-		if err != nil && strings.Contains(err.Error(), "session healing") {
-			mentioned = true
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
 		}
 	}
-	if !mentioned {
-		t.Errorf("neither error mentions session healing: %v / %v", errs[0], errs[1])
+	defer closeAll(trs)
+
+	const msgs = 50
+	for i := 0; i < msgs; i++ {
+		for r := 0; r < n; r++ {
+			payload := binary.LittleEndian.AppendUint32(nil, uint32(i))
+			if err := trs[r].Send(r, 1-r, payload); err != nil {
+				t.Fatalf("rank %d send %d: %v", r, i, err)
+			}
+		}
 	}
+	for r := 0; r < n; r++ {
+		for i := 0; i < msgs; i++ {
+			from, payload, err := trs[r].Recv(r)
+			if err != nil {
+				t.Fatalf("rank %d recv %d: %v", r, i, err)
+			}
+			if from != 1-r || binary.LittleEndian.Uint32(payload) != uint32(i) {
+				t.Fatalf("rank %d message %d: got (%d, %d)", r, i, from, binary.LittleEndian.Uint32(payload))
+			}
+		}
+	}
+
+	breakConn(t, trs[0], 1)
+	for r := 0; r < n; r++ {
+		_, err := within(t, func() ([]byte, error) { _, _, err := trs[r].Recv(r); return nil, err })
+		if !errors.Is(err, ErrPeerLost) {
+			t.Fatalf("rank %d after reset: %v, want ErrPeerLost", r, err)
+		}
+		if lost := trs[r].LostPeers(); len(lost) != 1 || lost[0] != 1-r {
+			t.Fatalf("rank %d LostPeers = %v, want [%d]", r, lost, 1-r)
+		}
+	}
+}
+
+// TestSessionRetransmitLimit: the retransmit limit refuses a backlog
+// the peer is not acknowledging, never a single frame — a lone payload
+// larger than the limit is accepted into an empty stash and delivered,
+// while a second unacknowledged frame past the limit escalates to
+// ErrPeerLost. A rank that does not heal keeps no stash, so no limit
+// applies: a frame past it that follows an unacknowledged one is
+// delivered too.
+func TestSessionRetransmitLimit(t *testing.T) {
+	big := make([]byte, 4096)
+	big[4095] = 7
+	chunk := make([]byte, 600)
+	recvBig := func(tr *TCPTransport) {
+		t.Helper()
+		if _, p, err := tr.Recv(1); err != nil || len(p) != len(big) || p[4095] != 7 {
+			t.Fatalf("Recv = (%d bytes, %v), want the %d-byte frame", len(p), err, len(big))
+		}
+	}
+
+	t.Run("heal", func(t *testing.T) {
+		trs, err := NewTCPClusterOpts(2, TCPOptions{Session: SessionOptions{Heal: true, RetransmitLimit: 1024}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer closeAll(trs)
+		if err := trs[0].Send(0, 1, big); err != nil {
+			t.Fatalf("lone frame over the limit refused: %v", err)
+		}
+		recvBig(trs[1])
+		// Host 1's reply acknowledges the big frame, emptying host 0's stash.
+		if err := trs[1].Send(1, 0, []byte("ack")); err != nil {
+			t.Fatal(err)
+		}
+		if _, p, err := trs[0].Recv(0); err != nil || string(p) != "ack" {
+			t.Fatalf("Recv = (%q, %v)", p, err)
+		}
+		// Host 1 now stays silent, so nothing acknowledges host 0's frames.
+		if err := trs[0].Send(0, 1, chunk); err != nil {
+			t.Fatalf("first frame of the backlog: %v", err)
+		}
+		if err := trs[0].Send(0, 1, chunk); !errors.Is(err, ErrPeerLost) {
+			t.Fatalf("backlog past the limit = %v, want ErrPeerLost", err)
+		}
+		if lost := trs[0].LostPeers(); len(lost) != 1 || lost[0] != 1 {
+			t.Fatalf("LostPeers = %v, want [1]", lost)
+		}
+	})
+
+	t.Run("no-heal", func(t *testing.T) {
+		trs, err := NewTCPClusterOpts(2, TCPOptions{Session: SessionOptions{RetransmitLimit: 1024}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer closeAll(trs)
+		// Host 1 never replies, so the chunk stays unacknowledged.
+		if err := trs[0].Send(0, 1, chunk); err != nil {
+			t.Fatal(err)
+		}
+		if err := trs[0].Send(0, 1, big); err != nil {
+			t.Fatalf("frame past the limit after an unacked one: %v", err)
+		}
+		if _, p, err := trs[1].Recv(1); err != nil || len(p) != len(chunk) {
+			t.Fatalf("Recv = (%d bytes, %v), want the %d-byte chunk", len(p), err, len(chunk))
+		}
+		recvBig(trs[1])
+		ps := trs[0].sess[1]
+		ps.mu.Lock()
+		stashed := len(ps.stash)
+		ps.mu.Unlock()
+		if stashed != 0 || len(trs[0].LostPeers()) != 0 {
+			t.Fatalf("stash = %d frames, LostPeers = %v; want none", stashed, trs[0].LostPeers())
+		}
+	})
 }
 
 // TestDialMeshSessionHealsReset: the multi-process bootstrap path wires

@@ -22,9 +22,8 @@ import (
 //
 // Hello frame, all little-endian: magic "GW2VMESH" (8 bytes),
 // version (uint32), sender rank (uint32), cluster size (uint32),
-// checksum (uint64), wire codec (1 byte), flags (1 byte, v6: bit 0 =
-// session healing enabled), session token (uint64, v6; zero when
-// sessions are off). See PROTOCOL.md §6.
+// checksum (uint64), wire codec (1 byte), session token (uint64).
+// See PROTOCOL.md §6.
 
 const (
 	meshMagic = "GW2VMESH"
@@ -43,14 +42,16 @@ const (
 	// and extended this hello with a flags byte and a session token.
 	// Version 7 retired the resume frame kind (7): every resume runs
 	// the membership negotiation, and a v6 peer would still send kind 7.
-	// See PROTOCOL.md §7 for the bump policy.
-	meshVersion = 7
+	// Version 8 made session framing the only TCP framing and dropped
+	// the hello's flags byte: healing is a per-rank policy, and every
+	// hello carries a session token. See PROTOCOL.md §7 for the bump
+	// policy.
+	meshVersion = 8
+	// meshPreambleBytes is the magic plus version, read and checked
+	// before the version-dependent remainder of a hello.
+	meshPreambleBytes = len(meshMagic) + 4
 	// meshHelloBytes is the encoded hello size.
-	meshHelloBytes = len(meshMagic) + 4 + 4 + 4 + 8 + 1 + 1 + 8
-	// meshFlagSession marks a rank running the self-healing session
-	// layer; mixed meshes are rejected at the handshake (a session
-	// frame would be gibberish to a legacy peer and vice versa).
-	meshFlagSession = byte(1)
+	meshHelloBytes = meshPreambleBytes + 4 + 4 + 8 + 1 + 8
 	// meshDialRetryMin/Max bound the jittered exponential backoff
 	// between connection attempts while a peer's listener is not up
 	// yet. Jitter keeps a mass restart of N workers from hammering the
@@ -83,8 +84,9 @@ type MeshConfig struct {
 	// Zero means 30 seconds.
 	Timeout time.Duration
 	// TCP configures failure detection (heartbeats, read/write
-	// deadlines, peer-loss grace) on the resulting transport. It is
-	// not part of the hello — every rank should still run the same
+	// deadlines, the healing policy and budget) on the resulting
+	// transport. It is not part of the hello — ranks may differ in
+	// Session, but should run the same heartbeat and deadline
 	// settings, since a heartbeat-less rank looks dead to a rank with
 	// a read deadline.
 	TCP TCPOptions
@@ -110,22 +112,16 @@ func DialMesh(cfg MeshConfig) (*TCPTransport, error) {
 	}
 	deadline := time.Now().Add(timeout)
 
-	t := newTCPTransport(cfg.Rank, n)
-	t.opts = cfg.TCP
-	session := cfg.TCP.Session.Heal
-	if session {
-		// The token identifies this transport incarnation in session
-		// resume hellos; peers learn it from the mesh hello below.
-		t.sessToken = newSessionToken()
-		t.resumeAddrs = append([]string(nil), cfg.Peers...)
-		t.peerTokens = make([]uint64, n)
-	}
+	// The transport's session token identifies this incarnation in
+	// resume hellos; peers learn it from the mesh hello below.
+	t := newTCPTransport(cfg.Rank, n, cfg.TCP)
+	t.resumeAddrs = append([]string(nil), cfg.Peers...)
 	if n == 1 {
 		return t, nil
 	}
 
 	// Ranks below us dial us; bind before dialing upward so no ordering
-	// of process startup can deadlock the bootstrap. In session mode
+	// of process startup can deadlock the bootstrap. On a healing rank
 	// the listener outlives the bootstrap: broken lower-rank peers
 	// redial it to resume their sessions (session.go).
 	var ln net.Listener
@@ -219,12 +215,10 @@ func DialMesh(cfg MeshConfig) (*TCPTransport, error) {
 			}()
 			return nil, w.err
 		}
-		t.conns[w.peer] = w.conn
-		if session {
-			t.peerTokens[w.peer] = w.token
-		}
+		t.sess[w.peer].conn = w.conn
+		t.peerTokens[w.peer] = w.token
 	}
-	if session && cfg.Rank > 0 {
+	if cfg.TCP.Session.Heal && cfg.Rank > 0 {
 		t.ln = ln
 		keepLn = true
 	}
@@ -292,20 +286,64 @@ func acceptHello(conn net.Conn, cfg MeshConfig, sessToken uint64, deadline time.
 	return peer, token, nil
 }
 
+// meshHello is the decoded content of a hello frame.
+type meshHello struct {
+	Rank, Size int
+	Checksum   uint64
+	Wire       Codec
+	Token      uint64
+}
+
+// encodeMeshHello encodes hello h.
+func encodeMeshHello(h meshHello) []byte {
+	buf := make([]byte, 0, meshHelloBytes)
+	buf = append(buf, meshMagic...)
+	buf = binary.LittleEndian.AppendUint32(buf, meshVersion)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(h.Rank))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(h.Size))
+	buf = binary.LittleEndian.AppendUint64(buf, h.Checksum)
+	buf = append(buf, byte(h.Wire))
+	return binary.LittleEndian.AppendUint64(buf, h.Token)
+}
+
+// checkMeshPreamble validates a hello's magic and version, which
+// precede the version-dependent remainder.
+func checkMeshPreamble(buf []byte) error {
+	if len(buf) < meshPreambleBytes || string(buf[:len(meshMagic)]) != meshMagic {
+		return fmt.Errorf("peer is not a gw2v worker (bad magic)")
+	}
+	if version := binary.LittleEndian.Uint32(buf[len(meshMagic):]); version != meshVersion {
+		return fmt.Errorf("peer protocol version %d, want %d — all workers must run the same build (PROTOCOL.md §7)", version, meshVersion)
+	}
+	return nil
+}
+
+// parseMeshHello decodes one complete hello frame. It checks the
+// framing only; agreement with this rank's configuration is readHello's
+// job.
+func parseMeshHello(buf []byte) (meshHello, error) {
+	if err := checkMeshPreamble(buf); err != nil {
+		return meshHello{}, err
+	}
+	if len(buf) != meshHelloBytes {
+		return meshHello{}, fmt.Errorf("hello of %d bytes, want %d", len(buf), meshHelloBytes)
+	}
+	off := meshPreambleBytes
+	return meshHello{
+		Rank:     int(binary.LittleEndian.Uint32(buf[off:])),
+		Size:     int(binary.LittleEndian.Uint32(buf[off+4:])),
+		Checksum: binary.LittleEndian.Uint64(buf[off+8:]),
+		Wire:     Codec(buf[off+16]),
+		Token:    binary.LittleEndian.Uint64(buf[off+17:]),
+	}, nil
+}
+
 // writeHello sends this rank's hello frame.
 func writeHello(conn net.Conn, cfg MeshConfig, sessToken uint64, deadline time.Time) error {
 	conn.SetDeadline(deadline)
-	buf := make([]byte, meshHelloBytes)
-	off := copy(buf, meshMagic)
-	binary.LittleEndian.PutUint32(buf[off:], meshVersion)
-	binary.LittleEndian.PutUint32(buf[off+4:], uint32(cfg.Rank))
-	binary.LittleEndian.PutUint32(buf[off+8:], uint32(len(cfg.Peers)))
-	binary.LittleEndian.PutUint64(buf[off+12:], cfg.Checksum)
-	buf[off+20] = byte(cfg.Wire)
-	if cfg.TCP.Session.Heal {
-		buf[off+21] = meshFlagSession
-	}
-	binary.LittleEndian.PutUint64(buf[off+22:], sessToken)
+	buf := encodeMeshHello(meshHello{
+		Rank: cfg.Rank, Size: len(cfg.Peers), Checksum: cfg.Checksum, Wire: cfg.Wire, Token: sessToken,
+	})
 	if _, err := conn.Write(buf); err != nil {
 		return fmt.Errorf("gluon: mesh rank %d hello write: %w", cfg.Rank, err)
 	}
@@ -321,47 +359,33 @@ func writeHello(conn net.Conn, cfg MeshConfig, sessToken uint64, deadline time.T
 func readHello(conn net.Conn, cfg MeshConfig, deadline time.Time) (int, uint64, error) {
 	conn.SetDeadline(deadline)
 	buf := make([]byte, meshHelloBytes)
-	off := len(meshMagic)
-	if _, err := io.ReadFull(conn, buf[:off+4]); err != nil {
+	if _, err := io.ReadFull(conn, buf[:meshPreambleBytes]); err != nil {
 		return 0, 0, fmt.Errorf("gluon: mesh rank %d hello read: %w", cfg.Rank, err)
 	}
-	if string(buf[:off]) != meshMagic {
-		return 0, 0, fmt.Errorf("gluon: mesh rank %d: peer is not a gw2v worker (bad magic)", cfg.Rank)
+	if err := checkMeshPreamble(buf); err != nil {
+		return 0, 0, fmt.Errorf("gluon: mesh rank %d: %w", cfg.Rank, err)
 	}
-	version := binary.LittleEndian.Uint32(buf[off:])
-	if version != meshVersion {
-		return 0, 0, fmt.Errorf("gluon: mesh rank %d: peer protocol version %d, want %d — all workers must run the same build (PROTOCOL.md §7)", cfg.Rank, version, meshVersion)
-	}
-	if _, err := io.ReadFull(conn, buf[off+4:]); err != nil {
+	if _, err := io.ReadFull(conn, buf[meshPreambleBytes:]); err != nil {
 		return 0, 0, fmt.Errorf("gluon: mesh rank %d hello read: %w", cfg.Rank, err)
 	}
-	rank := binary.LittleEndian.Uint32(buf[off+4:])
-	size := binary.LittleEndian.Uint32(buf[off+8:])
-	sum := binary.LittleEndian.Uint64(buf[off+12:])
-	wire := Codec(buf[off+20])
-	flags := buf[off+21]
-	token := binary.LittleEndian.Uint64(buf[off+22:])
-	if int(size) != len(cfg.Peers) {
-		return 0, 0, fmt.Errorf("gluon: mesh rank %d: peer cluster size %d, ours %d", cfg.Rank, size, len(cfg.Peers))
+	h, err := parseMeshHello(buf)
+	if err != nil {
+		return 0, 0, fmt.Errorf("gluon: mesh rank %d: %w", cfg.Rank, err)
+	}
+	if h.Size != len(cfg.Peers) {
+		return 0, 0, fmt.Errorf("gluon: mesh rank %d: peer cluster size %d, ours %d", cfg.Rank, h.Size, len(cfg.Peers))
 	}
 	// The codec is checked before the checksum: core.Config.Checksum
 	// folds the codec too, so a -wire mismatch would otherwise always
 	// surface as the generic checksum error instead of this named one.
-	if wire != cfg.Wire {
-		return 0, 0, fmt.Errorf("gluon: mesh rank %d: peer rank %d wire codec %v, ours %v — all workers must pass the same -wire", cfg.Rank, rank, wire, cfg.Wire)
+	if h.Wire != cfg.Wire {
+		return 0, 0, fmt.Errorf("gluon: mesh rank %d: peer rank %d wire codec %v, ours %v — all workers must pass the same -wire", cfg.Rank, h.Rank, h.Wire, cfg.Wire)
 	}
-	// The session flag is checked before the checksum for the same
-	// reason as the codec: healing knobs are deliberately excluded from
-	// the checksum (they do not change the trained bits), so a -heal
-	// mismatch needs its own named rejection.
-	if peerSess := flags&meshFlagSession != 0; peerSess != cfg.TCP.Session.Heal {
-		return 0, 0, fmt.Errorf("gluon: mesh rank %d: peer rank %d session healing %v, ours %v — all workers must pass the same -heal", cfg.Rank, rank, peerSess, cfg.TCP.Session.Heal)
+	if h.Checksum != cfg.Checksum {
+		return 0, 0, fmt.Errorf("gluon: mesh rank %d: peer rank %d config checksum %#x, ours %#x — workers must share identical corpus and flags", cfg.Rank, h.Rank, h.Checksum, cfg.Checksum)
 	}
-	if sum != cfg.Checksum {
-		return 0, 0, fmt.Errorf("gluon: mesh rank %d: peer rank %d config checksum %#x, ours %#x — workers must share identical corpus and flags", cfg.Rank, rank, sum, cfg.Checksum)
+	if h.Rank >= len(cfg.Peers) {
+		return 0, 0, fmt.Errorf("gluon: mesh rank %d: peer claims rank %d of %d", cfg.Rank, h.Rank, h.Size)
 	}
-	if int(rank) >= len(cfg.Peers) {
-		return 0, 0, fmt.Errorf("gluon: mesh rank %d: peer claims rank %d of %d", cfg.Rank, rank, size)
-	}
-	return int(rank), token, nil
+	return h.Rank, h.Token, nil
 }

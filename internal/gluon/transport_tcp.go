@@ -1,10 +1,8 @@
 package gluon
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"slices"
 	"sync"
@@ -13,49 +11,46 @@ import (
 
 // ErrPeerLost reports that a cluster peer died or went silent past the
 // configured deadline. It wraps every failure the transport can
-// attribute to peer death (dropped connection past the grace period,
-// read-deadline expiry, write-deadline expiry), so callers distinguish
-// a recoverable peer crash — re-form the mesh and resume from the last
-// checkpoint — from a protocol violation. Match with errors.Is.
+// attribute to peer death (dropped connection past the budget,
+// read-deadline expiry, write-deadline expiry, failed write, healing
+// budget exhausted), so callers distinguish a recoverable peer crash —
+// re-form the mesh and resume from the last checkpoint — from a
+// protocol violation. Match with errors.Is.
 var ErrPeerLost = errors.New("gluon: peer lost")
 
 // TCPOptions tunes failure detection on a TCPTransport. The zero value
-// preserves the historical behaviour: no deadlines, no heartbeats, the
-// default peer-loss grace.
+// means no deadlines, no heartbeats, no healing, and the default
+// 10s budget before a dropped connection counts as a lost peer.
 type TCPOptions struct {
 	// HeartbeatInterval, when positive, emits a header-only heartbeat
 	// frame on every connection at this interval so long compute
-	// phases produce traffic. Heartbeats are consumed by the receiving
-	// transport's read loop and never surface through Recv. Enable it
-	// on every rank together with ReadTimeout (a rank without
-	// heartbeats looks dead to a rank with a read deadline).
+	// phases produce traffic (and acknowledgements keep flowing).
+	// Heartbeats are consumed by the receiving transport's reader and
+	// never surface through Recv. Enable it on every rank together
+	// with ReadTimeout (a rank without heartbeats looks dead to a rank
+	// with a read deadline).
 	HeartbeatInterval time.Duration
 	// ReadTimeout, when positive, bounds the silence tolerated on each
 	// connection: if no frame (heartbeats included) arrives within it,
-	// the peer is declared lost and the transport poisoned with
-	// ErrPeerLost. This is what distinguishes a hung peer — process
-	// alive, connection open, making no progress — from a merely slow
-	// one.
+	// the connection is broken — healed with Session.Heal, otherwise
+	// the peer is declared lost at once. This is what distinguishes a
+	// hung peer — process alive, connection open, making no progress —
+	// from a merely slow one.
 	ReadTimeout time.Duration
 	// WriteTimeout, when positive, bounds each frame write. A hung
 	// peer that stops draining its socket eventually fills the TCP
 	// window and blocks senders forever; the deadline turns that into
-	// ErrPeerLost.
+	// a broken connection (ErrPeerLost at once without healing).
 	WriteTimeout time.Duration
-	// PeerLossGrace overrides how long an unexpectedly dropped
-	// connection may linger before the peer is declared dead
-	// (default 5s; see peerLossGrace).
-	PeerLossGrace time.Duration
-	// Session enables the self-healing session layer (protocol v6):
-	// sequenced, CRC-protected, acknowledged frames with transparent
-	// reconnect and retransmission, escalating to ErrPeerLost only when
-	// an outage outlasts the healing budget. All ranks must agree — the
-	// mesh hello carries the flag. See session.go and PROTOCOL.md §12.
+	// Session sets this rank's reaction to a broken connection: with
+	// Heal, redial and replay within HealBudget; without, escalate
+	// (PROTOCOL.md §12). The framing is the same either way, so ranks
+	// may disagree. See session.go.
 	Session SessionOptions
 	// Chaos, when non-nil, wraps every post-handshake connection in a
 	// deterministic fault injector (drops, duplicates, reorders,
 	// corruption, delays, resets, blackholes) driven by the plan's
-	// seed. Requires Session.Heal; see chaos.go.
+	// seed. Meant for Session.Heal; see chaos.go.
 	Chaos *ChaosPlan
 }
 
@@ -67,22 +62,22 @@ type TCPOptions struct {
 // (established lexicographically: lower host id dials), which preserves
 // the per-sender FIFO ordering the protocol depends on.
 //
-// Frame format: sender id (uint32 LE), payload length (uint32 LE),
-// payload bytes. A malformed frame — oversized length or a sender id
-// that does not match the connection's peer — poisons the transport:
-// it closes and subsequent Recv/Send calls report the framing error
-// instead of hanging.
+// Every connection carries session frames (session.go, PROTOCOL.md §2
+// and §12): sender id, length, sequence number, ack and CRC32 ahead of
+// each payload, read by one long-lived reader per peer. A malformed
+// frame either heals the connection (Session.Heal) or poisons the
+// transport: it closes and subsequent Recv/Send calls report the
+// framing error instead of hanging.
 type TCPTransport struct {
 	host    int
 	n       int
-	conns   []net.Conn // conns[g] is the connection to host g (nil for self)
 	writeMu []sync.Mutex
 	// sendBufs[g] is the reusable framing buffer for the connection to
 	// host g, guarded by writeMu[g]. Reuse is safe on the send side
 	// because conn.Write copies the bytes into the kernel before
 	// returning; the receive side has no such point — payloads outlive
-	// readLoop in the inbox and pending queues — so readLoop must keep
-	// allocating per frame.
+	// the reader in the inbox and pending queues — so the reader must
+	// keep allocating per frame.
 	sendBufs [][]byte
 	inbox    chan inprocMsg
 	done     chan struct{}
@@ -94,10 +89,11 @@ type TCPTransport struct {
 	failure error // first framing/protocol error, reported by Recv/Send
 	lost    map[int]bool
 
-	// Session-layer state (nil/zero unless opts.Session.Heal; see
-	// session.go). The listener stays open for the transport's
-	// lifetime so broken peers can redial; resumeAddrs and peerTokens
-	// authenticate the resume handshake.
+	// sess[g] is the session with host g (nil for self). sessToken and
+	// peerTokens identify each transport incarnation and authenticate
+	// the resume handshake; resumeAddrs and the persistent listener ln
+	// (held only with Session.Heal, by ranks above 0) let broken peers
+	// redial.
 	sess        []*peerSession
 	sessToken   uint64
 	peerTokens  []uint64
@@ -111,13 +107,6 @@ type TCPTransport struct {
 // (at most a few hundred MB for a dense broadcast of a huge model) stay
 // far below the 1 GiB default.
 var maxFrameBytes = uint32(1 << 30)
-
-// peerLossGrace is how long an unexpectedly dropped connection may
-// linger before the transport declares the peer dead. During a clean
-// shutdown every host passes the finish barrier and closes promptly,
-// well inside the grace; a crashed peer leaves the transport open past
-// it, poisoning blocked receivers instead of hanging them forever.
-var peerLossGrace = 5 * time.Second
 
 // NewTCPCluster constructs n TCPTransports wired to each other over
 // loopback listeners. It returns one transport per host. Closing any one
@@ -134,152 +123,103 @@ func NewTCPClusterOpts(n int, opts TCPOptions) ([]*TCPTransport, error) {
 	}
 	trs := make([]*TCPTransport, n)
 	for h := 0; h < n; h++ {
-		trs[h] = newTCPTransport(h, n)
-		trs[h].opts = opts
+		trs[h] = newTCPTransport(h, n, opts)
 	}
-	// Wire each unordered pair with one loopback connection.
-	for a := 0; a < n; a++ {
-		for b := a + 1; b < n; b++ {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				closeAll(trs)
-				return nil, fmt.Errorf("gluon: listen: %w", err)
+	for h := 0; h < n; h++ {
+		for g := 0; g < n; g++ {
+			trs[h].peerTokens[g] = trs[g].sessToken
+		}
+	}
+	// Wire each unordered pair with one loopback connection, the lower
+	// host dialing the higher one's listener. One dial is outstanding
+	// at a time, so each Accept returns the connection just dialed.
+	// Healing hosts keep their listener for resume redials; lower
+	// hosts redial the same address after a break.
+	addrs := make([]string, n)
+	for b := 1; b < n; b++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			closeAll(trs)
+			return nil, fmt.Errorf("gluon: listen: %w", err)
+		}
+		addrs[b] = ln.Addr().String()
+		for a := 0; a < b && err == nil; a++ {
+			if trs[a].sess[b].conn, err = net.Dial("tcp", addrs[b]); err == nil {
+				trs[b].sess[a].conn, err = ln.Accept()
 			}
-			type accepted struct {
-				conn net.Conn
-				err  error
-			}
-			acceptCh := make(chan accepted, 1)
-			go func() {
-				c, err := ln.Accept()
-				acceptCh <- accepted{conn: c, err: err}
-			}()
-			dialConn, err := net.Dial("tcp", ln.Addr().String())
-			if err != nil {
-				ln.Close()
-				closeAll(trs)
-				return nil, fmt.Errorf("gluon: dial: %w", err)
-			}
-			acc := <-acceptCh
+		}
+		if opts.Session.Heal && err == nil {
+			trs[b].ln = ln
+		} else {
 			ln.Close()
-			if acc.err != nil {
-				dialConn.Close()
-				closeAll(trs)
-				return nil, fmt.Errorf("gluon: accept: %w", acc.err)
-			}
-			trs[a].conns[b] = dialConn
-			trs[b].conns[a] = acc.conn
 		}
-	}
-	// In session mode every rank above 0 keeps a persistent listener so
-	// lower ranks can redial after a break (mirroring the mesh dial
-	// convention: lower dials higher), and every transport learns all
-	// resume addresses and session tokens up front.
-	if opts.Session.Heal && n > 1 {
-		addrs := make([]string, n)
-		lns := make([]net.Listener, n)
-		for h := 1; h < n; h++ {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				for _, l := range lns {
-					if l != nil {
-						l.Close()
-					}
-				}
-				closeAll(trs)
-				return nil, fmt.Errorf("gluon: session listen: %w", err)
-			}
-			lns[h] = ln
-			addrs[h] = ln.Addr().String()
-		}
-		tokens := make([]uint64, n)
-		for h := 0; h < n; h++ {
-			tokens[h] = newSessionToken()
-		}
-		for h := 0; h < n; h++ {
-			trs[h].ln = lns[h]
-			trs[h].sessToken = tokens[h]
-			trs[h].resumeAddrs = append([]string(nil), addrs...)
-			trs[h].peerTokens = append([]uint64(nil), tokens...)
+		if err != nil {
+			closeAll(trs)
+			return nil, fmt.Errorf("gluon: wire host %d: %w", b, err)
 		}
 	}
 	for _, t := range trs {
+		t.resumeAddrs = addrs
 		t.startReaders()
 	}
 	return trs, nil
 }
 
-// newTCPTransport allocates an unwired transport for one host.
-func newTCPTransport(host, n int) *TCPTransport {
-	return &TCPTransport{
-		host:     host,
-		n:        n,
-		conns:    make([]net.Conn, n),
-		writeMu:  make([]sync.Mutex, n),
-		sendBufs: make([][]byte, n),
-		inbox:    make(chan inprocMsg, 16*n),
-		done:     make(chan struct{}),
+// newTCPTransport allocates an unwired transport for one host: one
+// empty session per peer, a fresh session token, and the session
+// defaults filled in.
+func newTCPTransport(host, n int, opts TCPOptions) *TCPTransport {
+	opts.Session = opts.Session.withDefaults()
+	t := &TCPTransport{
+		host:       host,
+		n:          n,
+		writeMu:    make([]sync.Mutex, n),
+		sendBufs:   make([][]byte, n),
+		inbox:      make(chan inprocMsg, 16*n),
+		done:       make(chan struct{}),
+		opts:       opts,
+		sess:       make([]*peerSession, n),
+		sessToken:  newSessionToken(),
+		peerTokens: make([]uint64, n),
 	}
+	if opts.Chaos != nil {
+		t.chaos = make([]*chaosState, n)
+	}
+	for g := 0; g < n; g++ {
+		if g == host {
+			continue
+		}
+		t.sess[g] = newPeerSession()
+		if t.chaos != nil {
+			t.chaos[g] = newChaosState(*opts.Chaos, host, g)
+		}
+	}
+	return t
 }
 
-// startReaders launches one reader goroutine per wired connection (per
-// peer in session mode), plus the heartbeat emitter when one is
-// configured and the resume acceptor when a persistent listener is
-// held.
+// startReaders opens every wired bootstrap connection for writers and
+// launches one reader goroutine per peer, plus the heartbeat emitter
+// when one is configured and the resume acceptor when a persistent
+// listener is held.
 func (t *TCPTransport) startReaders() {
-	if t.opts.Session.Heal {
-		t.initSession()
-		for g := range t.sess {
-			if g == t.host {
-				continue
-			}
-			t.wg.Add(1)
-			go t.sessionReadLoop(g)
+	for g, ps := range t.sess {
+		if ps == nil {
+			continue
 		}
-		if t.ln != nil {
-			t.wg.Add(1)
-			go t.acceptLoop()
+		if ps.conn != nil {
+			ps.conn = t.wrapConn(g, ps.conn)
+			ps.ready = true
 		}
-	} else {
-		for g, conn := range t.conns {
-			if g == t.host || conn == nil {
-				continue
-			}
-			t.wg.Add(1)
-			go t.readLoop(conn, g)
-		}
+		t.wg.Add(1)
+		go t.sessionReadLoop(g)
+	}
+	if t.ln != nil {
+		t.wg.Add(1)
+		go t.acceptLoop()
 	}
 	if t.opts.HeartbeatInterval > 0 {
 		t.wg.Add(1)
 		go t.heartbeatLoop()
-	}
-}
-
-// heartbeatLoop periodically writes a liveness frame on every
-// connection so peers with a read deadline never mistake a long
-// compute phase for a hang. Write errors are ignored here: the read
-// loop (or the next real Send) owns failure reporting.
-func (t *TCPTransport) heartbeatLoop() {
-	defer t.wg.Done()
-	ticker := time.NewTicker(t.opts.HeartbeatInterval)
-	defer ticker.Stop()
-	hb := heartbeatMessage()
-	for {
-		select {
-		case <-t.done:
-			return
-		case <-ticker.C:
-			if t.sess != nil {
-				t.sessionHeartbeatTick(hb)
-				continue
-			}
-			for g, conn := range t.conns {
-				if g == t.host || conn == nil {
-					continue
-				}
-				t.writeFrame(g, hb)
-			}
-		}
 	}
 }
 
@@ -291,44 +231,24 @@ func closeAll(trs []*TCPTransport) {
 	}
 }
 
-// peerLost reacts to a dropped connection: unless the transport closes
-// (clean shutdown) within the grace period, the peer is declared dead
-// and the transport poisoned with ErrPeerLost.
-func (t *TCPTransport) peerLost(peer int) {
-	select {
-	case <-t.done:
-		return // our own Close tore the connection down
-	default:
-	}
-	grace := t.opts.PeerLossGrace
-	if grace <= 0 {
-		grace = peerLossGrace
-	}
-	go func() {
-		select {
-		case <-t.done:
-		case <-time.After(grace):
-			t.markLost(peer)
-			t.fail(fmt.Errorf("%w: connection to host %d lost", ErrPeerLost, peer))
-		}
-	}()
-}
-
-// markLost records a peer declared dead, for LostPeers.
-func (t *TCPTransport) markLost(peer int) {
+// declareLost records peer as dead, for LostPeers, poisons the
+// transport with err, which must wrap ErrPeerLost, and returns it.
+func (t *TCPTransport) declareLost(peer int, err error) error {
 	t.failMu.Lock()
 	if t.lost == nil {
 		t.lost = make(map[int]bool)
 	}
 	t.lost[peer] = true
 	t.failMu.Unlock()
+	t.fail(err)
+	return err
 }
 
 // LostPeers returns the host ids this transport declared dead (dropped
-// connection past the grace period, read-deadline expiry, or stalled
-// write), in ascending order. Valid after the transport fails or
-// closes; elastic callers use it to decide which ranks to drop when
-// re-forming a smaller mesh.
+// connection past the budget, deadline expiry, failed write, or an
+// unhealable outage), in ascending order. Valid after the transport
+// fails or closes; elastic callers use it to decide which ranks to drop
+// when re-forming a smaller mesh. A clean shutdown leaves it empty.
 func (t *TCPTransport) LostPeers() []int {
 	t.failMu.Lock()
 	defer t.failMu.Unlock()
@@ -362,68 +282,16 @@ func (t *TCPTransport) closedErr() error {
 	return ErrTransportClosed
 }
 
-// readLoop decodes frames from the connection to host peer into the
-// inbox. A read error (peer closed, process exited) starts the
-// peer-loss grace clock: if the transport is not closed within it, the
-// peer crashed and blocked receivers get an error instead of a hang.
-// A read-deadline expiry means the peer is hung — connection open but
-// silent past ReadTimeout — and poisons immediately with ErrPeerLost.
-// A malformed frame poisons the whole transport immediately. Heartbeat
-// frames are consumed here and never reach the inbox.
-func (t *TCPTransport) readLoop(conn net.Conn, peer int) {
-	defer t.wg.Done()
-	hdr := make([]byte, 8)
-	for {
-		if t.opts.ReadTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(t.opts.ReadTimeout))
-		}
-		if _, err := io.ReadFull(conn, hdr); err != nil {
-			t.readFailed(peer, err)
-			return
-		}
-		from := int(binary.LittleEndian.Uint32(hdr))
-		length := binary.LittleEndian.Uint32(hdr[4:])
-		if from != peer {
-			t.fail(fmt.Errorf("gluon: tcp frame claims sender %d on connection to host %d", from, peer))
-			return
-		}
-		if length > maxFrameBytes {
-			t.fail(fmt.Errorf("gluon: tcp frame of %d bytes from host %d exceeds limit %d", length, peer, maxFrameBytes))
-			return
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(conn, payload); err != nil {
-			t.readFailed(peer, err)
-			return
-		}
-		if isHeartbeat(payload) {
-			continue // liveness only; already reset the read deadline
-		}
-		select {
-		case t.inbox <- inprocMsg{from: from, payload: payload}:
-		case <-t.done:
-			return
-		}
-	}
-}
-
-// readFailed classifies a read-loop error: a deadline expiry is a hung
-// peer (immediate ErrPeerLost), anything else a dropped connection
-// (grace clock via peerLost).
-func (t *TCPTransport) readFailed(peer int, err error) {
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
-		t.markLost(peer)
-		t.fail(fmt.Errorf("%w: no frames from host %d within %v", ErrPeerLost, peer, t.opts.ReadTimeout))
-		return
-	}
-	t.peerLost(peer)
-}
-
 // NumHosts implements Transport.
 func (t *TCPTransport) NumHosts() int { return t.n }
 
-// Send implements Transport.
+// Send implements Transport: assign the next sequence number, stash a
+// copy for retransmission if this rank heals, and write the session
+// frame. The stash append and the write both happen under writeMu, so
+// stash order is write order. A failed write breaks the connection
+// (sessionBroken): with healing the frame is replayed after the heal
+// and Send succeeds; without, Send returns ErrPeerLost. A healing
+// rank's ack backlog past the retransmit limit escalates regardless.
 func (t *TCPTransport) Send(from, to int, payload []byte) error {
 	if from != t.host {
 		return fmt.Errorf("gluon: tcp transport for host %d cannot send as %d", t.host, from)
@@ -439,58 +307,59 @@ func (t *TCPTransport) Send(from, to int, payload []byte) error {
 		return t.closedErr()
 	default:
 	}
-	if t.sess != nil {
-		return t.sessionSend(to, payload)
-	}
-	return t.writeFrame(to, payload)
-}
-
-// writeFrame frames and writes payload on the connection to host `to`,
-// applying the configured write deadline. A deadline expiry means the
-// peer stopped draining its socket — a hung peer — and poisons the
-// transport with ErrPeerLost so every blocked caller learns of it, not
-// just this sender.
-func (t *TCPTransport) writeFrame(to int, payload []byte) error {
-	conn := t.conns[to]
-	if conn == nil {
-		return fmt.Errorf("gluon: no connection to host %d", to)
-	}
+	ps := t.sess[to]
 	t.writeMu[to].Lock()
 	defer t.writeMu[to].Unlock()
-	need := 8 + len(payload)
-	if cap(t.sendBufs[to]) < need {
-		t.sendBufs[to] = make([]byte, need)
+
+	ps.mu.Lock()
+	for !ps.ready {
+		select {
+		case <-t.done:
+			ps.mu.Unlock()
+			return t.closedErr()
+		default:
+		}
+		ps.cond.Wait()
 	}
-	frame := t.sendBufs[to][:need]
-	binary.LittleEndian.PutUint32(frame, uint32(t.host))
-	binary.LittleEndian.PutUint32(frame[4:], uint32(len(payload)))
-	copy(frame[8:], payload)
+	seq := ps.nextSeq
+	if t.opts.Session.Heal {
+		// A lone frame always fits an empty stash (maxFrameBytes bounds
+		// it); the limit only refuses a backlog the peer is not acking.
+		if limit := t.opts.Session.RetransmitLimit; len(ps.stash) > 0 && ps.stashBytes+len(payload) > limit {
+			ps.mu.Unlock()
+			return t.declareLost(to, fmt.Errorf("%w: retransmit buffer for host %d exceeds %d bytes (peer not acknowledging)",
+				ErrPeerLost, to, limit))
+		}
+		ps.stash = append(ps.stash, sessionFrame{seq: seq, payload: append([]byte(nil), payload...)})
+		ps.stashBytes += len(payload)
+	}
+	ps.nextSeq++
+	conn := ps.conn
+	gen := ps.gen
+	ack := ps.lastRecv
+	ps.mu.Unlock()
+
+	// Frame and write outside ps.mu: holding it across a blocking Write
+	// could deadlock two hosts whose TCP windows are both full, since
+	// draining requires the readers to take ps.mu for ack processing.
+	frame := sessionFrameAppend(t.sendBufs[to][:0], t.host, seq, ack, payload)
+	t.sendBufs[to] = frame
 	if t.opts.WriteTimeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
 	}
 	if _, err := conn.Write(frame); err != nil {
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			t.markLost(to)
-			werr := fmt.Errorf("%w: write to host %d stalled past %v", ErrPeerLost, to, t.opts.WriteTimeout)
-			t.fail(werr)
-			return werr
+		err = fmt.Errorf("gluon: write to host %d: %w", to, err)
+		if lost := t.sessionBroken(to, gen, err); lost != nil || t.opts.Session.Heal {
+			return lost
 		}
-		// A connection-level write failure (reset, broken pipe) is
-		// definitive peer loss: the protocol tears no connection down
-		// before the finish barrier, so a peer whose socket rejects our
-		// frames has died — unlike a read EOF there is no within-grace
-		// clean-shutdown interpretation. Our own Close racing a write is
-		// the one benign cause, guarded by the done check.
+		// The reader tore this connection down first, or the transport
+		// is closing: the frame is gone all the same.
 		select {
 		case <-t.done:
-			return fmt.Errorf("gluon: tcp write to host %d: %w", to, err)
+			return t.closedErr()
 		default:
+			return t.declareLost(to, fmt.Errorf("%w: %v", ErrPeerLost, err))
 		}
-		t.markLost(to)
-		werr := fmt.Errorf("%w: write to host %d failed: %v", ErrPeerLost, to, err)
-		t.fail(werr)
-		return werr
 	}
 	return nil
 }
@@ -517,11 +386,6 @@ func (t *TCPTransport) Recv(host int) (int, []byte, error) {
 func (t *TCPTransport) Close() error {
 	t.closeMu.Do(func() {
 		close(t.done)
-		for _, c := range t.conns {
-			if c != nil {
-				c.Close()
-			}
-		}
 		if t.ln != nil {
 			t.ln.Close()
 		}

@@ -110,63 +110,11 @@ func TestTCPSendRejectsOversizedPayload(t *testing.T) {
 	}
 }
 
-// pipeTransport wires a raw in-memory connection into a TCPTransport's
-// read path so tests can inject hand-crafted frames.
-func pipeTransport(t *testing.T, host, n, peer int) (*TCPTransport, net.Conn) {
-	t.Helper()
-	tr := newTCPTransport(host, n)
-	ours, theirs := net.Pipe()
-	tr.conns[peer] = ours
-	tr.wg.Add(1)
-	go tr.readLoop(ours, peer)
-	t.Cleanup(func() { tr.Close(); theirs.Close() })
-	return tr, theirs
-}
-
-// TestTCPReadPoisonsOnOversizedFrame: a corrupted length prefix must
-// surface as an error from Recv, not a silent hang.
-func TestTCPReadPoisonsOnOversizedFrame(t *testing.T) {
-	tr, raw := pipeTransport(t, 0, 2, 1)
-	hdr := make([]byte, 8)
-	binary.LittleEndian.PutUint32(hdr, 1)              // claimed sender
-	binary.LittleEndian.PutUint32(hdr[4:], 0xFFFFFFF0) // absurd length
-	go raw.Write(hdr)
-	_, _, err := tr.Recv(0)
-	if err == nil || errors.Is(err, ErrTransportClosed) {
-		t.Fatalf("Recv = %v, want framing error", err)
-	}
-	if !strings.Contains(err.Error(), "exceeds limit") {
-		t.Fatalf("unexpected error: %v", err)
-	}
-	// Send on the poisoned transport reports the same failure.
-	if err := tr.Send(0, 1, []byte("x")); err == nil {
-		t.Fatal("send on poisoned transport accepted")
-	}
-}
-
-// TestTCPReadPoisonsOnSenderMismatch: a frame whose sender id does not
-// match the connection's peer is a protocol violation.
-func TestTCPReadPoisonsOnSenderMismatch(t *testing.T) {
-	tr, raw := pipeTransport(t, 0, 3, 1)
-	frame := make([]byte, 8+1)
-	binary.LittleEndian.PutUint32(frame, 2) // claims host 2 on host 1's conn
-	binary.LittleEndian.PutUint32(frame[4:], 1)
-	go raw.Write(frame)
-	_, _, err := tr.Recv(0)
-	if err == nil || !strings.Contains(err.Error(), "claims sender") {
-		t.Fatalf("Recv = %v, want sender-mismatch error", err)
-	}
-}
-
-// TestTCPPeerLossPoisonsAfterGrace: a peer crashing mid-run must turn
-// into an error on blocked receivers once the grace period elapses,
-// not an indefinite hang.
+// TestTCPPeerLossPoisonsAfterGrace: a peer that crashes and never comes
+// back outlasts the heal budget, so a blocked Recv returns ErrPeerLost
+// instead of hanging, and the dead peer is the one recorded as lost.
 func TestTCPPeerLossPoisonsAfterGrace(t *testing.T) {
-	oldGrace := peerLossGrace
-	peerLossGrace = 100 * time.Millisecond
-	defer func() { peerLossGrace = oldGrace }()
-
-	trs, err := NewTCPCluster(2)
+	trs, err := NewTCPClusterOpts(2, TCPOptions{Session: SessionOptions{HealBudget: 100 * time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,8 +128,11 @@ func TestTCPPeerLossPoisonsAfterGrace(t *testing.T) {
 	trs[1].Close() // peer "crashes"
 	select {
 	case err := <-done:
-		if err == nil || !strings.Contains(err.Error(), "lost") {
-			t.Fatalf("Recv after peer loss = %v, want connection-lost error", err)
+		if !errors.Is(err, ErrPeerLost) || !strings.Contains(err.Error(), "lost") {
+			t.Fatalf("Recv after peer loss = %v, want ErrPeerLost", err)
+		}
+		if lost := trs[0].LostPeers(); len(lost) != 1 || lost[0] != 1 {
+			t.Fatalf("LostPeers = %v, want [1]", lost)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Recv hung after peer loss")

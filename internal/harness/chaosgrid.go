@@ -229,7 +229,6 @@ func chaosGridTCPOpts(class ChaosClass, plan *gluon.ChaosPlan) gluon.TCPOptions 
 		HeartbeatInterval: 20 * time.Millisecond,
 		ReadTimeout:       200 * time.Millisecond,
 		WriteTimeout:      2 * time.Second,
-		PeerLossGrace:     100 * time.Millisecond,
 		Session: gluon.SessionOptions{
 			Heal:       true,
 			HealBudget: budget,

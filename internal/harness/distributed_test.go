@@ -238,7 +238,10 @@ func runWorkerProcess() error {
 	if ckptDir != "" {
 		// A SIGKILLed peer drops its connections; survivors must fail
 		// fast (and visibly) instead of hanging the test.
-		mesh.TCP = gluon.TCPOptions{HeartbeatInterval: 50 * time.Millisecond, PeerLossGrace: 500 * time.Millisecond}
+		mesh.TCP = gluon.TCPOptions{
+			HeartbeatInterval: 50 * time.Millisecond,
+			Session:           gluon.SessionOptions{HealBudget: 500 * time.Millisecond},
+		}
 	}
 	tr, err := gluon.DialMesh(mesh)
 	if err != nil {

@@ -163,7 +163,7 @@ func faultWorkloads(opts Options) (map[string]*faultWorkload, error) {
 // gridTransports builds the per-rank transports for one cluster
 // attempt of the given size: "sim" (in-process channels) or "tcp"
 // (loopback sockets with tight failure-detection deadlines, so
-// survivors notice a kill in milliseconds, not the 5 s default).
+// survivors notice a kill in milliseconds, not the 10 s default budget).
 func gridTransports(kind string, hosts int) ([]gluon.Transport, func(), error) {
 	switch kind {
 	case "sim":
@@ -179,7 +179,7 @@ func gridTransports(kind string, hosts int) ([]gluon.Transport, func(), error) {
 	case "tcp":
 		_, out, closeAll, err := tcpCluster(hosts, gluon.TCPOptions{
 			HeartbeatInterval: 20 * time.Millisecond,
-			PeerLossGrace:     100 * time.Millisecond,
+			Session:           gluon.SessionOptions{HealBudget: 100 * time.Millisecond},
 		})
 		return out, closeAll, err
 	default:
