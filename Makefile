@@ -97,15 +97,22 @@ chaos-smoke:
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestChaosGridSmoke' ./internal/harness/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestChaosGridSmoke' ./internal/harness/
 
-# Fuzz lane: every Fuzz* target in internal/gluon — the parsers that
+# Fuzz lane: every Fuzz* target runs FUZZTIME past its seed corpus
+# (mirrored as a CI step). In internal/gluon those are the parsers that
 # face the wire (mesh hello, session frame, resume hello, membership
-# offer and decision) — runs FUZZTIME past its golden seed corpus
-# (mirrored as a CI step). A crasher lands in internal/gluon/testdata/fuzz.
+# offer and decision), seeded from the golden frames; in internal/vecmath
+# and internal/xrand the exact SGNS pair's two batch primitives (the
+# fused UpdatePairDot kernel across kernel sets, the batch negative draw
+# against sequential draws), seeded from testdata/fuzz. A crasher lands
+# in the package's testdata/fuzz.
 FUZZTIME ?= 10s
+FUZZ_PKGS = ./internal/gluon/ ./internal/vecmath/ ./internal/xrand/
 fuzz-smoke:
-	@for f in $$($(GO) test -list '^Fuzz' ./internal/gluon/ | grep '^Fuzz'); do \
-		echo "fuzz $$f"; \
-		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) ./internal/gluon/ || exit 1; \
+	@for p in $(FUZZ_PKGS); do \
+		for f in $$($(GO) test -list '^Fuzz' $$p | grep '^Fuzz'); do \
+			echo "fuzz $$p $$f"; \
+			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) $$p || exit 1; \
+		done; \
 	done
 
 # arm64 must compile (simd_stub path).

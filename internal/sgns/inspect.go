@@ -20,13 +20,14 @@ import (
 // updates switched off, so the two cannot drift apart;
 // TestInspectMatchesTrain pins the equality.
 //
-// sc supplies the reusable sentence buffer exactly as in TrainTokens;
-// nil allocates a fresh one.
+// sc supplies the reusable sentence and target buffers exactly as in
+// TrainTokens; nil allocates a fresh set. The replay shares them and
+// allocates nothing.
 func (t *Trainer) InspectTokens(tokens []int32, r *xrand.Rand, access *bitset.Bitset, sc *Scratch) {
 	if sc == nil {
 		sc = t.NewScratch()
 	}
-	replay := Scratch{sen: sc.sen} // no gradient buffer: replay only
+	replay := Scratch{sen: sc.sen, targets: sc.targets} // no gradient buffer: replay only
 	var st Stats
 	t.trainTokens(tokens, 0, r, access, &st, &replay, nil)
 	sc.sen = replay.sen

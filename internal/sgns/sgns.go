@@ -120,26 +120,29 @@ func NewTrainer(m *model.Model, v *vocab.Vocabulary, neg *vocab.UnigramTable, p 
 }
 
 // Scratch holds the per-worker reusable buffers of the SGNS hot path:
-// the gradient-accumulation vector and the subsampled-sentence buffer.
-// Threading one Scratch per worker through TrainTokens makes the
-// steady-state training loop allocation-free (TestTrainTokensZeroAllocs
-// pins 0 allocs/op). A Scratch is not safe for concurrent use; create
-// one per goroutine with Trainer.NewScratch.
+// the gradient-accumulation vector, the subsampled-sentence buffer and
+// the per-pair target list. Threading one Scratch per worker through
+// TrainTokens makes the steady-state training loop allocation-free
+// (TestTrainTokensZeroAllocs pins 0 allocs/op). A Scratch is not safe
+// for concurrent use; create one per goroutine with Trainer.NewScratch.
 type Scratch struct {
 	neu1e []float32
 	sen   []int32
+	// targets holds one pair's center followed by its negatives.
+	targets []int32
 }
 
 // NewScratch returns scratch buffers sized for this trainer's
-// dimensionality and maximum sentence length.
+// dimensionality, maximum sentence length and negative count.
 func (t *Trainer) NewScratch() *Scratch {
 	maxSent := t.Params.MaxSentenceLength
 	if maxSent <= 0 {
 		maxSent = 10000
 	}
 	return &Scratch{
-		neu1e: make([]float32, t.Model.Dim),
-		sen:   make([]int32, 0, maxSent),
+		neu1e:   make([]float32, t.Model.Dim),
+		sen:     make([]int32, 0, maxSent),
+		targets: make([]int32, 1+t.Params.Negatives),
 	}
 }
 
@@ -177,13 +180,13 @@ func (t *Trainer) trainTokens(tokens []int32, alpha float32, r *xrand.Rand, touc
 				st.TokensKept++
 			}
 		}
-		t.trainSentence(sen, alpha, r, touched, st, sc.neu1e, gate)
+		t.trainSentence(sen, alpha, r, touched, st, sc, gate)
 		sc.sen = sen // retain any growth for the next sentence
 	}
 }
 
 // trainSentence runs the operator over one subsampled sentence.
-func (t *Trainer) trainSentence(sen []int32, alpha float32, r *xrand.Rand, touched *bitset.Bitset, st *Stats, neu1e []float32, gate NodeGate) {
+func (t *Trainer) trainSentence(sen []int32, alpha float32, r *xrand.Rand, touched *bitset.Bitset, st *Stats, sc *Scratch, gate NodeGate) {
 	window := t.Params.Window
 	for pos, center := range sen {
 		// Dynamic window: uniform in [1, window].
@@ -200,66 +203,72 @@ func (t *Trainer) trainSentence(sen []int32, alpha float32, r *xrand.Rand, touch
 			if cpos == pos {
 				continue
 			}
-			t.trainPair(sen[cpos], center, alpha, r, touched, st, neu1e, gate)
+			t.trainPair(sen[cpos], center, alpha, r, touched, st, sc, gate)
 		}
 	}
 }
 
 // trainPair applies one positive edge (context, center) plus Negatives
 // negative edges. context's embedding row and each target's training row
-// are updated; this is the per-edge "operator" in graph terms. A non-nil
-// gate is waited on before each row access: the context's embedding row
-// once per pair, each target's training row as it comes up. Finality is
-// monotone within a round, so a row waited for stays safe for the rest
-// of the pair (the trailing Axpy into emb needs no second wait). A nil
-// neu1e only replays the pair (InspectTokens): every draw happens and
-// touched records every row, but the model is neither read nor written.
-func (t *Trainer) trainPair(context, center int32, alpha float32, r *xrand.Rand, touched *bitset.Bitset, st *Stats, neu1e []float32, gate NodeGate) {
+// are updated; this is the per-edge "operator" in graph terms. It runs
+// in three fixed phases:
+//
+//  1. Draw every negative in one batch (UnigramTable.SampleExcludingN).
+//  2. Wait on a non-nil gate for the context's embedding row, then for
+//     each target's training row in target order, and mark every row in
+//     touched. Finality is monotone within a round, so a row waited for
+//     stays safe for the rest of the pair.
+//  3. Update the rows. Each target's update runs fused with the next
+//     target's score (vecmath.UpdatePairDot); neu1e then goes into emb.
+//
+// Every draw precedes every row access, so a gate can delay the rows
+// but never shift the stream, and the float sequence is the one the
+// per-target Dot → UpdatePair loop produces. A nil sc.neu1e only
+// replays the pair (InspectTokens): every draw happens and touched
+// records every row, but the model is neither read nor written.
+func (t *Trainer) trainPair(context, center int32, alpha float32, r *xrand.Rand, touched *bitset.Bitset, st *Stats, sc *Scratch, gate NodeGate) {
+	st.Pairs++
+	targets := sc.targets
+	targets[0] = center
+	targets = targets[:1+len(t.Neg.SampleExcludingN(r, center, targets[1:]))]
+
 	if gate != nil {
 		gate.WaitNode(context)
-	}
-	emb := t.Model.EmbRow(context)
-	vecmath.Zero(neu1e)
-	st.Pairs++
-
-	for d := 0; d <= t.Params.Negatives; d++ {
-		var target int32
-		var label float32
-		if d == 0 {
-			target, label = center, 1
-		} else {
-			target = t.Neg.SampleExcluding(r, center)
-			if target == center {
-				continue // single-word vocabulary fallback
-			}
-			label = 0
-		}
-		if gate != nil {
+		for _, target := range targets {
 			gate.WaitNode(target)
 		}
-		if touched != nil {
+	}
+	if touched != nil {
+		touched.Set(int(context))
+		for _, target := range targets {
 			touched.Set(int(target))
 		}
-		if neu1e == nil {
-			continue
-		}
-		ctx := t.Model.CtxRow(target)
-		f := vecmath.Dot(emb, ctx)
+	}
+	neu1e := sc.neu1e
+	if neu1e == nil {
+		return
+	}
+
+	emb := t.Model.EmbRow(context)
+	vecmath.Zero(neu1e)
+	ctx := t.Model.CtxRow(center)
+	f := vecmath.Dot(emb, ctx)
+	label := float32(1)
+	for d := range targets {
 		g := (label - vecmath.Sigmoid(f)) * alpha
 		if t.Params.TrackLoss {
 			st.LossSum += pairLoss(float64(f), label)
 			st.LossEdges++
 		}
-		// Fused neu1e += g·ctx; ctx += g·emb — one pass over the row
-		// pair, bit-identical to the two Axpys it replaces.
-		vecmath.UpdatePair(emb, ctx, neu1e, g)
+		if d+1 == len(targets) {
+			vecmath.UpdatePair(emb, ctx, neu1e, g)
+			break
+		}
+		next := t.Model.CtxRow(targets[d+1])
+		f = vecmath.UpdatePairDot(emb, ctx, neu1e, g, next)
+		ctx, label = next, 0
 	}
-	if neu1e != nil {
-		vecmath.Axpy(1, neu1e, emb)
-	}
-	if touched != nil {
-		touched.Set(int(context))
-	}
+	vecmath.Axpy(1, neu1e, emb)
 }
 
 // pairLoss returns the SGNS logistic loss for score f and label.

@@ -7,6 +7,7 @@ import (
 
 	"graphword2vec/internal/bitset"
 	"graphword2vec/internal/model"
+	"graphword2vec/internal/synth"
 	"graphword2vec/internal/vecmath"
 	"graphword2vec/internal/vocab"
 	"graphword2vec/internal/xrand"
@@ -200,10 +201,10 @@ func TestGradientNumericCheck(t *testing.T) {
 
 	// Positive-pair-only check: temporarily use 0 negatives.
 	tr.Params.Negatives = 0
-	neu1e := make([]float32, m.Dim)
+	sc := tr.NewScratch()
 	var st Stats
 	const alpha = 1e-3
-	tr.trainPair(ctxID, centerID, alpha, xrand.New(1), nil, &st, neu1e, nil)
+	tr.trainPair(ctxID, centerID, alpha, xrand.New(1), nil, &st, sc, nil)
 
 	// Analytic: ∂L/∂emb = -(1-σ(f))·ctx ; update is emb += α(1-σ(f))·ctx.
 	f := vecmath.Dot(embBefore, ctxBefore)
@@ -375,6 +376,23 @@ func TestTrainTokensZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestInspectTokensZeroAllocs pins the PullModel inspect pass to the
+// same contract: the replay shares the caller's Scratch buffers, so a
+// reused Scratch makes InspectTokens allocation-free.
+func TestInspectTokensZeroAllocs(t *testing.T) {
+	text := strings.Repeat("a b c d e f g h ", 100)
+	tr, tokens := buildTiny(t, text, 32, Params{Window: 5, Negatives: 5})
+	sc := tr.NewScratch()
+	access := bitset.New(tr.Vocab.Size())
+	r := xrand.New(1)
+	allocs := testing.AllocsPerRun(10, func() {
+		tr.InspectTokens(tokens, r, access, sc)
+	})
+	if allocs != 0 {
+		t.Errorf("InspectTokens with scratch: %v allocs/op, want 0", allocs)
+	}
+}
+
 // benchTrainTokens runs the training benchmark once per kernel set so
 // SIMD and portable numbers land side by side.
 func benchTrainTokens(b *testing.B, dim int) {
@@ -406,3 +424,67 @@ func benchTrainTokens(b *testing.B, dim int) {
 func BenchmarkTrainTokens(b *testing.B) { benchTrainTokens(b, 128) }
 
 func BenchmarkTrainTokensDim100(b *testing.B) { benchTrainTokens(b, 100) }
+
+// BenchmarkTrainTokensText trains at the shape of the perfbench text-w2v
+// workload: the synthetic 1-billion corpus at ScaleSmall, its 1216-word
+// vocabulary (min count 5, subsampling 5e-3), dim 48 and 15 negatives.
+// BenchmarkTrainTokens' 16-word vocabulary makes the negatives collide
+// with the center all the time, which this shape does not. One op is a
+// 40 000-token chunk of the corpus; Mpairs/s is the headline figure.
+func BenchmarkTrainTokensText(b *testing.B) {
+	cfg, err := synth.Preset("1-billion", synth.ScaleSmall)
+	if err != nil {
+		b.Fatal(err)
+	}
+	data, err := synth.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	vb := vocab.NewBuilder()
+	for _, tok := range data.Tokens {
+		vb.Add(data.Names[tok])
+	}
+	v, err := vb.Build(vocab.Options{MinCount: 5, Sample: 5e-3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	neg, err := vocab.NewUnigramTable(v)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const chunk = 40000
+	tokens := make([]int32, 0, chunk)
+	for _, tok := range data.Tokens {
+		if len(tokens) == chunk {
+			break
+		}
+		if id := v.ID(data.Names[tok]); id >= 0 {
+			tokens = append(tokens, id)
+		}
+	}
+	m := model.New(v.Size(), 48)
+	m.InitRandom(1)
+	tr, err := NewTrainer(m, v, neg, Params{Window: 5, Negatives: 15, MaxSentenceLength: 10000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sc := tr.NewScratch()
+	r := xrand.New(1)
+	run := func(b *testing.B) {
+		b.ReportAllocs()
+		var st Stats
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tr.TrainTokens(tokens, 0.025, r, nil, &st, sc)
+		}
+		b.ReportMetric(float64(st.Pairs)/1e6/b.Elapsed().Seconds(), "Mpairs/s")
+	}
+	wasOn := vecmath.SIMDEnabled()
+	defer vecmath.SetSIMD(wasOn)
+	if vecmath.SIMDAvailable() {
+		vecmath.SetSIMD(true)
+		b.Run(vecmath.KernelName(), run)
+	}
+	vecmath.SetSIMD(false)
+	b.Run("generic", run)
+}

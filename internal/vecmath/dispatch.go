@@ -22,28 +22,30 @@ import "os"
 // SetSIMD swaps whole kernel sets and is not synchronised; call it only
 // when no training goroutines are running.
 var (
-	dotImpl        = dotGeneric
-	axpyImpl       = axpyGeneric
-	scaleImpl      = scaleGeneric
-	zeroImpl       = zeroGeneric
-	addImpl        = addGeneric
-	subImpl        = subGeneric
-	updatePairImpl = updatePairGeneric
-	gemmImpl       = gemmGeneric
+	dotImpl           = dotGeneric
+	axpyImpl          = axpyGeneric
+	scaleImpl         = scaleGeneric
+	zeroImpl          = zeroGeneric
+	addImpl           = addGeneric
+	subImpl           = subGeneric
+	updatePairImpl    = updatePairGeneric
+	updatePairDotImpl = updatePairDotGeneric
+	gemmImpl          = gemmGeneric
 )
 
 // simdKernels describes an architecture's kernel set, registered by the
 // per-arch init before dispatch runs.
 type simdKernels struct {
-	name       string
-	dot        func(a, b []float32) float32
-	axpy       func(alpha float32, x, y []float32)
-	scale      func(alpha float32, x []float32)
-	zero       func(x []float32)
-	add        func(dst, a, b []float32)
-	sub        func(dst, a, b []float32)
-	updatePair func(emb, ctx, neu1e []float32, g float32)
-	gemm       func(dst, a, b []float32, m, k, n int)
+	name          string
+	dot           func(a, b []float32) float32
+	axpy          func(alpha float32, x, y []float32)
+	scale         func(alpha float32, x []float32)
+	zero          func(x []float32)
+	add           func(dst, a, b []float32)
+	sub           func(dst, a, b []float32)
+	updatePair    func(emb, ctx, neu1e []float32, g float32)
+	updatePairDot func(emb, ctx, neu1e []float32, g float32, next []float32) float32
+	gemm          func(dst, a, b []float32, m, k, n int)
 }
 
 // arch is the registered SIMD kernel set, or nil when the build has none
@@ -94,6 +96,7 @@ func SetSIMD(enabled bool) bool {
 		addImpl = arch.add
 		subImpl = arch.sub
 		updatePairImpl = arch.updatePair
+		updatePairDotImpl = arch.updatePairDot
 		gemmImpl = arch.gemm
 		simdOn = true
 	} else {
@@ -104,6 +107,7 @@ func SetSIMD(enabled bool) bool {
 		addImpl = addGeneric
 		subImpl = subGeneric
 		updatePairImpl = updatePairGeneric
+		updatePairDotImpl = updatePairDotGeneric
 		gemmImpl = gemmGeneric
 		simdOn = false
 	}

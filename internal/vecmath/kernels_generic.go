@@ -153,3 +153,39 @@ func updatePairGeneric(emb, ctx, neu1e []float32, g float32) {
 		ctx[i] = c + float32(g*emb[i])
 	}
 }
+
+// updatePairDotGeneric is updatePairGeneric and dotGeneric(emb, next)
+// in one loop. Each block first runs the update exactly as
+// updatePairGeneric does, then adds emb·next into the same four
+// accumulators dotGeneric uses, with the tail folded into s0 and the
+// same left-associated reduction, so both outputs are bit-identical to
+// the two kernels run one after the other. next must not overlap ctx
+// (UpdatePairDot routes next == ctx to the two kernels).
+func updatePairDotGeneric(emb, ctx, neu1e []float32, g float32, next []float32) float32 {
+	var s0, s1, s2, s3 float32
+	n := len(emb)
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		c0, c1, c2, c3 := ctx[i], ctx[i+1], ctx[i+2], ctx[i+3]
+		e0, e1, e2, e3 := emb[i], emb[i+1], emb[i+2], emb[i+3]
+		neu1e[i] += float32(g * c0)
+		neu1e[i+1] += float32(g * c1)
+		neu1e[i+2] += float32(g * c2)
+		neu1e[i+3] += float32(g * c3)
+		ctx[i] = c0 + float32(g*e0)
+		ctx[i+1] = c1 + float32(g*e1)
+		ctx[i+2] = c2 + float32(g*e2)
+		ctx[i+3] = c3 + float32(g*e3)
+		s0 += float32(e0 * next[i])
+		s1 += float32(e1 * next[i+1])
+		s2 += float32(e2 * next[i+2])
+		s3 += float32(e3 * next[i+3])
+	}
+	for ; i < n; i++ {
+		c, e := ctx[i], emb[i]
+		neu1e[i] += float32(g * c)
+		ctx[i] = c + float32(g*e)
+		s0 += float32(e * next[i])
+	}
+	return ((s0 + s1) + s2) + s3
+}

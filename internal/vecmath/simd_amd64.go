@@ -30,19 +30,23 @@ func subSSE2(dst, a, b []float32)
 func updatePairSSE2(emb, ctx, neu1e []float32, grad float32)
 
 //go:noescape
+func updatePairDotSSE2(emb, ctx, neu1e []float32, grad float32, next []float32) float32
+
+//go:noescape
 func gemmSSE2(dst, a, b []float32, m, k, n int)
 
 func init() {
 	arch = &simdKernels{
-		name:       "sse2",
-		dot:        dotSSE2,
-		axpy:       axpySSE2,
-		scale:      scaleSSE2,
-		zero:       zeroSSE2,
-		add:        addSSE2,
-		sub:        subSSE2,
-		updatePair: updatePairSSE2,
-		gemm:       gemmSSE2,
+		name:          "sse2",
+		dot:           dotSSE2,
+		axpy:          axpySSE2,
+		scale:         scaleSSE2,
+		zero:          zeroSSE2,
+		add:           addSSE2,
+		sub:           subSSE2,
+		updatePair:    updatePairSSE2,
+		updatePairDot: updatePairDotSSE2,
+		gemm:          gemmSSE2,
 	}
 	initDispatch()
 }

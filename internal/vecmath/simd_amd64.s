@@ -263,6 +263,80 @@ up_tail:
 up_done:
 	RET
 
+// func updatePairDotSSE2(emb, ctx, neu1e []float32, grad float32, next []float32) float32
+//
+// updatePairSSE2 and dotSSE2(emb, next) in one pass: each block runs the
+// update exactly as up_blk4 does, then multiplies the same emb lanes by
+// next (emb as the destination operand, as in dotSSE2) into the X5
+// accumulators. The tail folds into lane 0 and the reduction is
+// dot_reduce's, so both outputs match the two kernels bit for bit. next
+// must not overlap ctx (UpdatePairDot routes next == ctx elsewhere).
+TEXT ·updatePairDotSSE2(SB), NOSPLIT, $0-108
+	MOVQ   emb_base+0(FP), SI
+	MOVQ   emb_len+8(FP), CX
+	MOVQ   ctx_base+24(FP), DI
+	MOVQ   neu1e_base+48(FP), BX
+	MOVSS  grad+72(FP), X0
+	SHUFPS $0x00, X0, X0
+	MOVQ   next_base+80(FP), R8
+	XORPS  X5, X5             // X5 lanes = dot accumulators (s0,s1,s2,s3)
+	XORQ   AX, AX
+	MOVQ   CX, DX
+	ANDQ   $-4, DX
+
+upd_blk4:
+	CMPQ   AX, DX
+	JGE    upd_tail
+	MOVUPS (DI)(AX*4), X1     // ctx (pre-update)
+	MOVAPS X1, X2
+	MULPS  X0, X2             // g*ctx
+	MOVUPS (BX)(AX*4), X3
+	ADDPS  X2, X3             // neu1e + g*ctx
+	MOVUPS X3, (BX)(AX*4)
+	MOVUPS (SI)(AX*4), X4     // emb
+	MOVAPS X4, X6
+	MULPS  X0, X4             // g*emb
+	ADDPS  X4, X1             // ctx + g*emb
+	MOVUPS X1, (DI)(AX*4)
+	MOVUPS (R8)(AX*4), X7     // next
+	MULPS  X7, X6             // emb*next, per-lane rounded
+	ADDPS  X6, X5             // s_k += emb[i+k]*next[i+k]
+	ADDQ   $4, AX
+	JMP    upd_blk4
+
+upd_tail:
+	CMPQ   AX, CX
+	JGE    upd_reduce
+	MOVSS  (DI)(AX*4), X1
+	MOVAPS X1, X2
+	MULSS  X0, X2
+	MOVSS  (BX)(AX*4), X3
+	ADDSS  X2, X3
+	MOVSS  X3, (BX)(AX*4)
+	MOVSS  (SI)(AX*4), X4
+	MOVAPS X4, X6
+	MULSS  X0, X4
+	ADDSS  X4, X1
+	MOVSS  X1, (DI)(AX*4)
+	MULSS  (R8)(AX*4), X6
+	ADDSS  X6, X5             // tail folds into s0 (lane 0)
+	INCQ   AX
+	JMP    upd_tail
+
+upd_reduce:
+	// ((s0+s1)+s2)+s3, as dot_reduce.
+	MOVAPS X5, X1
+	SHUFPS $0x55, X1, X1
+	ADDSS  X1, X5
+	MOVAPS X5, X1
+	SHUFPS $0xAA, X1, X1
+	ADDSS  X1, X5
+	MOVAPS X5, X1
+	SHUFPS $0xFF, X1, X1
+	ADDSS  X1, X5
+	MOVSS  X5, ret+104(FP)
+	RET
+
 // func gemmSSE2(dst, a, b []float32, m, k, n int)
 //
 // dst += A·B as k-deep outer-product accumulation: for each (i, l) the

@@ -182,6 +182,73 @@ func TestSIMDUpdatePairBitIdentical(t *testing.T) {
 	}
 }
 
+func TestSIMDUpdatePairDotBitIdentical(t *testing.T) {
+	k := requireSIMD(t)
+	r := xrand.New(107)
+	for n := 0; n <= 130; n++ {
+		for _, off := range []int{0, 1, 3} {
+			g := float32(r.NormFloat64()) * 0.1
+			if n%5 == 0 {
+				g = specialVals[r.Intn(len(specialVals))]
+			}
+			emb := make([]float32, off+n)
+			ctx := make([]float32, off+n)
+			neu := make([]float32, off+n)
+			next := make([]float32, off+n)
+			fillSpecial(r, emb)
+			fillSpecial(r, ctx)
+			fillSpecial(r, neu)
+			fillSpecial(r, next)
+			ctx2 := append([]float32(nil), ctx...)
+			neu2 := append([]float32(nil), neu...)
+			want := updatePairDotGeneric(sliceAt(emb, off, n), sliceAt(ctx, off, n), sliceAt(neu, off, n), g, sliceAt(next, off, n))
+			got := k.updatePairDot(sliceAt(emb, off, n), sliceAt(ctx2, off, n), sliceAt(neu2, off, n), g, sliceAt(next, off, n))
+			if !bitsEqual(ctx, ctx2) || !bitsEqual(neu, neu2) || math.Float32bits(got) != math.Float32bits(want) {
+				t.Fatalf("n=%d off=%d g=%v: UpdatePairDot diverges (dot %v vs %v)", n, off, g, got, want)
+			}
+		}
+	}
+}
+
+// UpdatePairDot's definition, on every kernel set: bit-identical to
+// UpdatePair followed by Dot(emb, next), also when next is ctx itself
+// (the same target twice in a row), where the score must read the
+// updated row.
+func TestUpdatePairDotMatchesUpdatePairThenDot(t *testing.T) {
+	wasOn := SIMDEnabled()
+	defer SetSIMD(wasOn)
+	r := xrand.New(108)
+	for _, simd := range []bool{false, true} {
+		SetSIMD(simd)
+		for _, n := range []int{0, 1, 3, 4, 5, 8, 48, 100, 128, 130} {
+			for _, aliased := range []bool{false, true} {
+				emb := make([]float32, n)
+				ctx := make([]float32, n)
+				neu := make([]float32, n)
+				next := make([]float32, n)
+				fillSpecial(r, emb)
+				fillSpecial(r, ctx)
+				fillSpecial(r, neu)
+				fillSpecial(r, next)
+				g := float32(r.NormFloat64()) * 0.05
+				ctx2 := append([]float32(nil), ctx...)
+				neu2 := append([]float32(nil), neu...)
+				next2 := next
+				if aliased {
+					next, next2 = ctx, ctx2
+				}
+
+				got := UpdatePairDot(emb, ctx, neu, g, next)
+				UpdatePair(emb, ctx2, neu2, g)
+				want := Dot(emb, next2)
+				if !bitsEqual(ctx, ctx2) || !bitsEqual(neu, neu2) || math.Float32bits(got) != math.Float32bits(want) {
+					t.Fatalf("%s n=%d aliased=%v: UpdatePairDot != UpdatePair;Dot (dot %v vs %v)", KernelName(), n, aliased, got, want)
+				}
+			}
+		}
+	}
+}
+
 // UpdatePair's definition: bit-identical to the two Axpys it fuses.
 func TestUpdatePairMatchesTwoAxpys(t *testing.T) {
 	r := xrand.New(105)

@@ -49,6 +49,22 @@ func Sub(dst, a, b []float32) { subImpl(dst, a, b) }
 // must not alias emb or ctx.
 func UpdatePair(emb, ctx, neu1e []float32, g float32) { updatePairImpl(emb, ctx, neu1e, g) }
 
+// UpdatePairDot is UpdatePair(emb, ctx, neu1e, g) followed by
+// Dot(emb, next), in one pass over the rows: the SGNS pair loop scores
+// its next target while it updates the current one. Every lane keeps
+// both kernels' operations in their order, so the result and the
+// updated rows are bit-identical to the two calls. next must be ctx
+// itself or not overlap it; when it is ctx (the same target twice in a
+// row) the two calls run one after the other, so the score reads the
+// updated row. All four slices must have equal length.
+func UpdatePairDot(emb, ctx, neu1e []float32, g float32, next []float32) float32 {
+	if len(next) > 0 && &next[0] == &ctx[0] {
+		updatePairImpl(emb, ctx, neu1e, g)
+		return dotImpl(emb, next)
+	}
+	return updatePairDotImpl(emb, ctx, neu1e, g, next)
+}
+
 // Gemm computes dst += A·B for row-major float32 matrices stored flat:
 // A is m×k at a[:m*k], B is k×n at b[:k*n], dst is m×n at dst[:m*n].
 // The accumulate form (+=) lets callers chain panels without an extra
@@ -128,13 +144,17 @@ func init() {
 // Sigmoid returns a table-interpolation-free approximation of the logistic
 // function σ(x) = 1/(1+e^{-x}) as used by word2vec.c: arguments beyond
 // ±MaxExp saturate to exactly 0 or 1 so the corresponding gradient
-// contribution vanishes.
+// contribution vanishes. A NaN score (a diverged model) yields NaN
+// rather than an out-of-range table index.
 func Sigmoid(x float32) float32 {
 	if x >= MaxExp {
 		return 1
 	}
 	if x <= -MaxExp {
 		return 0
+	}
+	if x != x {
+		return x
 	}
 	idx := int((x + MaxExp) * (SigmoidTableSize / (2 * MaxExp)))
 	if idx >= SigmoidTableSize {

@@ -199,6 +199,20 @@ func TestSigmoidAgainstExact(t *testing.T) {
 	}
 }
 
+// A NaN score (a diverged model) must come back as NaN, not index the
+// table at int(NaN) and panic.
+func TestSigmoidNaN(t *testing.T) {
+	for _, bits := range []uint32{0x7fc00000, 0xffc00000, 0x7f800001, 0x7fbfffff, 0xffffffff} {
+		x := math.Float32frombits(bits)
+		if got := Sigmoid(x); got == got {
+			t.Errorf("Sigmoid(NaN %#x) = %v, want NaN", bits, got)
+		}
+	}
+	if Sigmoid(float32(math.Inf(1))) != 1 || Sigmoid(float32(math.Inf(-1))) != 0 {
+		t.Error("Sigmoid(±Inf) must saturate to 1 and 0")
+	}
+}
+
 func TestSigmoidMonotone(t *testing.T) {
 	prev := float32(-1)
 	for x := float32(-7); x <= 7; x += 0.05 {

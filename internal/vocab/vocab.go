@@ -205,20 +205,13 @@ func NewUnigramTable(v *Vocabulary) (*UnigramTable, error) {
 // Sample draws one negative word id.
 func (t *UnigramTable) Sample(r *xrand.Rand) int32 { return int32(t.alias.Draw(r)) }
 
-// SampleExcluding draws a negative id different from exclude. This mirrors
-// word2vec.c, which skips negatives that collide with the target word.
-func (t *UnigramTable) SampleExcluding(r *xrand.Rand, exclude int32) int32 {
-	if t.alias.N() == 1 {
-		// Only one word exists; collision is unavoidable. Callers treat
-		// the pair as a no-op update.
-		return 0
-	}
-	for {
-		s := int32(t.alias.Draw(r))
-		if s != exclude {
-			return s
-		}
-	}
+// SampleExcludingN fills dst with negative ids different from exclude
+// and returns the filled slice; it draws exactly what len(dst) one-at-a-
+// time draws with rejection would. Skipping negatives that collide with
+// the target word mirrors word2vec.c. A single-word vocabulary has no
+// negative to offer: the result is empty and no variate is consumed.
+func (t *UnigramTable) SampleExcludingN(r *xrand.Rand, exclude int32, dst []int32) []int32 {
+	return t.alias.DrawExcluding(r, exclude, dst)
 }
 
 // CountFromTokens is a convenience that streams whitespace-separated tokens

@@ -221,9 +221,16 @@ func TestUnigramSampleExcluding(t *testing.T) {
 	}
 	r := xrand.New(11)
 	ex := v.ID("a")
-	for i := 0; i < 1000; i++ {
-		if ut.SampleExcluding(r, ex) == ex {
-			t.Fatal("SampleExcluding returned the excluded id")
+	dst := make([]int32, 15)
+	for i := 0; i < 100; i++ {
+		got := ut.SampleExcludingN(r, ex, dst)
+		if len(got) != len(dst) {
+			t.Fatalf("SampleExcludingN filled %d of %d", len(got), len(dst))
+		}
+		for _, s := range got {
+			if s == ex {
+				t.Fatal("SampleExcludingN returned the excluded id")
+			}
 		}
 	}
 }
@@ -235,8 +242,12 @@ func TestUnigramSingleWordVocab(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := xrand.New(1)
-	if got := ut.SampleExcluding(r, 0); got != 0 {
-		t.Errorf("single-word SampleExcluding = %d, want 0 fallback", got)
+	before := r.State()
+	if got := ut.SampleExcludingN(r, 0, make([]int32, 5)); len(got) != 0 {
+		t.Errorf("single-word SampleExcludingN = %v, want no negatives", got)
+	}
+	if r.State() != before {
+		t.Error("single-word SampleExcludingN consumed variates")
 	}
 }
 

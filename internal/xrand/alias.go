@@ -87,6 +87,42 @@ func (a *Alias) Draw(r *Rand) int {
 	return int(a.alias[i])
 }
 
+// DrawExcluding fills dst with draws, redrawing every one equal to
+// exclude, and returns dst. It consumes exactly the variates that
+// len(dst) loops of "Draw until the result is not exclude" would, and
+// returns the same values, but keeps the generator state in locals for
+// the whole batch instead of a memory round trip per variate. When
+// exclude is the only outcome (N() == 1, exclude == 0) nothing can be
+// drawn: it returns dst[:0] and consumes nothing. Otherwise the outcomes
+// other than exclude must carry some weight, or the call never returns.
+func (a *Alias) DrawExcluding(r *Rand, exclude int32, dst []int32) []int32 {
+	n := uint64(len(a.prob))
+	if n == 1 && exclude == 0 {
+		return dst[:0]
+	}
+	prob, alias := a.prob, a.alias
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for k := 0; k < len(dst); {
+		var x uint64
+		x, s0, s1, s2, s3 = next(s0, s1, s2, s3)
+		i, ok := lemire(x, n)
+		if !ok {
+			continue
+		}
+		x, s0, s1, s2, s3 = next(s0, s1, s2, s3)
+		v := int32(i)
+		if !(unitFloat64(x) < prob[i]) {
+			v = alias[i]
+		}
+		if v != exclude {
+			dst[k] = v
+			k++
+		}
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return dst
+}
+
 // Zipf generates values in [0, n) with P(k) proportional to 1/(k+1)^s.
 // Synthetic corpora use it to give filler words a realistic frequency skew
 // so that subsampling and the unigram table are exercised as in real text.

@@ -13,7 +13,10 @@
 // multiple goroutines; callers create one per worker via Split.
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // SplitMix64 is a tiny 64-bit PRNG with a 64-bit state. It is primarily
 // used to derive independent seeds for worker-local generators, and as the
@@ -80,17 +83,27 @@ func (r *Rand) SetState(s [4]uint64) {
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
+// next is one xoshiro256** step over a state held in values: it returns
+// the output and the successor state. Rand.Uint64 and the batch loops
+// (Alias.DrawExcluding) share it, so a loop that keeps the state in
+// locals emits exactly the stream Uint64 calls would.
+func next(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
+	out = rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	s3 = rotl(s3, 45)
+	return out, s0, s1, s2, s3
+}
+
 // Uint64 returns the next 64 random bits.
 func (r *Rand) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	var x uint64
+	x, r.s[0], r.s[1], r.s[2], r.s[3] = next(r.s[0], r.s[1], r.s[2], r.s[3])
+	return x
 }
 
 // Split derives a new, statistically independent generator from r.
@@ -107,35 +120,28 @@ func (r *Rand) Intn(n int) int {
 	if n <= 0 {
 		panic("xrand: Intn with non-positive n")
 	}
-	// Lemire's multiply-shift rejection method on 64 bits.
 	bound := uint64(n)
 	for {
-		x := r.Uint64()
-		hi, lo := mul64(x, bound)
-		if lo >= bound || lo >= (-bound)%bound {
-			return int(hi)
+		if i, ok := lemire(r.Uint64(), bound); ok {
+			return int(i)
 		}
 	}
 }
 
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	a0, a1 := a&mask32, a>>32
-	b0, b1 := b&mask32, b>>32
-	t := a1*b0 + (a0*b0)>>32
-	lo1 := t & mask32
-	hi1 := t >> 32
-	lo1 += a0 * b1
-	hi = a1*b1 + hi1 + lo1>>32
-	lo = a * b
-	return hi, lo
+// lemire maps 64 random bits x onto [0, bound) by Lemire's
+// multiply-shift method, reporting ok=false when x falls in the biased
+// sliver and must be redrawn. The modulo runs only for a low product
+// below bound, which almost never happens.
+func lemire(x, bound uint64) (i uint64, ok bool) {
+	hi, lo := bits.Mul64(x, bound)
+	return hi, lo >= bound || lo >= (-bound)%bound
 }
 
 // Float64 returns a uniform float64 in [0, 1).
-func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) * (1.0 / (1 << 53))
-}
+func (r *Rand) Float64() float64 { return unitFloat64(r.Uint64()) }
+
+// unitFloat64 maps 64 random bits to a uniform float64 in [0, 1).
+func unitFloat64(x uint64) float64 { return float64(x>>11) * (1.0 / (1 << 53)) }
 
 // Float32 returns a uniform float32 in [0, 1).
 func (r *Rand) Float32() float32 {

@@ -149,20 +149,73 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestMul64(t *testing.T) {
-	cases := []struct {
-		a, b, hi, lo uint64
-	}{
-		{0, 0, 0, 0},
-		{1, 1, 0, 1},
-		{math.MaxUint64, 2, 1, math.MaxUint64 - 1},
-		{1 << 32, 1 << 32, 1, 0},
-		{math.MaxUint64, math.MaxUint64, math.MaxUint64 - 1, 1},
+// fnvFold folds v into an FNV-1a-style 64-bit stream hash.
+func fnvFold(h, v uint64) uint64 { return (h ^ v) * 0x100000001b3 }
+
+// TestIntnAndDrawGoldenStreams pins Intn's and Alias.Draw's output
+// streams to values recorded before Intn's 128-bit product moved to
+// math/bits.Mul64: the first draws, a hash of 10 000 draws and the final
+// generator state. The bounds carry the product edge cases (n = 1, 2,
+// 2^32, 2^32+1 and the largest int, whose products with a random word
+// fill both 64-bit halves) and the alias tables include zero weights,
+// a single outcome and an eighteen-decade spread.
+func TestIntnAndDrawGoldenStreams(t *testing.T) {
+	stream := func(draw func() int) (first [4]int, h uint64) {
+		h = 0xcbf29ce484222325
+		for k := 0; k < 10000; k++ {
+			v := draw()
+			if k < len(first) {
+				first[k] = v
+			}
+			h = fnvFold(h, uint64(v))
+		}
+		return first, h
 	}
-	for _, c := range cases {
-		hi, lo := mul64(c.a, c.b)
-		if hi != c.hi || lo != c.lo {
-			t.Errorf("mul64(%#x,%#x) = (%#x,%#x), want (%#x,%#x)", c.a, c.b, hi, lo, c.hi, c.lo)
+	intn := []struct {
+		n     int
+		seed  uint64
+		first [4]int
+		hash  uint64
+		state [4]uint64
+	}{
+		{1, 1000, [4]int{0, 0, 0, 0}, 0xa6e4f0723147f065, [4]uint64{0xe95f577ce2abed66, 0x3a456895675fc57e, 0x979119ea7210566, 0xe686a5aa2110a0e2}},
+		{2, 1001, [4]int{0, 0, 1, 1}, 0x7b6a9414c3778a02, [4]uint64{0xa507e02f226f36b8, 0xbe9cbf0659ff37af, 0x13ecddd5aee335e2, 0x71cceaeee440900d}},
+		{3, 1002, [4]int{2, 2, 0, 0}, 0xeaa70463e1efec91, [4]uint64{0x3de4508a22a97fd, 0xa49c798c29d248de, 0x9c287fd702a64e9e, 0x8513d02aaf873c46}},
+		{10, 1003, [4]int{8, 7, 2, 2}, 0xb188b5ad32598551, [4]uint64{0xc36472a2b7319dfa, 0x33d2d418cf5e9308, 0xdd922195c357722, 0x41aabc573363fa07}},
+		{1000, 1004, [4]int{278, 727, 867, 118}, 0x6d26624bab9a6eef, [4]uint64{0x5779c9ced39c93da, 0x7cd7dcceda51998f, 0x8b9843c14deb9476, 0xb270b57b75c8a65f}},
+		{1 << 32, 1005, [4]int{2953812410, 4208929132, 2247812028, 1847327007}, 0xcc8184966ad20fce, [4]uint64{0x5174e71e4a0c31b7, 0xa39c1b84130969e7, 0xed876814c260b4be, 0xcf3f7ffbcdc410d}},
+		{1<<32 + 1, 1006, [4]int{3088298120, 3965489640, 3771455796, 1238034115}, 0x8e0437b578374b11, [4]uint64{0xf9014e1583d3b016, 0xe792ae73e9d3f88d, 0x1141a023e1f0782a, 0x97aa958182265cc7}},
+		{1<<62 + 12345, 1007, [4]int{3843947250659266983, 824335148234456817, 19050466913643199, 3802674486087761462}, 0xc0e8b689078f4df1, [4]uint64{0xa60696d8c1309025, 0xa346a658e3782cb0, 0xd11d19bc0c8cfb2c, 0x45fdf5d7280fb55c}},
+		{math.MaxInt64, 1008, [4]int{1994937316159081228, 8743105391915089340, 2656026448352817760, 9027099860674047271}, 0x9e34d46d7edc66ab, [4]uint64{0xa2dd1a2ef3e4f2c, 0xcecdddd000331b3d, 0xbc1ff53f2cd36cd2, 0x13c20e054f45e8b}},
+	}
+	for _, c := range intn {
+		r := New(c.seed)
+		first, h := stream(func() int { return r.Intn(c.n) })
+		if first != c.first || h != c.hash || r.State() != c.state {
+			t.Errorf("Intn(%d) seed %d: first %v hash %#x state %#x, want %v %#x %#x", c.n, c.seed, first, h, r.State(), c.first, c.hash, c.state)
+		}
+	}
+	draw := []struct {
+		weights []float64
+		seed    uint64
+		first   [4]int
+		hash    uint64
+		state   [4]uint64
+	}{
+		{[]float64{1}, 2000, [4]int{0, 0, 0, 0}, 0xa6e4f0723147f065, [4]uint64{0x8159c3401f02d38e, 0x747a5b8614f39a0f, 0x8847e342deb22298, 0xf8d3fce029db8e8e}},
+		{[]float64{1, 2, 3, 4, 0, 10}, 2001, [4]int{3, 5, 5, 5}, 0x47f8a21fca879928, [4]uint64{0x6c96675d5e088c5f, 0x3284dad251c4e305, 0x5462d225f38c1a09, 0xeb9744a0cea5e61b}},
+		{[]float64{0.5, 0, 0, 7}, 2002, [4]int{3, 3, 0, 3}, 0x49abf887329fb526, [4]uint64{0x4e7db2a2830458e2, 0x463d4440e44018ee, 0x44c5a1589472ba4e, 0x3fa03a537efcdfe2}},
+		{[]float64{1e-9, 1, 1e9}, 2003, [4]int{2, 2, 2, 2}, 0x38279acb39480725, [4]uint64{0x8c2cb41f95f3fe0, 0xda2335d1bf2813c9, 0x23e42e1fdfb9fd54, 0xf0bc81787560b1c9}},
+	}
+	for _, c := range draw {
+		a, err := NewAlias(c.weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := New(c.seed)
+		first, h := stream(func() int { return a.Draw(r) })
+		if first != c.first || h != c.hash || r.State() != c.state {
+			t.Errorf("Alias%v.Draw seed %d: first %v hash %#x state %#x, want %v %#x %#x", c.weights, c.seed, first, h, r.State(), c.first, c.hash, c.state)
 		}
 	}
 }
