@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-portable test-sync-race overlap-smoke bench-smoke sync-latency-smoke serve-smoke serve-latency-smoke recovery-smoke chaos-smoke fuzz-smoke cross-arm64 vet fmt-check fmt docs-check
+.PHONY: all build test test-short test-portable test-sync-race overlap-smoke bench-smoke serve-smoke recovery-smoke chaos-smoke fuzz-smoke cross-arm64 vet fmt-check fmt docs-check
 
 all: fmt-check vet docs-check build test-short test-sync-race test-portable cross-arm64
 
@@ -45,22 +45,11 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSyncRound' -benchtime=1x ./internal/gluon/
 	$(GO) test -run '^$$' -bench 'BenchmarkSyncRoundOverlap' -benchtime=1x ./internal/core/
 
-# One-epoch sync-latency run on a reduced grid: keeps the experiment
-# executable end-to-end (mirrored as a CI step, like the throughput
-# smoke).
-sync-latency-smoke:
-	$(GO) test -run 'TestSyncLatencySmoke' -count=1 ./internal/harness/
-
 # End-to-end serving smoke: train a tiny model, start gw2v-serve on a
 # real socket, curl /healthz and one /v1/neighbors query (mirrored as a
 # CI step; see scripts/serve_smoke.sh).
 serve-smoke:
 	@sh scripts/serve_smoke.sh
-
-# Reduced serve-latency grid: keeps the serving experiment executable
-# end-to-end (mirrored as a CI step, like the sync-latency smoke).
-serve-latency-smoke:
-	$(GO) test -run 'TestServeLatencySmoke' -count=1 ./internal/harness/
 
 # Recovery lane (DESIGN.md §10–§11, PROTOCOL.md §8, §10): every resume
 # runs the one membership negotiation. First its gluon unit surface —
@@ -131,6 +120,7 @@ fmt-check:
 fmt:
 	gofmt -w .
 
-# Every *.md referenced from Go comments or Markdown links must exist.
+# Every *.md and BENCH_*.json referenced from Go comments or Markdown
+# links must exist.
 docs-check:
 	@sh scripts/docs_check.sh

@@ -13,9 +13,10 @@ import (
 // reports how much was hidden per host.
 func BenchmarkSyncRoundOverlap(b *testing.B) {
 	// Enough corpus per round that compute dominates the round (the
-	// regime training actually runs in — see BENCH_sync.json, where
-	// compute ms/round is 10–100× sync ms/round); an overlap win means
-	// hiding sync behind that compute, not shrinking sync itself.
+	// regime training actually runs in — on perfbench's text-w2v
+	// workload core.compute_s is nearly all of the round and core.sync_s
+	// a small share); an overlap win means hiding sync behind that
+	// compute, not shrinking sync itself.
 	v, neg, c := testData(b, repeatedText(512))
 	for _, bench := range []struct {
 		name    string

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -64,7 +65,9 @@ func TestGraphDatasetDeterministic(t *testing.T) {
 // TestGraphWorkloadTCPMatchesSimulation is the Any2Vec counterpart of
 // TestEnginesOverTCPMatchSimulation: the walk workload trained by four
 // free-running engines over real TCP sockets must be bit-identical to
-// the lockstep simulation at ThreadsPerHost = 1.
+// the lockstep simulation at ThreadsPerHost = 1, with the overlap
+// pipeline off and on (the walk-workload half of
+// TestOverlapTCPFreeRunning).
 func TestGraphWorkloadTCPMatchesSimulation(t *testing.T) {
 	opts := graphTestOpts()
 	d, err := LoadGraphDataset(opts)
@@ -87,28 +90,31 @@ func TestGraphWorkloadTCPMatchesSimulation(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			trs, err := gluon.NewTCPCluster(cfg.Hosts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			results := make([]*core.DistributedResult, cfg.Hosts)
-			errs := make([]error, cfg.Hosts)
-			var wg sync.WaitGroup
-			for h := 0; h < cfg.Hosts; h++ {
-				wg.Add(1)
-				go func(h int) {
-					defer wg.Done()
-					defer trs[h].Close()
-					results[h], errs[h] = core.RunDistributed(cfg, h, trs[h], d.Vocab, d.Neg, d.Walker, opts.Dim, nil)
-				}(h)
-			}
-			wg.Wait()
-			for h, err := range errs {
+			for _, overlap := range []bool{false, true} {
+				cfg.SyncOverlap = overlap
+				trs, err := gluon.NewTCPCluster(cfg.Hosts)
 				if err != nil {
-					t.Fatalf("host %d: %v", h, err)
+					t.Fatal(err)
 				}
+				results := make([]*core.DistributedResult, cfg.Hosts)
+				errs := make([]error, cfg.Hosts)
+				var wg sync.WaitGroup
+				for h := 0; h < cfg.Hosts; h++ {
+					wg.Add(1)
+					go func(h int) {
+						defer wg.Done()
+						defer trs[h].Close()
+						results[h], errs[h] = core.RunDistributed(cfg, h, trs[h], d.Vocab, d.Neg, d.Walker, opts.Dim, nil)
+					}(h)
+				}
+				wg.Wait()
+				for h, err := range errs {
+					if err != nil {
+						t.Fatalf("overlap=%v host %d: %v", overlap, h, err)
+					}
+				}
+				assertModelsIdentical(t, fmt.Sprintf("%v/overlap=%v", mode, overlap), sim.Canonical, results[0].Canonical)
 			}
-			assertModelsIdentical(t, mode.String(), sim.Canonical, results[0].Canonical)
 		})
 	}
 }

@@ -47,10 +47,12 @@ func TestOverlapBitIdentityPinned(t *testing.T) {
 			{"text", gluon.PullModel, gluon.CodecPacked, false},
 			{"text", gluon.RepModelOpt, gluon.CodecFP16, false},
 			{"graph", gluon.RepModelOpt, gluon.CodecPacked, true},
+			{"graph", gluon.RepModelNaive, gluon.CodecRaw, true},
 		}
 	} else {
 		// Full mode × codec × transport diagonal on text; graph pins the
-		// walk-workload slice on the mode the paper's sparse rounds use.
+		// walk-workload slice on the dense scheme and on the sparse one
+		// the paper's rounds use.
 		for _, mode := range []gluon.Mode{gluon.RepModelNaive, gluon.RepModelOpt, gluon.PullModel} {
 			for _, codec := range []gluon.Codec{gluon.CodecRaw, gluon.CodecPacked, gluon.CodecFP16} {
 				for _, tcp := range []bool{false, true} {
@@ -58,9 +60,11 @@ func TestOverlapBitIdentityPinned(t *testing.T) {
 				}
 			}
 		}
-		for _, codec := range []gluon.Codec{gluon.CodecRaw, gluon.CodecPacked, gluon.CodecFP16} {
-			for _, tcp := range []bool{false, true} {
-				cells = append(cells, cell{"graph", gluon.RepModelOpt, codec, tcp})
+		for _, mode := range []gluon.Mode{gluon.RepModelNaive, gluon.RepModelOpt} {
+			for _, codec := range []gluon.Codec{gluon.CodecRaw, gluon.CodecPacked, gluon.CodecFP16} {
+				for _, tcp := range []bool{false, true} {
+					cells = append(cells, cell{"graph", mode, codec, tcp})
+				}
 			}
 		}
 	}

@@ -1,12 +1,16 @@
 package harness
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"testing"
 
 	"graphword2vec/internal/core"
 	"graphword2vec/internal/gluon"
+	"graphword2vec/internal/model"
 	"graphword2vec/internal/synth"
+	"graphword2vec/internal/vecmath"
 )
 
 // Seed-state model hashes, recorded from the pre-concurrency serial sync
@@ -77,6 +81,24 @@ func trainForIdentity(t *testing.T, workload string, mode gluon.Mode, codec gluo
 		t.Fatal(err)
 	}
 	return modelHash(t, res.Canonical)
+}
+
+// tcpTransportFactory builds a loopback TCP cluster as a
+// core.Trainer transport factory.
+func tcpTransportFactory(hosts int) ([]gluon.Transport, func(), error) {
+	trs, err := gluon.NewTCPCluster(hosts)
+	if err != nil {
+		return nil, nil, err
+	}
+	out := make([]gluon.Transport, hosts)
+	for h := range out {
+		out[h] = trs[h]
+	}
+	return out, func() {
+		for _, tr := range trs {
+			tr.Close()
+		}
+	}, nil
 }
 
 // wantHash returns the pinned hash for a (workload, codec) cell.
@@ -161,21 +183,6 @@ func TestSyncBitIdentityWorkers(t *testing.T) {
 // transport does — reduce frames, broadcast frames, buffer reuse and
 // concurrent decode included.
 func TestSyncBitIdentityTCP(t *testing.T) {
-	tcpFactory := func(hosts int) ([]gluon.Transport, func(), error) {
-		trs, err := gluon.NewTCPCluster(hosts)
-		if err != nil {
-			return nil, nil, err
-		}
-		out := make([]gluon.Transport, hosts)
-		for h := range out {
-			out[h] = trs[h]
-		}
-		return out, func() {
-			for _, tr := range trs {
-				tr.Close()
-			}
-		}, nil
-	}
 	for _, wl := range []string{"text", "graph"} {
 		wl := wl
 		for _, codec := range []gluon.Codec{gluon.CodecPacked, gluon.CodecFP16} {
@@ -186,7 +193,7 @@ func TestSyncBitIdentityTCP(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%v", wl, codec), func(t *testing.T) {
 				got := trainForIdentity(t, wl, gluon.RepModelOpt, codec, func(tr *core.Trainer, _ *core.Config) {
 					if tr != nil {
-						tr.TransportFactory = tcpFactory
+						tr.TransportFactory = tcpTransportFactory
 					}
 				})
 				if want := wantHash(wl, codec); got != want {
@@ -194,5 +201,70 @@ func TestSyncBitIdentityTCP(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// modelHash returns a hex digest over a model's serialised bytes.
+func modelHash(t *testing.T, m *model.Model) string {
+	t.Helper()
+	h := sha256.New()
+	if err := m.Save(h); err != nil {
+		t.Fatal(err)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestModelHashSIMDOnOff is the end-to-end half of the kernel
+// bit-identity contract: a full tiny-scale distributed training run —
+// text and graph presets, the sync stack included — must produce
+// byte-identical models with the SIMD kernels forced on and forced off.
+// This is what guarantees GW2V_NOSIMD=1 (and non-amd64 builds) stay in
+// the same bit-identity class as the SSE2 path that trains CI's models.
+func TestModelHashSIMDOnOff(t *testing.T) {
+	if !vecmath.SIMDAvailable() {
+		t.Skip("no SIMD kernels on this build; nothing to compare")
+	}
+	wasOn := vecmath.SIMDEnabled()
+	defer vecmath.SetSIMD(wasOn)
+
+	opts := Defaults(synth.ScaleTiny)
+	opts.Epochs = 2
+	opts.Hosts = 2
+	opts = opts.WithDefaults()
+
+	trainText := func() string {
+		d, err := LoadDataset("1-billion", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := distConfig(opts, opts.Hosts, 3, "MC", gluon.RepModelOpt, opts.BaseAlpha)
+		res, _, err := runDistributed(d, opts, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return modelHash(t, res.Canonical)
+	}
+	trainGraph := func() string {
+		d, err := LoadGraphDataset(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _, err := TrainGraph(d, opts, "MC", gluon.RepModelOpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return modelHash(t, res.Canonical)
+	}
+
+	vecmath.SetSIMD(true)
+	textOn, graphOn := trainText(), trainGraph()
+	vecmath.SetSIMD(false)
+	textOff, graphOff := trainText(), trainGraph()
+
+	if textOn != textOff {
+		t.Errorf("text model hash differs: simd %s vs generic %s", textOn, textOff)
+	}
+	if graphOn != graphOff {
+		t.Errorf("graph model hash differs: simd %s vs generic %s", graphOn, graphOff)
 	}
 }
