@@ -27,8 +27,13 @@ test-portable:
 # Sync-engine concurrency lane: the parallel encode/decode pipeline,
 # buffer-reuse overlap, free-running out-of-phase rounds and the
 # concurrent accumulator, all under the race detector with repetition.
+# gluon picks the serial or the concurrent round pipeline from
+# GOMAXPROCS, so the lane repeats at GOMAXPROCS=1: a 2-CPU runner would
+# otherwise never race-test the serial side (mirrored as a CI step).
+SYNC_RACE_TESTS = 'TestSync|TestAccumulatorConcurrent'
 test-sync-race:
-	$(GO) test -race -count=2 -run 'TestSync|TestAccumulatorConcurrent' ./internal/gluon/ ./internal/combine/
+	$(GO) test -race -count=2 -run $(SYNC_RACE_TESTS) ./internal/gluon/ ./internal/combine/
+	GOMAXPROCS=1 $(GO) test -race -count=2 -run $(SYNC_RACE_TESTS) ./internal/gluon/ ./internal/combine/
 
 # Overlap-pipeline lane: the double-buffered BSP step (DESIGN.md §12)
 # must be invisible in the trained bits — the pinned-hash identity
@@ -89,7 +94,9 @@ chaos-smoke:
 # Fuzz lane: every Fuzz* target runs FUZZTIME past its seed corpus
 # (mirrored as a CI step). In internal/gluon those are the parsers that
 # face the wire (mesh hello, session frame, resume hello, membership
-# offer and decision), seeded from the golden frames; in internal/vecmath
+# offer and decision, and the sync round's access/touched bitmap and
+# vector frame: FuzzParseAccessInto, FuzzDecodeVectorFrame), seeded from
+# the golden frames and testdata/fuzz; in internal/vecmath
 # and internal/xrand the exact SGNS pair's two batch primitives (the
 # fused UpdatePairDot kernel across kernel sets, the batch negative draw
 # against sequential draws), seeded from testdata/fuzz. A crasher lands

@@ -1,16 +1,29 @@
-// Command gw2v-train trains a Skip-Gram model on a whitespace-tokenised
-// text corpus, either with the shared-memory Hogwild baseline (-hosts 1
-// -shared) or with GraphWord2Vec on a simulated cluster.
+// Command gw2v-train trains embeddings on a simulated cluster, with all
+// three synchronisation schemes available: Skip-Gram word vectors from a
+// whitespace-tokenised text corpus (-workload text, the default), or
+// DeepWalk vertex vectors from truncated random walks over a graph
+// (-workload graph) — the two instances of the Any2Vec pattern
+// (DESIGN.md §6) on the same distributed SGNS engine. Text at -hosts 1
+// runs the shared-memory Hogwild baseline instead.
 //
 // Usage:
 //
 //	gw2v-train -corpus corpus.txt -model model.bin -hosts 8 -epochs 16
+//	gw2v-train -workload graph -preset tiny -hosts 4 -model vertices.bin
+//	gw2v-train -workload graph -graph edges.txt -hosts 8
+//
+// A preset is a synthetic planted-community graph, and its runs also
+// report neighbour purity and link-prediction AUC against the planted
+// structure. gw2v-eval -neighbors lists a trained vertex's neighbours.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"graphword2vec/internal/cliutil"
@@ -18,158 +31,116 @@ import (
 	"graphword2vec/internal/corpus"
 	"graphword2vec/internal/model"
 	"graphword2vec/internal/sgns"
-	"graphword2vec/internal/vocab"
+	"graphword2vec/internal/workload"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("gw2v-train: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
+
+// run trains per the command-line args, reporting progress to out.
+// Every flag is checked before any input is read.
+func run(args []string, out io.Writer) (err error) {
+	fs := flag.NewFlagSet("gw2v-train", flag.ContinueOnError)
 	var (
-		corpusPath = flag.String("corpus", "", "training corpus path (required)")
-		modelPath  = flag.String("model", "model.bin", "output model path")
-		dim        = flag.Int("dim", 48, "embedding dimensionality")
-		epochs     = flag.Int("epochs", 16, "training epochs")
-		alpha      = flag.Float64("alpha", 0.025, "initial learning rate")
-		window     = flag.Int("window", 5, "context window")
-		negatives  = flag.Int("negatives", 15, "negative samples per pair")
-		minCount   = flag.Int("min-count", 5, "drop words with fewer occurrences")
-		sample     = flag.Float64("sample", 1e-4, "frequent-word subsampling threshold (0 = off)")
-		hosts      = flag.Int("hosts", 1, "simulated hosts (1 = shared-memory training)")
-		threads    = flag.Int("threads", 1, "Hogwild threads (per host)")
-		syncRounds = flag.Int("sync-rounds", 0, "sync rounds per epoch (0 = rule of thumb)")
-		comm       = cliutil.RegisterComm(flag.CommandLine, "")
-		perf       = cliutil.RegisterPerf(flag.CommandLine)
-		sgnsTier   = flag.String("sgns", "pairwise",
+		wf        = workload.Register(fs, "")
+		modelPath = fs.String("model", "model.bin", "output model path")
+		hosts     = fs.Int("hosts", 1, "simulated hosts (1 = shared-memory training for text)")
+		sgnsTier  = fs.String("sgns", "pairwise",
 			"shared-memory SGNS schedule: pairwise (word2vec.c Hogwild), or batched (Gensim-style jobs whose pair groups share one negative-sample set and score through GEMM kernels; lossy-but-deterministic like -wire fp16 — a coarser SGD schedule, but the same seed always yields the same model, independent of -threads)")
-		sgnsWindow = flag.Int("sgns-window", 8, "batched SGNS tier: pairs per shared-negative GEMM group")
-		seed       = flag.Uint64("seed", 1, "random seed")
-		profiles   = cliutil.RegisterProfiles(flag.CommandLine)
+		sgnsWindow = fs.Int("sgns-window", 8, "batched SGNS tier: pairs per shared-negative GEMM group")
+		profiles   = cliutil.RegisterProfiles(fs)
 	)
-	flag.Parse()
-	if *corpusPath == "" {
-		log.Fatal("-corpus is required")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	shared := wf.Name == "text" && *hosts <= 1
+	if *sgnsTier != "pairwise" && *sgnsTier != "batched" {
+		return fmt.Errorf("unknown -sgns schedule %q (want pairwise or batched)", *sgnsTier)
+	}
+	if *sgnsTier == "batched" && !shared {
+		return errors.New("-sgns batched is the shared-memory text tier; distributed hosts and graphs train pairwise (use -hosts 1)")
+	}
+	if err := wf.Validate(); err != nil {
+		return err
 	}
 	stopProfiles, err := profiles.Start()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	defer func() {
-		if err := stopProfiles(); err != nil {
-			log.Fatal(err)
-		}
-	}()
-	// log.Fatal would skip the deferred stop (os.Exit), losing the
-	// profiles of exactly the runs one wants to inspect — flush first.
-	fatal := func(v ...interface{}) {
-		if perr := stopProfiles(); perr != nil {
-			log.Print(perr)
-		}
-		log.Fatal(v...)
-	}
+	defer func() { err = errors.Join(err, stopProfiles()) }()
 
-	// Pass 1: vocabulary (Algorithm 1 line 3).
-	builder, err := corpus.CountFile(*corpusPath)
+	wl, err := wf.Load(*hosts)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	voc, err := builder.Build(vocab.Options{MinCount: int64(*minCount), Sample: *sample})
-	if err != nil {
-		fatal(err)
-	}
-	neg, err := vocab.NewUnigramTable(voc)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("vocabulary: %d words, %d training tokens\n", voc.Size(), voc.TotalWords())
-
-	// Pass 2: load token ids (each simulated host reads its own shard in
-	// the distributed path; here we materialise once and shard in memory).
-	shards, err := corpus.ShardFile(*corpusPath, 1)
-	if err != nil {
-		fatal(err)
-	}
-	corp, err := corpus.LoadFileShard(*corpusPath, shards[0], voc)
-	if err != nil {
-		fatal(err)
-	}
-
-	if *sgnsTier != "pairwise" && *sgnsTier != "batched" {
-		fatal(fmt.Errorf("unknown -sgns schedule %q (want pairwise or batched)", *sgnsTier))
-	}
-	if *sgnsTier == "batched" && *hosts > 1 {
-		fatal("-sgns batched is the shared-memory tier; distributed hosts train pairwise (use -hosts 1)")
-	}
-
-	params := sgns.Params{Window: *window, Negatives: *negatives, MaxSentenceLength: 10000}
+	fmt.Fprintln(out, wl.Summary)
+	cfg := wl.Config
 	start := time.Now()
 	var trained *model.Model
-	if *hosts <= 1 {
-		m := model.New(voc.Size(), *dim)
-		m.InitRandom(*seed)
-		tr, err := sgns.NewTrainer(m, voc, neg, params)
+	if shared {
+		trained = model.New(wl.Vocab.Size(), wl.Dim)
+		trained.InitRandom(cfg.Seed)
+		tr, err := sgns.NewTrainer(trained, wl.Vocab, wl.Neg, cfg.Params)
 		if err != nil {
-			fatal(err)
+			return err
 		}
+		tokens := wl.Source.(*corpus.Corpus).Tokens
 		var st sgns.Stats
 		if *sgnsTier == "batched" {
-			st = tr.TrainBatched(corp.Tokens, sgns.BatchedConfig{
-				Threads:         *threads,
-				Epochs:          *epochs,
-				Alpha:           float32(*alpha),
-				Seed:            *seed,
+			st = tr.TrainBatched(tokens, sgns.BatchedConfig{
+				Threads:         cfg.ThreadsPerHost,
+				Epochs:          cfg.Epochs,
+				Alpha:           cfg.Alpha,
+				Seed:            cfg.Seed,
 				SharedNegWindow: *sgnsWindow,
 			})
 		} else {
-			st = tr.TrainHogwild(corp.Tokens, sgns.HogwildConfig{
-				Threads: *threads,
-				Epochs:  *epochs,
-				Alpha:   float32(*alpha),
-				Seed:    *seed,
+			st = tr.TrainHogwild(tokens, sgns.HogwildConfig{
+				Threads: cfg.ThreadsPerHost,
+				Epochs:  cfg.Epochs,
+				Alpha:   cfg.Alpha,
+				Seed:    cfg.Seed,
 			})
 		}
-		fmt.Printf("trained %d pairs in %s\n", st.Pairs, time.Since(start).Round(time.Millisecond))
-		trained = m
+		fmt.Fprintf(out, "trained %d pairs in %s\n", st.Pairs, time.Since(start).Round(time.Millisecond))
 	} else {
-		mode, wire, err := comm.Resolve()
-		if err != nil {
-			fatal(err)
-		}
-		cfg := core.DefaultConfig(*hosts)
-		cfg.Epochs = *epochs
-		cfg.Alpha = float32(*alpha)
-		cfg.Params = params
-		cfg.CombinerName = comm.Combiner
-		cfg.Mode = mode
-		cfg.Wire = wire
-		cfg.Seed = *seed
-		cfg.ThreadsPerHost = *threads
-		cfg.SyncOverlap = perf.SyncOverlap
-		if *syncRounds > 0 {
-			cfg.SyncRounds = *syncRounds
-		}
 		cfg.OnEpoch = func(epoch int, _ core.ModelView, er core.EpochResult) {
-			fmt.Printf("epoch %d: alpha %.5f, %d pairs, %s communicated\n",
+			fmt.Fprintf(out, "epoch %d: alpha %.5f, %d pairs, %s communicated\n",
 				epoch+1, er.Alpha, er.Train.Pairs, cliutil.FormatBytes(er.Comm.TotalBytes()))
 		}
-		tr, err := core.NewTrainer(cfg, voc, neg, corp, *dim)
+		tr, err := core.NewTrainer(cfg, wl.Vocab, wl.Neg, wl.Source, wl.Dim)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		res, err := tr.Run()
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("trained on %d hosts (%s, %s) in %s; total volume %s\n",
-			*hosts, comm.Combiner, mode, time.Since(start).Round(time.Millisecond),
+		fmt.Fprintf(out, "trained %d pairs on %d hosts (%s, %s) in %s; total volume %s\n",
+			res.Train.Pairs, *hosts, cfg.CombinerName, cfg.Mode, time.Since(start).Round(time.Millisecond),
 			cliutil.FormatBytes(res.Comm.TotalBytes()))
 		trained = res.Canonical
 	}
+	if d := wl.Dataset; d != nil {
+		acc, err := d.Evaluate(trained)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "community neighbour purity %.3f (base rate %.3f), link-prediction AUC %.3f\n",
+			acc.Purity, 1/float64(d.Cfg.Communities), acc.AUC)
+	}
 
 	if err := trained.SaveFile(*modelPath); err != nil {
-		fatal(err)
+		return err
 	}
-	if err := cliutil.SaveVocabSidecar(*modelPath, voc); err != nil {
-		fatal(err)
+	if err := cliutil.SaveVocabSidecar(*modelPath, wl.Vocab); err != nil {
+		return err
 	}
-	fmt.Printf("saved model to %s\n", *modelPath)
+	fmt.Fprintf(out, "saved model to %s\n", *modelPath)
+	return nil
 }

@@ -25,65 +25,36 @@
 //	wait
 //
 // With ThreadsPerHost (-threads) left at 1 the result is bit-identical
-// to the corresponding simulated-cluster run (gw2v-train -hosts N for
-// text, gw2v-walk -hosts N for graphs) at the same seed and flags.
+// to the simulated-cluster run gw2v-train -hosts N at the same workload,
+// seed and flags: both commands derive their workload through
+// internal/workload.
 package main
 
 import (
 	"errors"
 	"flag"
 	"log"
-	"math"
-	"os"
 	"slices"
 	"strings"
 	"time"
 
 	"graphword2vec/internal/cliutil"
 	"graphword2vec/internal/core"
-	"graphword2vec/internal/corpus"
 	"graphword2vec/internal/gluon"
-	"graphword2vec/internal/harness"
 	"graphword2vec/internal/sgns"
-	"graphword2vec/internal/vocab"
-	"graphword2vec/internal/walk"
+	"graphword2vec/internal/workload"
 )
-
-// applyDefault resolves a sentinel-valued flag to its workload default.
-func applyDefault(flagVal *int, sentinel, def int) {
-	if *flagVal == sentinel {
-		*flagVal = def
-	}
-}
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("gw2v-worker: ")
 	var (
-		workload    = flag.String("workload", "text", "training workload: text or graph")
-		corpusPath  = flag.String("corpus", "", "text workload: training corpus path (identical on every rank)")
-		graphPath   = flag.String("graph", "", "graph workload: edge-list path (identical on every rank)")
-		preset      = flag.String("preset", "", "graph workload: synthetic community graph scale (tiny, small, full)")
-		directed    = flag.Bool("directed", false, "graph workload: treat the edge list as directed")
-		walkLen     = flag.Int("walk-length", 0, "graph workload: vertices per walk (0 = default)")
-		walksPer    = flag.Int("walks-per-vertex", 0, "graph workload: walks per start vertex per epoch (0 = default)")
+		wf          = workload.Register(flag.CommandLine, ", identical on every rank")
 		rank        = flag.Int("rank", -1, "this worker's host id in [0, hosts) (required)")
 		peersCSV    = flag.String("peers", "", "comma-separated host:port list, one per rank (required)")
 		listenAddr  = flag.String("listen", "", "bind address override (default: the -peers entry for this rank)")
 		modelPath   = flag.String("model", "model.bin", "output model path (written by rank 0)")
-		dim         = flag.Int("dim", 0, "embedding dimensionality (0 = workload default: 48 for text, the preset's scale default or 48 for graphs)")
-		epochs      = flag.Int("epochs", 0, "training epochs (0 = workload default: 16 for text, 8 for graphs)")
-		alpha       = flag.Float64("alpha", 0.025, "initial learning rate")
-		window      = flag.Int("window", 5, "context window")
-		negatives   = flag.Int("negatives", -1, "negative samples per pair (-1 = workload default: 15 for text, 5 for graphs)")
-		minCount    = flag.Int("min-count", 5, "text workload: drop words with fewer occurrences")
-		sample      = flag.Float64("sample", 1e-4, "text workload: frequent-word subsampling threshold (0 = off)")
-		threads     = flag.Int("threads", 1, "Hogwild threads on this host (>1 sacrifices bit-determinism)")
-		syncRounds  = flag.Int("sync-rounds", 0, "sync rounds per epoch (0 = rule of thumb)")
-		commFlags   = cliutil.RegisterComm(flag.CommandLine, ", identical on every rank")
-		perfFlags   = cliutil.RegisterPerf(flag.CommandLine)
 		healFlags   = cliutil.RegisterHeal(flag.CommandLine)
-		seed        = flag.Uint64("seed", 1, "random seed (identical on every rank)")
 		dialTimeout = flag.Duration("dial-timeout", 30*time.Second, "how long to wait for peers during bootstrap")
 		quiet       = flag.Bool("quiet", false, "suppress per-epoch progress")
 
@@ -103,116 +74,6 @@ func main() {
 		log.Fatalf("-rank %d out of range for %d peers", *rank, len(peers))
 	}
 	hosts := len(peers)
-	mode, wire, err := commFlags.Resolve()
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// Every rank derives the workload locally and deterministically — the
-	// text corpus or edge list is a shared file, the synthetic graph a
-	// shared seed — so all ranks agree on node ids and shard boundaries
-	// without any wire traffic. The checksum exchanged during the mesh
-	// handshake guards against divergent derivations.
-	var (
-		voc    *vocab.Vocabulary
-		src    corpus.SequenceSource
-		params sgns.Params
-		extra  []uint64
-	)
-	switch *workload {
-	case "text":
-		if *corpusPath == "" {
-			log.Fatal("-corpus is required for the text workload")
-		}
-		applyDefault(epochs, 0, 16)
-		applyDefault(dim, 0, 48)
-		applyDefault(negatives, -1, 15)
-		builder, err := corpus.CountFile(*corpusPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		voc, err = builder.Build(vocab.Options{MinCount: int64(*minCount), Sample: *sample})
-		if err != nil {
-			log.Fatal(err)
-		}
-		f, err := os.Open(*corpusPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		corp, err := corpus.Load(f, voc)
-		f.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		src = corp
-		params = sgns.Params{Window: *window, Negatives: *negatives, MaxSentenceLength: 10000}
-		// Fold the vocabulary options into the fingerprint: -sample in
-		// particular changes every subsampling decision without changing
-		// the vocabulary size or token count.
-		extra = []uint64{0, math.Float64bits(*sample), uint64(*minCount)}
-		if !*quiet {
-			log.Printf("rank %d/%d: vocabulary %d words, corpus %d tokens", *rank, hosts, voc.Size(), src.Len())
-		}
-	case "graph":
-		wcfg := walk.DefaultConfig()
-		if *walkLen > 0 {
-			wcfg.WalkLength = *walkLen
-		}
-		if *walksPer > 0 {
-			wcfg.WalksPerVertex = *walksPer
-		}
-		// harness.LoadGraphInput is the same resolution gw2v-walk uses,
-		// which is what keeps the two binaries bit-comparable at equal
-		// flags; the workload defaults below match gw2v-walk's too.
-		gi, err := harness.LoadGraphInput(*preset, *graphPath, *directed, wcfg, *seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		applyDefault(epochs, 0, 8)
-		applyDefault(dim, 0, gi.DefaultDim)
-		applyDefault(negatives, -1, 5)
-		voc, src = gi.Vocab, gi.Walker
-		params = sgns.Params{Window: *window, Negatives: *negatives, MaxSentenceLength: wcfg.WalkLength}
-		g := gi.Walker.Graph()
-		// The structure fingerprint covers graph *content*: two edge
-		// lists with equal vertex/edge counts but a differing edge or
-		// weight still fail the handshake.
-		extra = []uint64{1, uint64(wcfg.WalkLength), uint64(wcfg.WalksPerVertex), g.Fingerprint()}
-		if !*quiet {
-			log.Printf("rank %d/%d: graph of %d vertices / %d edges, %d walk tokens per epoch",
-				*rank, hosts, g.NumVertices(), g.NumEdges(), src.Len())
-		}
-	default:
-		log.Fatalf("unknown -workload %q (want text or graph)", *workload)
-	}
-
-	neg, err := vocab.NewUnigramTable(voc)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg := core.DefaultConfig(hosts)
-	cfg.Epochs = *epochs
-	cfg.Alpha = float32(*alpha)
-	cfg.Params = params
-	cfg.CombinerName = commFlags.Combiner
-	cfg.Mode = mode
-	cfg.Wire = wire
-	cfg.Seed = *seed
-	cfg.ThreadsPerHost = *threads
-	cfg.SyncOverlap = perfFlags.SyncOverlap
-	cfg.Heal = healFlags.Heal
-	cfg.HealBudget = healFlags.Budget
-	budgetSet := false
-	flag.Visit(func(f *flag.Flag) { budgetSet = budgetSet || f.Name == "heal-budget" })
-	if !cfg.Heal && !budgetSet {
-		// Without healing a dropped connection is a dead peer once it
-		// outlasts -peer-timeout, like a silent one (0: the library's 5s).
-		cfg.HealBudget = *peerTimeout
-	}
-	if *syncRounds > 0 {
-		cfg.SyncRounds = *syncRounds
-	}
-
 	if *resumeFlag && *ckptDir == "" {
 		log.Fatal("-resume requires -checkpoint-dir")
 	}
@@ -225,7 +86,26 @@ func main() {
 	if *minHosts < 0 || *minHosts > hosts {
 		log.Fatalf("-min-hosts %d out of range [0,%d]", *minHosts, hosts)
 	}
-	sum := cfg.Checksum(voc.Size(), src.Len(), *dim, extra...)
+
+	wl, err := wf.Load(hosts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if !*quiet {
+		log.Printf("rank %d/%d: %s", *rank, hosts, wl.Summary)
+	}
+	cfg := wl.Config
+	cfg.Heal = healFlags.Heal
+	cfg.HealBudget = healFlags.Budget
+	budgetSet := false
+	flag.Visit(func(f *flag.Flag) { budgetSet = budgetSet || f.Name == "heal-budget" })
+	if !cfg.Heal && !budgetSet {
+		// Without healing a dropped connection is a dead peer once it
+		// outlasts -peer-timeout, like a silent one (0: the library's 5s).
+		cfg.HealBudget = *peerTimeout
+	}
+
+	sum := cfg.Checksum(wl.Vocab.Size(), wl.Source.Len(), wl.Dim, wl.Extra...)
 	var tcpOpts gluon.TCPOptions
 	if *peerTimeout > 0 {
 		tcpOpts = gluon.TCPOptions{
@@ -293,7 +173,7 @@ func main() {
 				OldRank: prevRank,
 			}
 		}
-		res, err = core.RunDistributedOpts(c, curRank, tr, voc, neg, src, *dim, opts)
+		res, err = core.RunDistributedOpts(c, curRank, tr, wl.Vocab, wl.Neg, wl.Source, wl.Dim, opts)
 		return res, nil, err
 	}
 
@@ -360,7 +240,7 @@ func main() {
 		if err := res.Canonical.SaveFile(*modelPath); err != nil {
 			log.Fatal(err)
 		}
-		if err := cliutil.SaveVocabSidecar(*modelPath, voc); err != nil {
+		if err := cliutil.SaveVocabSidecar(*modelPath, wl.Vocab); err != nil {
 			log.Fatal(err)
 		}
 		log.Printf("rank 0: saved canonical model to %s", *modelPath)

@@ -1,9 +1,8 @@
 package cliutil
 
-// Shared flag surfaces. Before these helpers, gw2v-train, gw2v-worker
-// and gw2v-walk each declared their own -combiner/-mode/-wire trio and
-// gw2v-train/gw2v-bench their own -cpuprofile/-memprofile pair, with
-// hand-copied help text that had already started to drift. Every tool
+// Shared flag surfaces. Before these helpers, each training command
+// declared its own -combiner/-mode/-wire trio and gw2v-train/gw2v-bench
+// their own -cpuprofile/-memprofile pair, with hand-copied help text that had already started to drift. Every tool
 // now registers the canonical definition, so flag names, defaults and
 // documentation stay identical across the whole CLI by construction.
 
@@ -57,8 +56,9 @@ func (c *CommFlags) Resolve() (gluon.Mode, gluon.Codec, error) {
 
 // PerfFlags holds the per-host performance knobs after parsing —
 // settings that change only when work happens, never what is computed.
-// Like core.Config.SyncWorkers they are excluded from the cluster
-// checksum, so ranks of one cluster may legitimately disagree.
+// Like the sync pipeline's worker count, which gluon picks from
+// GOMAXPROCS, they are excluded from the cluster checksum, so ranks of
+// one cluster may legitimately disagree.
 type PerfFlags struct {
 	// SyncOverlap double-buffers the BSP step (DESIGN.md §12).
 	SyncOverlap bool

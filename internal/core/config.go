@@ -48,25 +48,16 @@ type Config struct {
 	// experiment harness keeps 1 and models intra-host parallelism via
 	// ModeledThreadsPerHost instead (see DESIGN.md).
 	ThreadsPerHost int
-	// SyncWorkers selects each host's synchronisation-round pipeline
-	// (gluon.HostSync.SetSyncWorkers): 1 runs rounds serially, any
-	// larger value encodes/sends/decodes per-peer frames concurrently
-	// (one worker per peer per phase, bounded by the cluster size), 0
-	// picks GOMAXPROCS. Models are byte-identical for every setting —
-	// the reduction fold stays host-ordered — so unlike ThreadsPerHost
-	// this knob is excluded from the cluster checksum and may even
-	// differ between hosts of one cluster.
-	SyncWorkers int
 	// SyncOverlap double-buffers the BSP step (DESIGN.md §12): each
 	// synchronisation round runs on a background goroutine while the
 	// next round's compute starts on the rows the round has already
 	// finalised, blocking per node until finality. The fold order and
 	// every RNG stream are unchanged — overlapped runs are bit-identical
-	// to serialized ones — so like SyncWorkers this is a per-host
-	// performance knob, excluded from the cluster checksum; hosts
-	// without it simply discard the touched announcements. Capped at
-	// gluon.OverlapHostCap (64) hosts: Validate refuses larger clusters
-	// with gluon.ErrOverlapHostCap.
+	// to serialized ones — so this is a per-host performance knob,
+	// excluded from the cluster checksum; hosts without it simply
+	// discard the touched announcements. Capped at gluon.OverlapHostCap
+	// (64) hosts: Validate refuses larger clusters with
+	// gluon.ErrOverlapHostCap.
 	SyncOverlap bool
 	// Heal sets this rank's gluon session policy (PROTOCOL.md §12) on
 	// TCP meshes: transient connection faults — resets, partitions,
@@ -76,9 +67,8 @@ type Config struct {
 	// either way, so this is a per-rank policy, not a framing, and
 	// ranks may disagree. Healing changes only when bytes move, never
 	// what is computed — a healed run is bit-identical to a fault-free
-	// one — so like SyncWorkers and SyncOverlap this knob is excluded
-	// from the cluster checksum. Ignored by the in-process simulated
-	// cluster.
+	// one — so like SyncOverlap this knob is excluded from the cluster
+	// checksum. Ignored by the in-process simulated cluster.
 	Heal bool
 	// HealBudget bounds how long one peer pair may spend broken before
 	// the transport escalates to ErrPeerLost, handing the fault to the
@@ -163,8 +153,6 @@ func (c *Config) Validate() error {
 		return errors.New("core: MinAlphaFactor must be in [0,1]")
 	case c.ThreadsPerHost <= 0:
 		return errors.New("core: ThreadsPerHost must be positive")
-	case c.SyncWorkers < 0:
-		return errors.New("core: SyncWorkers must be non-negative")
 	case c.HealBudget < 0:
 		return errors.New("core: HealBudget must be non-negative")
 	case c.SyncOverlap && c.Hosts > gluon.OverlapHostCap:

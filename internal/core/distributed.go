@@ -41,9 +41,9 @@ const (
 // launch (gw2v-worker pins it across elastic relaunches).
 //
 // Per-host performance knobs that never change what is computed —
-// SyncWorkers, SyncOverlap, and the session-healing pair Heal /
-// HealBudget — are likewise excluded: ranks of one cluster may
-// legitimately disagree on them (PROTOCOL.md §12).
+// SyncOverlap and the session-healing pair Heal / HealBudget — are
+// likewise excluded: ranks of one cluster may legitimately disagree on
+// them (PROTOCOL.md §12).
 func (c *Config) Checksum(vocabSize, corpusLen, dim int, extra ...uint64) uint64 {
 	var shuffle uint64
 	if c.ShuffleEachEpoch {

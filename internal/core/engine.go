@@ -302,7 +302,6 @@ func newEngine(cfg Config, host int, tr gluon.Transport, voc *vocab.Vocabulary, 
 	if err != nil {
 		return nil, err
 	}
-	hs.SetSyncWorkers(cfg.SyncWorkers)
 	st, err := sgns.NewTrainer(local, voc, neg, cfg.Params)
 	if err != nil {
 		return nil, err
@@ -333,9 +332,6 @@ func newEngine(cfg Config, host int, tr gluon.Transport, voc *vocab.Vocabulary, 
 		e.perThread[th] = bitset.New(voc.Size())
 	}
 	if cfg.SyncOverlap {
-		if err := hs.SetSyncOverlap(true); err != nil {
-			return nil, err
-		}
 		e.touchedNext = bitset.New(voc.Size())
 		e.gates = make([]*overlapGate, threads)
 		for th := 0; th < threads; th++ {
@@ -566,7 +562,8 @@ func (e *Engine) inspectNext(epoch, round int) {
 
 // syncRound runs one bulk-synchronous synchronisation (Algorithm 1 line
 // 10) against the rest of the cluster and records its wall time in
-// syncSeconds (the per-phase timer behind the sync-latency experiment).
+// syncSeconds (the per-phase timer behind EngineResult.SyncSeconds and
+// the benchmark's core.sync_s).
 func (e *Engine) syncRound(round uint32) error {
 	start := time.Now()
 	err := e.sync.Sync(round, e.local, e.base, e.touched, e.access)
@@ -582,7 +579,7 @@ func (e *Engine) syncRound(round uint32) error {
 // whose preceding boundary is a checkpoint or stop cut — the snapshot
 // there has to capture a model without round+1's updates.
 func (e *Engine) overlapNextOK(round int, globalRound uint32) bool {
-	if !e.sync.SyncOverlap() || round+1 >= e.cfg.SyncRounds {
+	if !e.cfg.SyncOverlap || round+1 >= e.cfg.SyncRounds {
 		return false
 	}
 	if e.stopAfter > 0 && globalRound+1 >= e.stopAfter {

@@ -37,9 +37,9 @@ type Trainer struct {
 
 	// TransportFactory, when non-nil, builds the cluster's transports —
 	// one per host — instead of the default shared in-process transport.
-	// The sync-latency experiment uses it to drive the identical
-	// lockstep trainer over a loopback TCP cluster, so per-round sync
-	// timings can be measured on real sockets. cleanup (may be nil) is
+	// The bit-identity tests use it to drive the identical lockstep
+	// trainer over a loopback TCP cluster, which must train the same
+	// model the in-process transport does. cleanup (may be nil) is
 	// invoked when Run returns.
 	TransportFactory func(hosts int) (trs []gluon.Transport, cleanup func(), err error)
 }

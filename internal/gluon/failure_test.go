@@ -2,6 +2,7 @@ package gluon
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -148,6 +149,64 @@ func TestSyncRejectsUnexpectedAccessMessage(t *testing.T) {
 	}
 }
 
+// TestSyncRejectsUnexpectedTouchedMessage: touched announcements are
+// only legal in RepModel-Opt, the one scheme whose overlapped rounds
+// send them.
+func TestSyncRejectsUnexpectedTouchedMessage(t *testing.T) {
+	for _, mode := range []Mode{RepModelNaive, PullModel} {
+		part, err := graph.NewPartition(10, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := NewInProcTransport(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		init := model.New(10, 2)
+		hs0, err := NewHostSync(0, part, tr, 2, mode, combine.Sum{}, CodecPacked)
+		if err != nil {
+			t.Fatal(err)
+		}
+		touched := bitset.New(10)
+		touched.Set(3)
+		// A garbage frame after it ends the round even if the touched
+		// announcement were accepted.
+		for _, frame := range [][]byte{appendTouchedMessage(nil, 0, touched), {0xFF}} {
+			if err := tr.Send(1, 0, frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		err = hs0.Sync(0, init.Clone(), init.Clone(), bitset.New(10), bitset.New(10))
+		if err == nil || !strings.Contains(err.Error(), "touched announcement") {
+			t.Errorf("%v: Sync = %v, want the touched announcement rejected", mode, err)
+		}
+		tr.Close()
+	}
+}
+
+// TestSyncStartOverlapHostCap: an overlapped round on a cluster past
+// OverlapHostCap is refused by name, not run with a truncated mask.
+func TestSyncStartOverlapHostCap(t *testing.T) {
+	const hosts = OverlapHostCap + 1
+	part, err := graph.NewPartition(2*hosts, hosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := NewInProcTransport(hosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	hs, err := NewHostSync(0, part, tr, 2, RepModelOpt, combine.Sum{}, CodecPacked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	init := model.New(2*hosts, 2)
+	if err := hs.SyncStart(0, init.Clone(), init.Clone(), bitset.New(2*hosts), nil); !errors.Is(err, ErrOverlapHostCap) {
+		t.Fatalf("SyncStart on %d hosts = %v, want ErrOverlapHostCap", hosts, err)
+	}
+}
+
 // TestSyncRejectsCorruptPayload: a garbage frame must error out.
 func TestSyncRejectsCorruptPayload(t *testing.T) {
 	part, err := graph.NewPartition(10, 2)
@@ -234,7 +293,7 @@ func TestRoundErrorNamesCause(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			hs.SetSyncWorkers(workers)
+			hs.workers = workers
 			err = hs.Sync(0, init.Clone(), init.Clone(), touched, nil)
 			if !errors.Is(err, tc.want) || tc.want != ErrTransportClosed && errors.Is(err, ErrTransportClosed) {
 				t.Errorf("%s, %d workers: Sync = %v, want %v", tc.name, workers, err, tc.want)

@@ -310,12 +310,12 @@ func TestWireGoldenDecodes(t *testing.T) {
 	if err != nil || kind != kindBarrier || tag != 9 {
 		t.Fatalf("barrier = (%d, %d, %v)", kind, tag, err)
 	}
-	var accessed []int
-	if err := parseAccessMessage(lookup["access"], func(n int) { accessed = append(accessed, n) }); err != nil {
+	accessed := bitset.New(17)
+	if err := parseAccessInto(lookup["access"], accessed); err != nil {
 		t.Fatal(err)
 	}
-	if len(accessed) != 3 || accessed[0] != 4 || accessed[1] != 9 || accessed[2] != 16 {
-		t.Fatalf("access nodes = %v", accessed)
+	if accessed.Count() != 3 || !accessed.Get(4) || !accessed.Get(9) || !accessed.Get(16) {
+		t.Fatalf("access nodes = %v", accessed.AppendRange(nil, 0, 17))
 	}
 
 	// Touched frame (protocol v5): same bitmap payload as access, kind

@@ -32,11 +32,13 @@ import (
 // must not depend on arrival order, which is what keeps overlapped
 // models bit-identical to serialized ones.
 //
-// Touched announcements ride a new frame kind (kindTouched) that hosts
-// running without overlap simply discard, so the flag can differ across
-// a cluster (it is checksum-excluded, like SyncWorkers): gating then
-// degrades from per-node to range-level but stays correct, because
-// annDone just never fires.
+// Touched announcements ride their own frame kind (kindTouched), sent
+// only by RepModel-Opt rounds. A host whose round runs serialized
+// buffers announcements for rounds ahead of it and drops them when that
+// round comes, so overlap can differ across a cluster (it is a per-host
+// performance choice, excluded from the config checksum): a peer's
+// gating then degrades from per-node to range-level but stays correct,
+// because annDone just never fires.
 
 // SyncProgress publishes one in-flight round's completion events. The
 // zero value is usable after init(); reads are snapshot-based so the
@@ -136,33 +138,10 @@ func (pr *SyncProgress) postDone() {
 const OverlapHostCap = 64
 
 // ErrOverlapHostCap refuses overlapped rounds on a cluster wider than
-// OverlapHostCap. core.Config.Validate reports it at configuration time,
-// so no run silently falls back to serialized rounds.
+// OverlapHostCap. SyncStart returns it, and core.Config.Validate reports
+// it at configuration time, so no run silently falls back to serialized
+// rounds.
 var ErrOverlapHostCap = fmt.Errorf("gluon: sync overlap supports at most %d hosts", OverlapHostCap)
-
-// SetSyncOverlap configures whether SyncStart/SyncFinish rounds
-// announce and consume touched sets; clusters past OverlapHostCap are
-// refused with ErrOverlapHostCap. Like SetSyncWorkers this is a
-// per-host performance knob, excluded from the config checksum: hosts
-// with it off just discard announcements, so mixed clusters
-// interoperate — per-node gating on such a cluster degrades to
-// range-level because the union touched set never completes.
-func (hs *HostSync) SetSyncOverlap(on bool) error {
-	if on && hs.part.NumHosts() > OverlapHostCap {
-		return ErrOverlapHostCap
-	}
-	hs.overlapConfigured = on
-	if on && hs.unionTouched == nil {
-		hs.unionTouched = bitset.New(hs.part.NumNodes())
-		hs.progress.init()
-		hs.roundCh = make(chan error, 1)
-		hs.goRound = func() { hs.roundCh <- hs.runRound() }
-	}
-	return nil
-}
-
-// SyncOverlap reports whether overlapped rounds are configured.
-func (hs *HostSync) SyncOverlap() bool { return hs.overlapConfigured }
 
 // Progress returns the event tracker for the in-flight round. The
 // pointer is stable across rounds; resetRound invalidates snapshots by
@@ -181,12 +160,13 @@ func (hs *HostSync) UnionTouched() *bitset.Bitset { return hs.unionTouched }
 // two calls the caller owns neither local, base nor touched for the
 // nodes the round covers — it may only access rows the Progress events
 // have declared final (the caller enforces this; sgns.NodeGate is the
-// enforcement seam). Requires SetSyncOverlap(true); rounds must not be
-// nested, and Barrier/GatherMasters/NegotiateMembership must not run while
-// a round is in flight.
+// enforcement seam). Clusters past OverlapHostCap are refused with
+// ErrOverlapHostCap; rounds must not be nested, and
+// Barrier/GatherMasters/NegotiateMembership must not run while a round
+// is in flight.
 func (hs *HostSync) SyncStart(round uint32, local, base *model.Model, touched *bitset.Bitset, nextAccess *bitset.Bitset) error {
-	if !hs.overlapConfigured {
-		return fmt.Errorf("gluon: SyncStart without SetSyncOverlap(true)")
+	if hs.part.NumHosts() > OverlapHostCap {
+		return ErrOverlapHostCap
 	}
 	if hs.inFlight {
 		return fmt.Errorf("gluon: SyncStart while round %d is in flight", hs.curRound)
@@ -214,14 +194,11 @@ func (hs *HostSync) SyncFinish() error {
 
 // acceptTouched routes an incoming touched announcement: merge it when
 // it belongs to the overlapped round in flight, buffer it when the
-// sender raced ahead into a future round, and drop it otherwise (we run
-// without overlap, or ran that round serialized — the union is unused
-// there). Rounds are visited in order and prepRound drains this kind's
-// pending key every round, so buffered frames never accumulate.
+// sender raced ahead into a future round, and drop it otherwise (we ran
+// that round serialized — the union is unused there). Rounds are
+// visited in order and prepRound drains this kind's pending key every
+// round, so buffered frames never accumulate.
 func (hs *HostSync) acceptTouched(from int, round uint32, payload []byte) error {
-	if !hs.overlapConfigured {
-		return nil
-	}
 	if hs.overlapRound && round == hs.curRound {
 		return hs.mergeTouched(from, payload)
 	}

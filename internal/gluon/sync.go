@@ -134,13 +134,19 @@ func (s *Stats) Add(other Stats) {
 // Sync, Barrier and GatherMasters must be called from one goroutine (the
 // host's driver); the concurrency inside a round is HostSync's own.
 type HostSync struct {
-	host    int
-	part    *graph.Partition
-	tr      Transport
-	dim     int
-	mode    Mode
-	comb    combine.Combiner
-	codec   Codec
+	host  int
+	part  *graph.Partition
+	tr    Transport
+	dim   int
+	mode  Mode
+	comb  combine.Combiner
+	codec Codec
+	// workers is GOMAXPROCS at construction: 1 runs every round phase
+	// serially on the calling goroutine, more enables the concurrent
+	// pipeline (one worker per peer per phase, so the goroutine count is
+	// bounded by the cluster size). Models are byte-identical either
+	// way; the choice is purely a performance one, made from the CPUs
+	// the process may use.
 	workers int
 
 	// stats accumulates sent-side traffic.
@@ -181,25 +187,24 @@ type HostSync struct {
 	combScratch  []float32
 	ownedTouched []int32
 
-	// Overlapped-round state (overlap.go). overlapConfigured is the
-	// SetSyncOverlap knob; overlapRound marks the round in flight as an
-	// overlapped one (announcements sent, events posted); inFlight
-	// guards the SyncStart/SyncFinish pairing. unionTouched accumulates
-	// every host's announced touched set for the current overlapped
-	// round (RepModel-Opt), annRemaining counts the outstanding
-	// announcements, and touchedBuf is the reused announcement frame —
-	// its reuse across rounds is safe by the same BSP argument as the
-	// other frame buffers: a peer consumes our round-r announcement
-	// before it can emit the round-r traffic our SyncFinish waits for.
-	overlapConfigured bool
-	overlapRound      bool
-	inFlight          bool
-	annRemaining      int
-	unionTouched      *bitset.Bitset
-	touchedBuf        []byte
-	progress          SyncProgress
-	roundCh           chan error
-	goRound           func()
+	// Overlapped-round state (overlap.go). overlapRound marks the round
+	// in flight as an overlapped one (announcements sent, events
+	// posted); inFlight guards the SyncStart/SyncFinish pairing.
+	// unionTouched accumulates every host's announced touched set for
+	// the current overlapped round (RepModel-Opt), annRemaining counts
+	// the outstanding announcements, and touchedBuf is the reused
+	// announcement frame — its reuse across rounds is safe by the same
+	// BSP argument as the other frame buffers: a peer consumes our
+	// round-r announcement before it can emit the round-r traffic our
+	// SyncFinish waits for.
+	overlapRound bool
+	inFlight     bool
+	annRemaining int
+	unionTouched *bitset.Bitset
+	touchedBuf   []byte
+	progress     SyncProgress
+	roundCh      chan error
+	goRound      func()
 
 	// Shared broadcast frame for the RepModel schemes, where the frame
 	// is identical for every peer: encoded once, sent n−1 times — plus
@@ -325,23 +330,27 @@ func NewHostSync(host int, part *graph.Partition, tr Transport, dim int, mode Mo
 	lo, hi := part.MasterRange(host)
 	n := part.NumHosts()
 	hs := &HostSync{
-		host:        host,
-		part:        part,
-		tr:          tr,
-		dim:         dim,
-		mode:        mode,
-		comb:        comb,
-		codec:       codec,
-		workers:     runtime.GOMAXPROCS(0),
-		pending:     make(map[pendingKey]*pendingQueue),
-		acc:         combine.NewAccumulator(lo, hi, n, dim),
-		scratch:     make([]float32, 2*dim),
-		combScratch: make([]float32, 2*dim),
-		bcastVec:    make([]float32, 2*dim),
-		peers:       make([]peerState, n),
-		sendErrs:    make([]error, n),
-		decErrs:     make([]error, n),
+		host:         host,
+		part:         part,
+		tr:           tr,
+		dim:          dim,
+		mode:         mode,
+		comb:         comb,
+		codec:        codec,
+		workers:      runtime.GOMAXPROCS(0),
+		pending:      make(map[pendingKey]*pendingQueue),
+		acc:          combine.NewAccumulator(lo, hi, n, dim),
+		scratch:      make([]float32, 2*dim),
+		combScratch:  make([]float32, 2*dim),
+		bcastVec:     make([]float32, 2*dim),
+		peers:        make([]peerState, n),
+		sendErrs:     make([]error, n),
+		decErrs:      make([]error, n),
+		unionTouched: bitset.New(part.NumNodes()),
+		roundCh:      make(chan error, 1),
 	}
+	hs.progress.init()
+	hs.goRound = func() { hs.roundCh <- hs.runRound() }
 	hs.reduceVecAt = func(nd int32, dst []float32) { nodeDelta(hs.curLocal, hs.curBase, nd, dst) }
 	hs.bcastVecAt = func(nd int32, dst []float32) { nodeValue(hs.curLocal, nd, dst) }
 	hs.bcastHalfAt = func(nd int32) byte {
@@ -407,25 +416,6 @@ func (hs *HostSync) Mode() Mode { return hs.mode }
 
 // Codec returns the configured wire codec.
 func (hs *HostSync) Codec() Codec { return hs.codec }
-
-// SetSyncWorkers selects the round pipeline: 1 runs every phase
-// serially on the calling goroutine (the pre-concurrency behaviour);
-// any value above 1 enables the concurrent pipeline, which uses one
-// worker per peer per phase — the goroutine count is bounded by the
-// cluster size, not by n (real parallelism is throttled by GOMAXPROCS
-// as usual). n < 1 restores the default (GOMAXPROCS, i.e. serial on a
-// single-CPU machine). Models are byte-identical for every setting —
-// the deterministic host-ordered fold is the only order-sensitive step
-// — so this is purely a performance knob.
-func (hs *HostSync) SetSyncWorkers(n int) {
-	if n < 1 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	hs.workers = n
-}
-
-// SyncWorkers returns the current worker setting.
-func (hs *HostSync) SyncWorkers() int { return hs.workers }
 
 // parallel reports whether the round pipeline runs concurrently.
 func (hs *HostSync) parallel() bool { return hs.workers > 1 }
@@ -518,7 +508,7 @@ func (hs *HostSync) prepRound(round uint32, local, base *model.Model, touched *b
 		if !ok {
 			break
 		}
-		if overlap && hs.mode == RepModelOpt {
+		if overlap {
 			if err := hs.mergeTouched(m.from, m.payload); err != nil {
 				return err
 			}
@@ -974,8 +964,12 @@ func (hs *HostSync) nextMessage(kind byte, round uint32) (int, []byte, error) {
 		}
 		if k == kindTouched {
 			// Overlap announcements (PROTOCOL.md §11): merged, buffered
-			// or discarded — hosts running without overlap stay
-			// compatible with peers that announce.
+			// or discarded — hosts running a round serialized stay
+			// compatible with peers that announce. Only RepModel-Opt
+			// rounds announce, and Mode is in the config checksum.
+			if hs.mode != RepModelOpt {
+				return 0, nil, fmt.Errorf("gluon: unexpected touched announcement from host %d in mode %v", from, hs.mode)
+			}
 			if err := hs.acceptTouched(from, r, payload); err != nil {
 				return 0, nil, err
 			}

@@ -124,7 +124,7 @@ func TestSyncRoundZeroAllocs(t *testing.T) {
 				t.Run(fmt.Sprintf("workers=%d/%v/%v", workers, mode, codec), func(t *testing.T) {
 					c := newClusterCodec(t, hosts, nodes, dim, mode, "MC", codec)
 					for _, hs := range c.syncs {
-						hs.SetSyncWorkers(workers)
+						hs.workers = workers
 					}
 					touched := fixedTouched(c, perHost, 11)
 					var access []*bitset.Bitset
@@ -170,7 +170,7 @@ func TestSyncConcurrentHammer(t *testing.T) {
 			t.Run(fmt.Sprintf("%v/%v", mode, codec), func(t *testing.T) {
 				c := newClusterCodec(t, hosts, nodes, dim, mode, "MC", codec)
 				for _, hs := range c.syncs {
-					hs.SetSyncWorkers(8)
+					hs.workers = 8
 				}
 				// Per-host free-running drivers: each host performs its
 				// compute perturbation and Sync for all rounds with no
@@ -232,7 +232,7 @@ func TestSyncWorkersBitIdentical(t *testing.T) {
 	run := func(workers int) *cluster {
 		c := newCluster(t, 3, 100, 8, RepModelOpt, "MC")
 		for _, hs := range c.syncs {
-			hs.SetSyncWorkers(workers)
+			hs.workers = workers
 		}
 		for round := uint32(0); round < 4; round++ {
 			touched := make([]*bitset.Bitset, 3)
@@ -262,7 +262,7 @@ func TestSyncPendingQueueBounded(t *testing.T) {
 	const hosts, nodes, dim, roundsN = 3, 60, 4, 50
 	c := newCluster(t, hosts, nodes, dim, RepModelOpt, "MC")
 	for _, hs := range c.syncs {
-		hs.SetSyncWorkers(4)
+		hs.workers = 4
 	}
 	// Free-running hosts maximise out-of-phase arrivals.
 	errs := make([]error, hosts)
@@ -344,7 +344,7 @@ func TestSyncBufferReuseAcrossTransports(t *testing.T) {
 		defer cleanup()
 		c := clusterOverTransports(t, trs, nodes, dim, RepModelOpt, "MC", CodecPacked)
 		for _, hs := range c.syncs {
-			hs.SetSyncWorkers(6)
+			hs.workers = 6
 		}
 		for round := uint32(0); round < roundsN; round++ {
 			touched := make([]*bitset.Bitset, hosts)

@@ -195,23 +195,3 @@ func parseAccessInto(payload []byte, acc *bitset.Bitset) error {
 	acc.UnpackRange(packed, lo, lo+bits)
 	return nil
 }
-
-// parseAccessMessage decodes an access announcement, invoking fn for each
-// set node id.
-func parseAccessMessage(payload []byte, fn func(node int)) error {
-	if len(payload) < headerBytes+8 {
-		return fmt.Errorf("gluon: short access message (%d bytes)", len(payload))
-	}
-	lo := int(binary.LittleEndian.Uint32(payload[headerBytes:]))
-	bits := int(binary.LittleEndian.Uint32(payload[headerBytes+4:]))
-	packed := payload[headerBytes+8:]
-	if len(packed) != (bits+7)/8 {
-		return fmt.Errorf("gluon: access bitmap length %d, want %d", len(packed), (bits+7)/8)
-	}
-	for i := 0; i < bits; i++ {
-		if packed[i>>3]&(1<<(uint(i)&7)) != 0 {
-			fn(lo + i)
-		}
-	}
-	return nil
-}

@@ -3,6 +3,8 @@ package gluon
 import (
 	"errors"
 	"testing"
+
+	"graphword2vec/internal/bitset"
 )
 
 // testFrameFlags returns the flag set a CodecPacked HostSync applies to
@@ -107,33 +109,37 @@ func TestAccessMessageRoundTrip(t *testing.T) {
 	if kind != kindAccess || round != 3 {
 		t.Fatalf("header = (%d, %d)", kind, round)
 	}
-	var got []int
-	if err := parseAccessMessage(msg, func(n int) { got = append(got, n) }); err != nil {
+	got := bitset.New(25)
+	if err := parseAccessInto(msg, got); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 3 || got[0] != 10 || got[1] != 13 || got[2] != 24 {
-		t.Fatalf("access nodes = %v", got)
+	if got.Count() != 3 || !got.Get(10) || !got.Get(13) || !got.Get(24) {
+		t.Fatalf("access nodes = %v", got.AppendRange(nil, 0, 25))
 	}
 }
 
 func TestAccessMessageEmptyRange(t *testing.T) {
 	msg := accessMessage(0, 5, 5, func(int) bool { return true })
-	n := 0
-	if err := parseAccessMessage(msg, func(int) { n++ }); err != nil {
+	got := bitset.New(8)
+	if err := parseAccessInto(msg, got); err != nil {
 		t.Fatal(err)
 	}
-	if n != 0 {
+	if got.Count() != 0 {
 		t.Fatal("entries from empty range")
 	}
 }
 
 func TestParseAccessMessageRejectsCorrupt(t *testing.T) {
-	if err := parseAccessMessage([]byte{1}, nil); err == nil {
+	acc := bitset.New(64)
+	if err := parseAccessInto([]byte{1}, acc); err == nil {
 		t.Error("short access message accepted")
 	}
 	msg := accessMessage(0, 0, 64, func(int) bool { return true })
-	if err := parseAccessMessage(msg[:len(msg)-2], nil); err == nil {
+	if err := parseAccessInto(msg[:len(msg)-2], acc); err == nil {
 		t.Error("truncated access bitmap accepted")
+	}
+	if err := parseAccessInto(msg, bitset.New(63)); err == nil {
+		t.Error("access range past the node count accepted")
 	}
 }
 

@@ -139,11 +139,12 @@ func LoadGraphDataset(opts Options) (*GraphDataset, error) {
 	}, nil
 }
 
-// GraphInput is a graph workload resolved from CLI inputs — the shared
-// contract behind cmd/gw2v-walk and cmd/gw2v-worker's -preset/-graph
-// flags. Keeping the resolution in one place is what keeps the two
-// binaries bit-comparable: both derive the identical vocabulary and
-// walker from the same inputs.
+// GraphInput is a graph workload resolved from CLI inputs — the graph
+// half of internal/workload, which resolves the -preset/-graph flags of
+// gw2v-train -workload graph and gw2v-worker -workload graph. Keeping
+// the resolution in one place is what keeps the two commands
+// bit-comparable: both derive the identical vocabulary and walker from
+// the same inputs.
 type GraphInput struct {
 	Vocab  *vocab.Vocabulary
 	Walker *walk.Walker

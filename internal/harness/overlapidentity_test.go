@@ -90,26 +90,37 @@ func TestOverlapBitIdentityPinned(t *testing.T) {
 // workers — must still produce a model byte-identical to the serialized
 // in-process simulation. Run under -race this exercises every
 // cross-goroutine edge of the overlap path: progress snapshots, gate
-// wake-ups, the touched double buffer, and buffer-generation reuse.
+// wake-ups, the touched double buffer, and buffer-generation reuse. The
+// mixed row turns overlap on for even ranks only: SyncOverlap is a
+// per-host knob outside the config checksum, so ranks may disagree on
+// it, and the odd ranks' serialized rounds must buffer and drop the
+// even ranks' touched announcements without changing a bit.
 func TestOverlapTCPFreeRunning(t *testing.T) {
 	opts := distTestOpts()
 	d, err := LoadDataset("1-billion", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	modes := []gluon.Mode{gluon.RepModelOpt, gluon.PullModel, gluon.RepModelNaive}
+	type row struct {
+		mode  gluon.Mode
+		mixed bool
+	}
+	rows := []row{{gluon.RepModelOpt, true}, {gluon.RepModelOpt, false}, {gluon.PullModel, false}, {gluon.RepModelNaive, false}}
 	if raceEnabled {
 		// Keep the slow race lane focused on the sparse mode; the gate
 		// and progress concurrency under test is identical in all three.
-		modes = modes[:1]
+		rows = rows[:2]
 	}
-	for _, mode := range modes {
-		mode := mode
-		t.Run(mode.String(), func(t *testing.T) {
-			cfg := distTestConfig(opts, mode)
+	for _, r := range rows {
+		r := r
+		name := r.mode.String()
+		if r.mixed {
+			name += "-mixed"
+		}
+		t.Run(name, func(t *testing.T) {
+			cfg := distTestConfig(opts, r.mode)
 			want := simulatedCanonical(t, d, opts, cfg) // serialized reference
 
-			cfg.SyncOverlap = true
 			trs, err := gluon.NewTCPCluster(cfg.Hosts)
 			if err != nil {
 				t.Fatal(err)
@@ -122,7 +133,9 @@ func TestOverlapTCPFreeRunning(t *testing.T) {
 				go func(h int) {
 					defer wg.Done()
 					defer trs[h].Close()
-					results[h], errs[h] = core.RunDistributed(cfg, h, trs[h], d.Vocab, d.Neg, d.Corp, opts.Dim, nil)
+					c := cfg
+					c.SyncOverlap = !r.mixed || h%2 == 0
+					results[h], errs[h] = core.RunDistributed(c, h, trs[h], d.Vocab, d.Neg, d.Corp, opts.Dim, nil)
 				}(h)
 			}
 			wg.Wait()
@@ -131,10 +144,10 @@ func TestOverlapTCPFreeRunning(t *testing.T) {
 					t.Fatalf("host %d: %v", h, err)
 				}
 			}
-			assertModelsIdentical(t, "overlap/"+mode.String(), want, results[0].Canonical)
+			assertModelsIdentical(t, "overlap/"+name, want, results[0].Canonical)
 			var hidden float64
-			for _, r := range results {
-				hidden += r.Engine.OverlapSeconds
+			for _, res := range results {
+				hidden += res.Engine.OverlapSeconds
 			}
 			if hidden <= 0 {
 				t.Error("free-running overlapped cluster hid no sync time")

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"graphword2vec/internal/core"
@@ -156,19 +157,18 @@ func TestSyncBitIdentityPinned(t *testing.T) {
 	}
 }
 
-// TestSyncBitIdentityWorkers pins 1 vs N sync workers to the seed hash:
-// the worker count must be invisible in the trained bits.
+// TestSyncBitIdentityWorkers pins the serial and the concurrent sync
+// pipeline to the seed hash: gluon picks the pipeline from GOMAXPROCS
+// (1 worker = serial), and the choice must be invisible in the trained
+// bits.
 func TestSyncBitIdentityWorkers(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		workers := workers
 		for _, wl := range []string{"text", "graph"} {
 			wl := wl
 			t.Run(fmt.Sprintf("%s/workers=%d", wl, workers), func(t *testing.T) {
-				got := trainForIdentity(t, wl, gluon.RepModelOpt, gluon.CodecPacked, func(_ *core.Trainer, cfg *core.Config) {
-					if cfg != nil {
-						cfg.SyncWorkers = workers
-					}
-				})
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+				got := trainForIdentity(t, wl, gluon.RepModelOpt, gluon.CodecPacked, nil)
 				if want := wantHash(wl, gluon.CodecPacked); got != want {
 					t.Errorf("workers=%d: model hash %s, want seed hash %s", workers, got, want)
 				}

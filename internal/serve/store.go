@@ -93,8 +93,7 @@ func LoadSnapshot(modelPath string, cfg StoreConfig) (*Snapshot, error) {
 }
 
 // NewSnapshot builds the query indexes over an in-memory model — the
-// path tests and the serve-latency harness use; LoadSnapshot routes
-// through it too.
+// path tests use; LoadSnapshot routes through it too.
 func NewSnapshot(id string, m *model.Model, voc *vocab.Vocabulary, cfg StoreConfig) *Snapshot {
 	start := time.Now()
 	snap := &Snapshot{

@@ -13,8 +13,7 @@ import "os"
 //   - process start: GW2V_NOSIMD=1 in the environment keeps the generic
 //     kernels installed,
 //   - runtime: SetSIMD(false) swaps the generic kernels back in (used by
-//     the throughput experiment's SIMD on/off A-B runs and the
-//     equivalence tests).
+//     the SIMD on/off model-hash test and the equivalence tests).
 //
 // Every implementation is bit-identical to the generic kernels (the
 // contract kernels_generic.go documents), so switching is a pure
