@@ -94,15 +94,17 @@ chaos-smoke:
 # Fuzz lane: every Fuzz* target runs FUZZTIME past its seed corpus
 # (mirrored as a CI step). In internal/gluon those are the parsers that
 # face the wire (mesh hello, session frame, resume hello, membership
-# offer and decision, and the sync round's access/touched bitmap and
-# vector frame: FuzzParseAccessInto, FuzzDecodeVectorFrame), seeded from
-# the golden frames and testdata/fuzz; in internal/vecmath
-# and internal/xrand the exact SGNS pair's two batch primitives (the
-# fused UpdatePairDot kernel across kernel sets, the batch negative draw
-# against sequential draws), seeded from testdata/fuzz. A crasher lands
+# offer and decision, and the sync round's access bitmap and vector
+# frame: FuzzParseAccessInto, FuzzDecodeVectorFrame), seeded from the
+# golden frames and testdata/fuzz; in internal/model the model-file
+# parser that faces the disk and gw2v-serve's hot reload
+# (FuzzModelLoad); in internal/vecmath and internal/xrand the exact SGNS
+# pair's two batch primitives (the fused UpdatePairDot kernel across
+# kernel sets, the batch negative draw against sequential draws). All
+# but the golden-seeded ones start from testdata/fuzz. A crasher lands
 # in the package's testdata/fuzz.
 FUZZTIME ?= 10s
-FUZZ_PKGS = ./internal/gluon/ ./internal/vecmath/ ./internal/xrand/
+FUZZ_PKGS = ./internal/gluon/ ./internal/model/ ./internal/vecmath/ ./internal/xrand/
 fuzz-smoke:
 	@for p in $(FUZZ_PKGS); do \
 		for f in $$($(GO) test -list '^Fuzz' $$p | grep '^Fuzz'); do \

@@ -53,11 +53,10 @@ type Config struct {
 	// next round's compute starts on the rows the round has already
 	// finalised, blocking per node until finality. The fold order and
 	// every RNG stream are unchanged — overlapped runs are bit-identical
-	// to serialized ones — so this is a per-host performance knob,
-	// excluded from the cluster checksum; hosts without it simply
-	// discard the touched announcements. Capped at gluon.OverlapHostCap
-	// (64) hosts: Validate refuses larger clusters with
-	// gluon.ErrOverlapHostCap.
+	// to serialized ones, and a round's wire bytes are the same with it
+	// on or off — so this is a per-host performance knob, excluded from
+	// the cluster checksum. Capped at gluon.OverlapHostCap (64) hosts:
+	// Validate refuses larger clusters with gluon.ErrOverlapHostCap.
 	SyncOverlap bool
 	// Heal sets this rank's gluon session policy (PROTOCOL.md §12) on
 	// TCP meshes: transient connection faults — resets, partitions,

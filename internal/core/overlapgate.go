@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"graphword2vec/internal/bitset"
 	"graphword2vec/internal/gluon"
 	"graphword2vec/internal/graph"
 )
@@ -14,12 +13,9 @@ import (
 // per compute thread (the snapshot cache and blocked-time counter are
 // thread-local); reset every overlapped round.
 //
-// The admission rules, from cheapest to strongest:
+// The admission rules, by master range:
 //
 //   - done: the round is over, everything is final.
-//   - RepModel-Opt only: annDone && the node is in no host's touched set
-//     — the sync will neither read nor write it (reduce covers only
-//     touched mirrors, broadcast only changed masters).
 //   - own master range: final after ownFinal (fold applied, broadcast
 //     encode done reading the rows).
 //   - peer g's master range: final after installed(g) — which also
@@ -30,11 +26,9 @@ import (
 // All events are monotone within a round, so the cached snapshot can
 // only over-block; WaitNode refreshes it before actually sleeping.
 type overlapGate struct {
-	prog  *gluon.SyncProgress
-	union *bitset.Bitset // cluster-wide touched set; valid once snap.AnnDone
-	part  *graph.Partition
-	host  int
-	opt   bool // per-node union rule applies (RepModel-Opt)
+	prog *gluon.SyncProgress
+	part *graph.Partition
+	host int
 
 	snap    gluon.ProgressSnapshot
 	ver     uint32
@@ -43,11 +37,9 @@ type overlapGate struct {
 
 func newOverlapGate(e *Engine) *overlapGate {
 	return &overlapGate{
-		prog:  e.sync.Progress(),
-		union: e.sync.UnionTouched(),
-		part:  e.part,
-		host:  e.host,
-		opt:   e.cfg.Mode == gluon.RepModelOpt,
+		prog: e.sync.Progress(),
+		part: e.part,
+		host: e.host,
 	}
 }
 
@@ -60,9 +52,6 @@ func (g *overlapGate) resetRound() {
 // allowed evaluates the admission rules against the cached snapshot.
 func (g *overlapGate) allowed(n int32) bool {
 	if g.snap.Done {
-		return true
-	}
-	if g.opt && g.snap.AnnDone && !g.union.Get(int(n)) {
 		return true
 	}
 	owner := g.part.MasterOf(int(n))

@@ -2,7 +2,6 @@ package gluon
 
 import (
 	"errors"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -140,47 +139,12 @@ func TestSyncRejectsUnexpectedAccessMessage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Send(1, 0, accessMessage(0, 0, 5, func(int) bool { return true })); err != nil {
+	if err := tr.Send(1, 0, appendAccessMessage(nil, 0, 0, 5, allNodesBitset(10))); err != nil {
 		t.Fatal(err)
 	}
 	err = hs0.Sync(0, init.Clone(), init.Clone(), bitset.New(10), nil)
 	if err == nil {
 		t.Fatal("access message accepted outside PullModel")
-	}
-}
-
-// TestSyncRejectsUnexpectedTouchedMessage: touched announcements are
-// only legal in RepModel-Opt, the one scheme whose overlapped rounds
-// send them.
-func TestSyncRejectsUnexpectedTouchedMessage(t *testing.T) {
-	for _, mode := range []Mode{RepModelNaive, PullModel} {
-		part, err := graph.NewPartition(10, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr, err := NewInProcTransport(2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		init := model.New(10, 2)
-		hs0, err := NewHostSync(0, part, tr, 2, mode, combine.Sum{}, CodecPacked)
-		if err != nil {
-			t.Fatal(err)
-		}
-		touched := bitset.New(10)
-		touched.Set(3)
-		// A garbage frame after it ends the round even if the touched
-		// announcement were accepted.
-		for _, frame := range [][]byte{appendTouchedMessage(nil, 0, touched), {0xFF}} {
-			if err := tr.Send(1, 0, frame); err != nil {
-				t.Fatal(err)
-			}
-		}
-		err = hs0.Sync(0, init.Clone(), init.Clone(), bitset.New(10), bitset.New(10))
-		if err == nil || !strings.Contains(err.Error(), "touched announcement") {
-			t.Errorf("%v: Sync = %v, want the touched announcement rejected", mode, err)
-		}
-		tr.Close()
 	}
 }
 

@@ -47,16 +47,6 @@ func goldenVec(n int32, dst []float32) {
 	}
 }
 
-// goldenTouchedFrame pins the overlap touched announcement (v5): a
-// 17-node vocabulary with nodes 1, 8 and 16 touched, round 5.
-func goldenTouchedFrame() []byte {
-	touched := bitset.New(17)
-	touched.Set(1)
-	touched.Set(8)
-	touched.Set(16)
-	return appendTouchedMessage(nil, 5, touched)
-}
-
 // goldenFrames builds every pinned frame from fixed inputs.
 func goldenFrames(t *testing.T) map[string][]byte {
 	t.Helper()
@@ -82,8 +72,7 @@ func goldenFrames(t *testing.T) map[string][]byte {
 			}
 		}),
 		"barrier":   barrierMessage(9),
-		"access":    accessMessage(2, 3, 17, func(i int) bool { return i == 4 || i == 9 || i == 16 }),
-		"touched":   goldenTouchedFrame(),
+		"access":    appendAccessMessage(nil, 2, 3, 17, bitsetOf(17, 4, 9, 16)),
 		"heartbeat": heartbeatMessage(),
 		"membership-offer": membershipOfferMessage(MembershipOffer{
 			OldHosts: 3, OldRank: 2,
@@ -168,7 +157,7 @@ func TestWireGolden(t *testing.T) {
 
 	if *updateGolden {
 		var sb strings.Builder
-		sb.WriteString("# Golden wire frames, protocol version 8 (PROTOCOL.md).\n")
+		sb.WriteString("# Golden wire frames, protocol version 9 (PROTOCOL.md).\n")
 		sb.WriteString("# Regenerate ONLY on a deliberate, version-bumped format change:\n")
 		sb.WriteString("#   go test ./internal/gluon -run TestWireGolden -update-golden\n")
 		names := make([]string, 0, len(frames))
@@ -316,24 +305,6 @@ func TestWireGoldenDecodes(t *testing.T) {
 	}
 	if accessed.Count() != 3 || !accessed.Get(4) || !accessed.Get(9) || !accessed.Get(16) {
 		t.Fatalf("access nodes = %v", accessed.AppendRange(nil, 0, 17))
-	}
-
-	// Touched frame (protocol v5): same bitmap payload as access, kind
-	// and round distinguish it; it must round-trip through the bitset
-	// merge path the overlap engine uses.
-	kind, round, _, err := parseHeader(lookup["touched"])
-	if err != nil || kind != kindTouched || round != 5 {
-		t.Fatalf("touched header = (%d, %d, %v)", kind, round, err)
-	}
-	union := bitset.New(17)
-	if err := parseAccessInto(lookup["touched"], union); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 17; i++ {
-		want := i == 1 || i == 8 || i == 16
-		if union.Get(i) != want {
-			t.Fatalf("touched bit %d = %v, want %v", i, union.Get(i), want)
-		}
 	}
 
 	// Heartbeat frame (protocol v3).

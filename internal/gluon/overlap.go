@@ -16,10 +16,6 @@ import (
 // the caller may start the *next* round's compute, blocking per model
 // row on the SyncProgress events below until the row is final:
 //
-//	annDone       every peer's touched announcement merged into the
-//	              union touched set (RepModel-Opt only): a node NO host
-//	              touched this round will not be read or written by the
-//	              in-flight sync at all, so compute may use it at once.
 //	ownFinal      our own master range is canonical (fold applied) and
 //	              the broadcast encode is done reading it.
 //	installed(g)  peer g's broadcast was decoded and installed, so g's
@@ -30,15 +26,10 @@ import (
 // over-block, never under-block — and blocking is the only thing a
 // reader may do with them: compute order (and with it the RNG stream)
 // must not depend on arrival order, which is what keeps overlapped
-// models bit-identical to serialized ones.
-//
-// Touched announcements ride their own frame kind (kindTouched), sent
-// only by RepModel-Opt rounds. A host whose round runs serialized
-// buffers announcements for rounds ahead of it and drops them when that
-// round comes, so overlap can differ across a cluster (it is a per-host
-// performance choice, excluded from the config checksum): a peer's
-// gating then degrades from per-node to range-level but stays correct,
-// because annDone just never fires.
+// models bit-identical to serialized ones. Every round posts them, so
+// Sync and SyncStart differ only in which goroutine runs the round, and
+// overlap can differ across a cluster (it is a per-host performance
+// choice, excluded from the config checksum).
 
 // SyncProgress publishes one in-flight round's completion events. The
 // zero value is usable after init(); reads are snapshot-based so the
@@ -48,7 +39,6 @@ type SyncProgress struct {
 	cond sync.Cond
 	ver  atomic.Uint32 // bumped on every event; snapshot validity token
 
-	annDone   bool
 	ownFinal  bool
 	done      bool
 	installed uint64 // bit g: host g's broadcast installed
@@ -57,7 +47,6 @@ type SyncProgress struct {
 // ProgressSnapshot is a consistent copy of the event flags, valid as
 // long as Version() still returns the value Snapshot reported.
 type ProgressSnapshot struct {
-	AnnDone  bool
 	OwnFinal bool
 	Done     bool
 	// Installed is the broadcast-installed host mask (bit g = host g);
@@ -70,10 +59,10 @@ func (s *ProgressSnapshot) InstalledHost(g int) bool { return s.Installed&(1<<ui
 
 func (pr *SyncProgress) init() { pr.cond.L = &pr.mu }
 
-// resetRound clears the events for a new overlapped round.
+// resetRound clears the events for a new round.
 func (pr *SyncProgress) resetRound() {
 	pr.mu.Lock()
-	pr.annDone, pr.ownFinal, pr.done = false, false, false
+	pr.ownFinal, pr.done = false, false
 	pr.installed = 0
 	pr.bump()
 }
@@ -85,7 +74,7 @@ func (pr *SyncProgress) Version() uint32 { return pr.ver.Load() }
 // version token.
 func (pr *SyncProgress) Snapshot(s *ProgressSnapshot) uint32 {
 	pr.mu.Lock()
-	s.AnnDone, s.OwnFinal, s.Done = pr.annDone, pr.ownFinal, pr.done
+	s.OwnFinal, s.Done = pr.ownFinal, pr.done
 	s.Installed = pr.installed
 	v := pr.ver.Load()
 	pr.mu.Unlock()
@@ -107,12 +96,6 @@ func (pr *SyncProgress) bump() {
 	pr.ver.Add(1)
 	pr.cond.Broadcast()
 	pr.mu.Unlock()
-}
-
-func (pr *SyncProgress) postAnnDone() {
-	pr.mu.Lock()
-	pr.annDone = true
-	pr.bump()
 }
 
 func (pr *SyncProgress) postOwnFinal() {
@@ -148,12 +131,6 @@ var ErrOverlapHostCap = fmt.Errorf("gluon: sync overlap supports at most %d host
 // bumping the version.
 func (hs *HostSync) Progress() *SyncProgress { return &hs.progress }
 
-// UnionTouched returns the cluster-wide touched set of the in-flight
-// overlapped round. Read it only after observing AnnDone in a snapshot
-// (the snapshot's lock acquisition orders the reads after the merges);
-// it is owned by the sync engine between SyncStart and SyncFinish.
-func (hs *HostSync) UnionTouched() *bitset.Bitset { return hs.unionTouched }
-
 // SyncStart begins an overlapped synchronisation round: the arguments
 // and wire behaviour are exactly Sync's, but the round body runs on a
 // background goroutine and SyncFinish reports its error. Between the
@@ -171,7 +148,7 @@ func (hs *HostSync) SyncStart(round uint32, local, base *model.Model, touched *b
 	if hs.inFlight {
 		return fmt.Errorf("gluon: SyncStart while round %d is in flight", hs.curRound)
 	}
-	if err := hs.prepRound(round, local, base, touched, nextAccess, true); err != nil {
+	if err := hs.prepRound(round, local, base, touched, nextAccess); err != nil {
 		return err
 	}
 	hs.inFlight = true
@@ -188,40 +165,5 @@ func (hs *HostSync) SyncFinish() error {
 	}
 	err := <-hs.roundCh
 	hs.inFlight = false
-	hs.overlapRound = false
 	return err
-}
-
-// acceptTouched routes an incoming touched announcement: merge it when
-// it belongs to the overlapped round in flight, buffer it when the
-// sender raced ahead into a future round, and drop it otherwise (we ran
-// that round serialized — the union is unused there). Rounds are
-// visited in order and prepRound drains this kind's pending key every
-// round, so buffered frames never accumulate.
-func (hs *HostSync) acceptTouched(from int, round uint32, payload []byte) error {
-	if hs.overlapRound && round == hs.curRound {
-		return hs.mergeTouched(from, payload)
-	}
-	if round > hs.curRound {
-		hs.pushPending(pendingKey{kind: kindTouched, round: round}, pendingMsg{from: from, payload: payload})
-	}
-	return nil
-}
-
-// mergeTouched ORs one peer's announced touched set into the round's
-// union and posts annDone once every peer has reported.
-func (hs *HostSync) mergeTouched(from int, payload []byte) error {
-	p := &hs.peers[from]
-	if p.gotTouched {
-		return fmt.Errorf("gluon: duplicate touched announcement from host %d in round %d", from, hs.curRound)
-	}
-	p.gotTouched = true
-	if err := parseAccessInto(payload, hs.unionTouched); err != nil {
-		return err
-	}
-	hs.annRemaining--
-	if hs.annRemaining == 0 {
-		hs.progress.postAnnDone()
-	}
-	return nil
 }

@@ -187,24 +187,13 @@ type HostSync struct {
 	combScratch  []float32
 	ownedTouched []int32
 
-	// Overlapped-round state (overlap.go). overlapRound marks the round
-	// in flight as an overlapped one (announcements sent, events
-	// posted); inFlight guards the SyncStart/SyncFinish pairing.
-	// unionTouched accumulates every host's announced touched set for
-	// the current overlapped round (RepModel-Opt), annRemaining counts
-	// the outstanding announcements, and touchedBuf is the reused
-	// announcement frame — its reuse across rounds is safe by the same
-	// BSP argument as the other frame buffers: a peer consumes our
-	// round-r announcement before it can emit the round-r traffic our
-	// SyncFinish waits for.
-	overlapRound bool
-	inFlight     bool
-	annRemaining int
-	unionTouched *bitset.Bitset
-	touchedBuf   []byte
-	progress     SyncProgress
-	roundCh      chan error
-	goRound      func()
+	// Overlapped-round state (overlap.go). inFlight guards the
+	// SyncStart/SyncFinish pairing; progress publishes every round's
+	// completion events, which gated compute waits on.
+	inFlight bool
+	progress SyncProgress
+	roundCh  chan error
+	goRound  func()
 
 	// Shared broadcast frame for the RepModel schemes, where the frame
 	// is identical for every peer: encoded once, sent n−1 times — plus
@@ -262,13 +251,12 @@ type peerState struct {
 
 	// Decode: per-sender scratch and prebuilt frame sinks, plus the
 	// payload handed to the worker and per-round dedup flags.
-	dec        decodeScratch
-	decReduce  func(node int32, half byte, vec []float32) error
-	decBcast   func(node int32, half byte, vec []float32) error
-	payload    []byte
-	gotReduce  bool
-	gotBcast   bool
-	gotTouched bool
+	dec       decodeScratch
+	decReduce func(node int32, half byte, vec []float32) error
+	decBcast  func(node int32, half byte, vec []float32) error
+	payload   []byte
+	gotReduce bool
+	gotBcast  bool
 
 	// Prebuilt zero-argument spawn thunks: `go f(args)` heap-allocates a
 	// closure per call since Go 1.17, `go thunk()` does not — and these
@@ -330,24 +318,23 @@ func NewHostSync(host int, part *graph.Partition, tr Transport, dim int, mode Mo
 	lo, hi := part.MasterRange(host)
 	n := part.NumHosts()
 	hs := &HostSync{
-		host:         host,
-		part:         part,
-		tr:           tr,
-		dim:          dim,
-		mode:         mode,
-		comb:         comb,
-		codec:        codec,
-		workers:      runtime.GOMAXPROCS(0),
-		pending:      make(map[pendingKey]*pendingQueue),
-		acc:          combine.NewAccumulator(lo, hi, n, dim),
-		scratch:      make([]float32, 2*dim),
-		combScratch:  make([]float32, 2*dim),
-		bcastVec:     make([]float32, 2*dim),
-		peers:        make([]peerState, n),
-		sendErrs:     make([]error, n),
-		decErrs:      make([]error, n),
-		unionTouched: bitset.New(part.NumNodes()),
-		roundCh:      make(chan error, 1),
+		host:        host,
+		part:        part,
+		tr:          tr,
+		dim:         dim,
+		mode:        mode,
+		comb:        comb,
+		codec:       codec,
+		workers:     runtime.GOMAXPROCS(0),
+		pending:     make(map[pendingKey]*pendingQueue),
+		acc:         combine.NewAccumulator(lo, hi, n, dim),
+		scratch:     make([]float32, 2*dim),
+		combScratch: make([]float32, 2*dim),
+		bcastVec:    make([]float32, 2*dim),
+		peers:       make([]peerState, n),
+		sendErrs:    make([]error, n),
+		decErrs:     make([]error, n),
+		roundCh:     make(chan error, 1),
 	}
 	hs.progress.init()
 	hs.goRound = func() { hs.roundCh <- hs.runRound() }
@@ -458,7 +445,7 @@ func (hs *HostSync) frameFlags(kind byte) byte {
 // for, and the canonical (master) values incorporate every host's deltas
 // via the reduction operator.
 func (hs *HostSync) Sync(round uint32, local, base *model.Model, touched *bitset.Bitset, nextAccess *bitset.Bitset) error {
-	if err := hs.prepRound(round, local, base, touched, nextAccess, false); err != nil {
+	if err := hs.prepRound(round, local, base, touched, nextAccess); err != nil {
 		return err
 	}
 	return hs.runRound()
@@ -466,11 +453,9 @@ func (hs *HostSync) Sync(round uint32, local, base *model.Model, touched *bitset
 
 // prepRound validates and stages one round's inputs: the shared cur*
 // fields the prebuilt closures read, per-peer dedup flags and error
-// slots, and — for an overlapped round — the progress tracker, the
-// union touched set (seeded with our own touched set) and any buffered
-// touched announcements from peers that raced ahead. Runs on the
-// caller's goroutine, before any round worker exists.
-func (hs *HostSync) prepRound(round uint32, local, base *model.Model, touched *bitset.Bitset, nextAccess *bitset.Bitset, overlap bool) error {
+// slots, and the progress events. Runs on the caller's goroutine, before
+// any round worker exists.
+func (hs *HostSync) prepRound(round uint32, local, base *model.Model, touched *bitset.Bitset, nextAccess *bitset.Bitset) error {
 	if local.VocabSize() != hs.part.NumNodes() || base.VocabSize() != hs.part.NumNodes() {
 		return fmt.Errorf("gluon: model size %d does not match partition %d", local.VocabSize(), hs.part.NumNodes())
 	}
@@ -480,68 +465,28 @@ func (hs *HostSync) prepRound(round uint32, local, base *model.Model, touched *b
 	hs.stats.Rounds++
 	hs.curLocal, hs.curBase, hs.curTouched, hs.curRound = local, base, touched, round
 	hs.curAccess = nextAccess
-	hs.overlapRound = overlap
 	for g := range hs.peers {
 		p := &hs.peers[g]
-		p.gotReduce, p.gotBcast, p.gotTouched = false, false, false
+		p.gotReduce, p.gotBcast = false, false
 		p.sentMsgs = 0
 		p.sentReduceB, p.sentReduceE = 0, 0
 		p.sentBcastB, p.sentBcastE = 0, 0
 		hs.sendErrs[g], hs.decErrs[g] = nil, nil
 	}
-	if overlap {
-		hs.progress.resetRound()
-		if hs.mode == RepModelOpt {
-			hs.unionTouched.Reset()
-			hs.unionTouched.Or(touched)
-			hs.annRemaining = hs.part.NumHosts() - 1
-			if hs.annRemaining == 0 {
-				hs.progress.postAnnDone()
-			}
-		}
-	}
-	// Drain buffered touched announcements for this round: merge them
-	// into the union when overlapping, discard them when this round
-	// runs serialized (keeps the pending map bounded either way).
-	for {
-		m, ok := hs.popPending(pendingKey{kind: kindTouched, round: round})
-		if !ok {
-			break
-		}
-		if overlap {
-			if err := hs.mergeTouched(m.from, m.payload); err != nil {
-				return err
-			}
-		}
-	}
+	hs.progress.resetRound()
 	return nil
 }
 
 // runRound executes one synchronisation round against the staged cur*
 // state: Sync calls it inline, SyncStart on a background goroutine. The
-// phase structure and every wire byte are identical either way; an
-// overlapped round additionally announces its touched set first and
-// posts progress events as rows become final.
-func (hs *HostSync) runRound() (err error) {
+// phase structure, every wire byte and the progress events are
+// identical either way.
+func (hs *HostSync) runRound() error {
 	h := hs.host
 	nHosts := hs.part.NumHosts()
-	if hs.overlapRound {
-		// Whatever happens, unblock gated compute when the round ends:
-		// on error the engine discards the overlapped work anyway.
-		defer hs.progress.postDone()
-		if hs.mode == RepModelOpt {
-			hs.touchedBuf = appendTouchedMessage(hs.touchedBuf[:0], hs.curRound, hs.curTouched)
-			for g := 0; g < nHosts; g++ {
-				if g == h {
-					continue
-				}
-				if err := hs.send(g, hs.touchedBuf); err != nil {
-					return err
-				}
-				hs.stats.ControlBytes += int64(len(hs.touchedBuf))
-			}
-		}
-	}
+	// Whatever happens, unblock gated compute when the round ends: on
+	// error the engine discards the overlapped work anyway.
+	defer hs.progress.postDone()
 	round := hs.curRound
 	nextAccess := hs.curAccess
 
@@ -607,11 +552,9 @@ func (hs *HostSync) runRound() (err error) {
 			nodes = hs.denseOwnRange()
 		}
 		hs.bcastBuf = appendVectorFrame(hs.bcastBuf[:0], kindBroadcast, round, hs.frameFlags(kindBroadcast), hs.dim, nodes, hs.bcastHalfAt, hs.bcastVecAt, hs.bcastVec)
-		if hs.overlapRound {
-			// Masters are canonical and the encode is done reading our
-			// rows: our own range is final for gated compute.
-			hs.progress.postOwnFinal()
-		}
+		// Masters are canonical and the encode is done reading our rows:
+		// our own range is final for gated compute.
+		hs.progress.postOwnFinal()
 		for g := 0; g < nHosts; g++ {
 			if g == h {
 				continue
@@ -643,11 +586,9 @@ func (hs *HostSync) runRound() (err error) {
 		if err := hs.roundError(nil); err != nil {
 			return err
 		}
-		if hs.overlapRound {
-			// PullModel reads our rows per peer; final only once every
-			// per-peer encode worker has joined.
-			hs.progress.postOwnFinal()
-		}
+		// PullModel reads our rows per peer; final only once every
+		// per-peer encode worker has joined.
+		hs.progress.postOwnFinal()
 	}
 
 	// Phase E: receive and apply all broadcasts for this round. Each
@@ -787,11 +728,9 @@ func (hs *HostSync) decodeBcastWorker(g int) {
 		hs.decErrs[g] = err
 		return
 	}
-	if hs.overlapRound {
-		// Peer g's master range is installed in full: final for gated
-		// compute.
-		hs.progress.postInstalled(g)
-	}
+	// Peer g's master range is installed in full: final for gated
+	// compute.
+	hs.progress.postInstalled(g)
 }
 
 // receiveFrames collects one frame of the given kind from every peer,
@@ -958,19 +897,6 @@ func (hs *HostSync) nextMessage(kind byte, round uint32) (int, []byte, error) {
 				return 0, nil, fmt.Errorf("gluon: unexpected access message from host %d in mode %v", from, hs.mode)
 			}
 			if err := hs.recordAccess(from, payload); err != nil {
-				return 0, nil, err
-			}
-			continue
-		}
-		if k == kindTouched {
-			// Overlap announcements (PROTOCOL.md §11): merged, buffered
-			// or discarded — hosts running a round serialized stay
-			// compatible with peers that announce. Only RepModel-Opt
-			// rounds announce, and Mode is in the config checksum.
-			if hs.mode != RepModelOpt {
-				return 0, nil, fmt.Errorf("gluon: unexpected touched announcement from host %d in mode %v", from, hs.mode)
-			}
-			if err := hs.acceptTouched(from, r, payload); err != nil {
 				return 0, nil, err
 			}
 			continue

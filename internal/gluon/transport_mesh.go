@@ -44,9 +44,11 @@ const (
 	// the membership negotiation, and a v6 peer would still send kind 7.
 	// Version 8 made session framing the only TCP framing and dropped
 	// the hello's flags byte: healing is a per-rank policy, and every
-	// hello carries a session token. See PROTOCOL.md §7 for the bump
-	// policy.
-	meshVersion = 8
+	// hello carries a session token. Version 9 retired the touched
+	// frame kind (10): overlapped rounds gate by master range only, and
+	// a v8 peer overlapping in RepModel-Opt would still send kind 10.
+	// See PROTOCOL.md §7 for the bump policy.
+	meshVersion = 9
 	// meshPreambleBytes is the magic plus version, read and checked
 	// before the version-dependent remainder of a hello.
 	meshPreambleBytes = len(meshMagic) + 4

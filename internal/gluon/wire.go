@@ -9,14 +9,14 @@ import (
 	"graphword2vec/internal/bitset"
 )
 
-// Wire format, version 7 — the byte-level contract is specified in
+// Wire format, version 9 — the byte-level contract is specified in
 // PROTOCOL.md and pinned by the golden frames under testdata/; change
 // either only together with a mesh protocol version bump.
 //
 // Every message starts with a fixed header:
 //
 //	byte 0     kind (reduce / broadcast / access / gather / barrier /
-//	           heartbeat / membership / transfer / touched)
+//	           heartbeat / membership / transfer)
 //	bytes 1–4  round number (uint32 LE)
 //	bytes 5–8  entry count (uint32 LE)
 //
@@ -33,13 +33,7 @@ import (
 // cut round plus, when ranges must move, the per-range source
 // assignment; transfer frames (v4) are vector frames migrating one old
 // rank's master range to the whole re-sharded cluster — see PROTOCOL.md
-// §10 and membership.go. Touched frames (v5) carry the sender's
-// whole-vocabulary touched bitset for an overlapped round — the same
-// (lo, bits, packed) bitmap layout as access messages with lo = 0 — so
-// receivers can start the next round's compute on nodes no host updated
-// while the sync is still in flight (PROTOCOL.md §11, overlap.go);
-// hosts running without overlap discard them, so mixed clusters stay
-// compatible.
+// §10 and membership.go.
 const (
 	kindReduce    byte = 1
 	kindBroadcast byte = 2
@@ -48,12 +42,14 @@ const (
 	kindBarrier   byte = 5
 	kindHeartbeat byte = 6
 	// kindRetired carried the v3 resume negotiation, which v7 folded
-	// into membership negotiation. It is never to be reused: a frame of
-	// this kind is rejected like any other undefined kind.
-	kindRetired    byte = 7
-	kindMembership byte = 8
-	kindTransfer   byte = 9
-	kindTouched    byte = 10
+	// into membership negotiation; kindRetiredTouched carried the
+	// overlap touched announcement (v5), which v9 retired. Neither is
+	// ever to be reused: a frame of either kind is rejected like any
+	// other undefined kind.
+	kindRetired        byte = 7
+	kindMembership     byte = 8
+	kindTransfer       byte = 9
+	kindRetiredTouched byte = 10
 
 	headerBytes = 9
 )
@@ -115,64 +111,31 @@ func isHeartbeat(payload []byte) bool {
 }
 
 // ErrFrameKind marks a frame whose kind byte the current protocol does
-// not define: 0, the retired kind 7, or anything past kindTouched.
+// not define: 0, the retired kinds 7 and 10, or anything past them.
 var ErrFrameKind = errors.New("gluon: undefined frame kind")
 
 // definedKind reports whether k is a frame kind of the current protocol.
 func definedKind(k byte) bool {
-	return k >= kindReduce && k <= kindTouched && k != kindRetired
+	return k >= kindReduce && k <= kindTransfer && k != kindRetired
 }
 
-// accessMessage packs the bits [lo, hi) of isSet into an access
-// announcement for the owner of that range.
-func accessMessage(round uint32, lo, hi int, isSet func(i int) bool) []byte {
-	bits := hi - lo
-	nbytes := (bits + 7) / 8
-	buf := make([]byte, headerBytes+8+nbytes)
-	putHeader(buf, kindAccess, round, uint32(1))
-	binary.LittleEndian.PutUint32(buf[headerBytes:], uint32(lo))
-	binary.LittleEndian.PutUint32(buf[headerBytes+4:], uint32(bits))
-	packed := buf[headerBytes+8:]
-	for i := 0; i < bits; i++ {
-		if isSet(lo + i) {
-			packed[i>>3] |= 1 << (uint(i) & 7)
-		}
-	}
-	return buf
-}
-
-// appendAccessMessage is accessMessage writing into a caller-owned
-// buffer from a bitset: the frame is appended to dst and the extended
-// slice returned, with the bitmap packed word-at-a-time
-// (bitset.PackRange). Byte-identical to accessMessage's output; with a
+// appendAccessMessage packs the bits [lo, hi) of acc into an access
+// announcement for the owner of that range: header, then (lo uint32,
+// bits uint32, packed bytes), packed word-at-a-time (bitset.PackRange).
+// The frame is appended to dst and the extended slice returned; with a
 // pre-grown dst it allocates nothing — the sync engine reuses one
 // buffer per peer across rounds.
 func appendAccessMessage(dst []byte, round uint32, lo, hi int, acc *bitset.Bitset) []byte {
-	return appendBitmapMessage(dst, kindAccess, round, lo, hi, acc)
-}
-
-// appendTouchedMessage packs the sender's whole-vocabulary touched set
-// into an overlap announcement (kindTouched): the access-message bitmap
-// layout with lo = 0, bits = the full node range. One encode serves
-// every peer — the frame is receiver-independent.
-func appendTouchedMessage(dst []byte, round uint32, touched *bitset.Bitset) []byte {
-	return appendBitmapMessage(dst, kindTouched, round, 0, touched.Len(), touched)
-}
-
-// appendBitmapMessage is the shared bitmap-frame encoder behind access
-// and touched messages: header, then (lo uint32, bits uint32, packed
-// bytes).
-func appendBitmapMessage(dst []byte, kind byte, round uint32, lo, hi int, bs *bitset.Bitset) []byte {
 	bits := hi - lo
 	nbytes := (bits + 7) / 8
 	start := len(dst)
 	need := headerBytes + 8 + nbytes
 	dst = slices.Grow(dst, need)[:start+need]
 	frame := dst[start:]
-	putHeader(frame, kind, round, uint32(1))
+	putHeader(frame, kindAccess, round, uint32(1))
 	binary.LittleEndian.PutUint32(frame[headerBytes:], uint32(lo))
 	binary.LittleEndian.PutUint32(frame[headerBytes+4:], uint32(bits))
-	bs.PackRange(frame[headerBytes+8:need], lo, hi)
+	acc.PackRange(frame[headerBytes+8:need], lo, hi)
 	return dst
 }
 

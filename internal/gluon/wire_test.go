@@ -99,9 +99,17 @@ func TestDecodeVectorFrameRejectsCorrupt(t *testing.T) {
 	}
 }
 
+// bitsetOf returns an n-node bitset with exactly the given nodes set.
+func bitsetOf(n int, nodes ...int) *bitset.Bitset {
+	b := bitset.New(n)
+	for _, i := range nodes {
+		b.Set(i)
+	}
+	return b
+}
+
 func TestAccessMessageRoundTrip(t *testing.T) {
-	set := map[int]bool{10: true, 13: true, 24: true}
-	msg := accessMessage(3, 10, 25, func(i int) bool { return set[i] })
+	msg := appendAccessMessage(nil, 3, 10, 25, bitsetOf(25, 10, 13, 24))
 	kind, round, _, err := parseHeader(msg)
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +127,7 @@ func TestAccessMessageRoundTrip(t *testing.T) {
 }
 
 func TestAccessMessageEmptyRange(t *testing.T) {
-	msg := accessMessage(0, 5, 5, func(int) bool { return true })
+	msg := appendAccessMessage(nil, 0, 5, 5, allNodesBitset(8))
 	got := bitset.New(8)
 	if err := parseAccessInto(msg, got); err != nil {
 		t.Fatal(err)
@@ -134,7 +142,7 @@ func TestParseAccessMessageRejectsCorrupt(t *testing.T) {
 	if err := parseAccessInto([]byte{1}, acc); err == nil {
 		t.Error("short access message accepted")
 	}
-	msg := accessMessage(0, 0, 64, func(int) bool { return true })
+	msg := appendAccessMessage(nil, 0, 0, 64, allNodesBitset(64))
 	if err := parseAccessInto(msg[:len(msg)-2], acc); err == nil {
 		t.Error("truncated access bitmap accepted")
 	}
@@ -181,23 +189,26 @@ func TestModeString(t *testing.T) {
 }
 
 // TestUndefinedFrameKindRejected: a frame whose kind byte the current
-// protocol does not define — 0, or the retired resume kind 7 — fails
-// the receive with ErrFrameKind instead of parking in the pending queue
-// under a key nobody pops.
+// protocol does not define — 0, the retired resume kind 7 or the
+// retired touched kind 10 — fails the receive with ErrFrameKind in
+// every mode, instead of parking in the pending queue under a key
+// nobody pops.
 func TestUndefinedFrameKindRejected(t *testing.T) {
-	for _, kind := range []byte{0, kindRetired} {
-		c := newCluster(t, 2, 8, 2, RepModelOpt, "SUM")
-		frame := make([]byte, headerBytes)
-		putHeader(frame, kind, 0, 0)
-		if err := c.tr.Send(1, 0, frame); err != nil {
-			t.Fatal(err)
-		}
-		_, _, err := c.syncs[0].nextMessage(kindBarrier, 1)
-		if !errors.Is(err, ErrFrameKind) {
-			t.Fatalf("kind %d: nextMessage error %v, want ErrFrameKind", kind, err)
-		}
-		if n := c.syncs[0].pendingCount(); n != 0 {
-			t.Fatalf("kind %d: %d pending keys buffered, want 0", kind, n)
+	for _, mode := range []Mode{RepModelNaive, RepModelOpt, PullModel} {
+		for _, kind := range []byte{0, kindRetired, kindRetiredTouched} {
+			c := newCluster(t, 2, 8, 2, mode, "SUM")
+			frame := make([]byte, headerBytes)
+			putHeader(frame, kind, 0, 0)
+			if err := c.tr.Send(1, 0, frame); err != nil {
+				t.Fatal(err)
+			}
+			_, _, err := c.syncs[0].nextMessage(kindBarrier, 1)
+			if !errors.Is(err, ErrFrameKind) {
+				t.Fatalf("%v, kind %d: nextMessage error %v, want ErrFrameKind", mode, kind, err)
+			}
+			if n := c.syncs[0].pendingCount(); n != 0 {
+				t.Fatalf("%v, kind %d: %d pending keys buffered, want 0", mode, kind, n)
+			}
 		}
 	}
 }

@@ -93,8 +93,8 @@ func TestOverlapBitIdentityPinned(t *testing.T) {
 // wake-ups, the touched double buffer, and buffer-generation reuse. The
 // mixed row turns overlap on for even ranks only: SyncOverlap is a
 // per-host knob outside the config checksum, so ranks may disagree on
-// it, and the odd ranks' serialized rounds must buffer and drop the
-// even ranks' touched announcements without changing a bit.
+// it, and a cluster mixing overlapped and serialized rounds must not
+// change a bit.
 func TestOverlapTCPFreeRunning(t *testing.T) {
 	opts := distTestOpts()
 	d, err := LoadDataset("1-billion", opts)

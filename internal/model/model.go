@@ -89,7 +89,25 @@ func (m *Model) BytesPerWord() int64 { return int64(m.Dim) * 4 * 2 }
 const (
 	magic   = "GW2VMODL"
 	version = 1
+	// headerLen is the magic plus three uint64 fields: version, vocab
+	// size and dimension.
+	headerLen = len(magic) + 3*8
 )
+
+// Load rejects input by one of these names, never by a panic or an
+// allocation its header alone asked for.
+var (
+	// ErrFormat marks input that is not a version-1 GW2V model: wrong
+	// magic, another version, or an implausible shape.
+	ErrFormat = errors.New("model: not a GW2V model file")
+	// ErrTruncated marks input shorter than its header implies.
+	ErrTruncated = errors.New("model: truncated model file")
+	// ErrTrailingBytes marks input longer than its header implies.
+	ErrTrailingBytes = errors.New("model: trailing bytes after model")
+)
+
+// encodedSize is the byte length of a saved vocab×dim model.
+func encodedSize(vocab, dim uint64) uint64 { return uint64(headerLen) + 2*4*vocab*dim }
 
 // Save writes the model in a compact little-endian binary format.
 func (m *Model) Save(w io.Writer) error {
@@ -114,35 +132,55 @@ func (m *Model) Save(w io.Writer) error {
 	return nil
 }
 
-// Load reads a model written by Save.
-func Load(r io.Reader) (*Model, error) {
+// Load reads a model written by Save from r, which holds exactly size
+// bytes. The header's implied length is checked against size before
+// anything is allocated, so a damaged or hostile header is rejected as
+// ErrTruncated or ErrTrailingBytes instead of exhausting memory.
+func Load(r io.Reader, size int64) (*Model, error) {
+	if size < int64(headerLen) {
+		return nil, fmt.Errorf("%w: %d bytes, shorter than the %d-byte header", ErrTruncated, size, headerLen)
+	}
 	br := bufio.NewReaderSize(r, 1<<20)
-	got := make([]byte, len(magic))
-	if _, err := io.ReadFull(br, got); err != nil {
-		return nil, fmt.Errorf("model: load magic: %w", err)
+	hdr := make([]byte, headerLen)
+	if _, err := io.ReadFull(br, hdr); err != nil {
+		return nil, readErr("header", err)
 	}
-	if string(got) != magic {
-		return nil, errors.New("model: not a GW2V model file")
+	if string(hdr[:len(magic)]) != magic {
+		return nil, ErrFormat
 	}
-	var ver, vs, dim uint64
-	for _, p := range []*uint64{&ver, &vs, &dim} {
-		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
-			return nil, fmt.Errorf("model: load header: %w", err)
-		}
-	}
+	ver := binary.LittleEndian.Uint64(hdr[len(magic):])
+	vs := binary.LittleEndian.Uint64(hdr[len(magic)+8:])
+	dim := binary.LittleEndian.Uint64(hdr[len(magic)+16:])
 	if ver != version {
-		return nil, fmt.Errorf("model: unsupported version %d", ver)
+		return nil, fmt.Errorf("%w: unsupported version %d", ErrFormat, ver)
 	}
 	if vs == 0 || dim == 0 || vs > 1<<31 || dim > 1<<20 {
-		return nil, fmt.Errorf("model: implausible header vocab=%d dim=%d", vs, dim)
+		return nil, fmt.Errorf("%w: implausible header vocab=%d dim=%d", ErrFormat, vs, dim)
+	}
+	want := encodedSize(vs, dim)
+	if uint64(size) < want {
+		return nil, fmt.Errorf("%w: %d bytes, header vocab=%d dim=%d implies %d", ErrTruncated, size, vs, dim, want)
+	}
+	if uint64(size) > want {
+		return nil, fmt.Errorf("%w: %d bytes past the %d the header implies", ErrTrailingBytes, uint64(size)-want, want)
 	}
 	m := New(int(vs), int(dim))
 	for _, mat := range []*vecmath.Matrix{m.Emb, m.Ctx} {
 		if err := readFloats(br, mat.Data); err != nil {
-			return nil, fmt.Errorf("model: load matrix: %w", err)
+			return nil, readErr("matrix", err)
 		}
 	}
 	return m, nil
+}
+
+// readErr names a failed read of part what: running out of input is
+// ErrTruncated (r held less than the size Load was told), anything else
+// an I/O error.
+func readErr(what string, err error) error {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return fmt.Errorf("%w: %s ends early", ErrTruncated, what)
+	}
+	return fmt.Errorf("model: load %s: %w", what, err)
 }
 
 // SaveFile writes the model to path.
@@ -165,7 +203,11 @@ func LoadFile(path string) (*Model, error) {
 		return nil, fmt.Errorf("model: %w", err)
 	}
 	defer f.Close()
-	return Load(f)
+	st, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("model: %w", err)
+	}
+	return Load(f, st.Size())
 }
 
 func writeFloats(w io.Writer, data []float32) error {

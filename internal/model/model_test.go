@@ -2,7 +2,11 @@ package model
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"math"
+	"os"
 	"path/filepath"
 	"testing"
 	"testing/quick"
@@ -114,7 +118,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(&buf)
+	got, err := loadBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +164,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		append([]byte(magic), make([]byte, 8)...), // truncated header
 	}
 	for i, c := range cases {
-		if _, err := Load(bytes.NewReader(c)); err == nil {
+		if _, err := loadBytes(c); err == nil {
 			t.Errorf("case %d: garbage accepted", i)
 		}
 	}
@@ -175,8 +179,62 @@ func TestLoadRejectsBadHeader(t *testing.T) {
 	data := buf.Bytes()
 	// Corrupt the version field (bytes 8..16 little-endian).
 	data[8] = 0xFF
-	if _, err := Load(bytes.NewReader(data)); err == nil {
+	if _, err := loadBytes(data); err == nil {
 		t.Error("bad version accepted")
+	}
+}
+
+// loadBytes loads a model from an in-memory encoding.
+func loadBytes(data []byte) (*Model, error) {
+	return Load(bytes.NewReader(data), int64(len(data)))
+}
+
+// header encodes a bare model header: magic, version, vocab, dim.
+func header(ver, vocab, dim uint64) []byte {
+	h := []byte(magic)
+	for _, v := range []uint64{ver, vocab, dim} {
+		h = binary.LittleEndian.AppendUint64(h, v)
+	}
+	return h
+}
+
+// TestLoadRejectsHeaderPastInput: a header whose implied length the
+// input does not hold is rejected by name before anything is allocated
+// — a 32-byte file claiming 2^20×2^12 (32 GiB of floats) or 2^31×2^20
+// (past any slice length) must not exhaust memory or panic, from bytes
+// or from a file. Input longer than the header implies is rejected too.
+func TestLoadRejectsHeaderPastInput(t *testing.T) {
+	valid := func() []byte {
+		var buf bytes.Buffer
+		if err := New(2, 3).Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	cases := []struct {
+		name string
+		data []byte
+		want error
+	}{
+		{"vocab 2^20 dim 2^12", header(version, 1<<20, 1<<12), ErrTruncated},
+		{"vocab 2^31 dim 2^20", header(version, 1<<31, 1<<20), ErrTruncated},
+		{"truncated 2x3", valid()[:headerLen+5], ErrTruncated},
+		{"short header", valid()[:headerLen-1], ErrTruncated},
+		{"trailing byte", append(valid(), 0), ErrTrailingBytes},
+		{"bad magic", append([]byte("NOTMAGIC"), valid()[len(magic):]...), ErrFormat},
+	}
+	dir := t.TempDir()
+	for i, tc := range cases {
+		if _, err := loadBytes(tc.data); !errors.Is(err, tc.want) {
+			t.Errorf("%s: Load = %v, want %v", tc.name, err, tc.want)
+		}
+		path := filepath.Join(dir, fmt.Sprintf("case%d.bin", i))
+		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadFile(path); !errors.Is(err, tc.want) {
+			t.Errorf("%s: LoadFile = %v, want %v", tc.name, err, tc.want)
+		}
 	}
 }
 
@@ -194,7 +252,7 @@ func TestSaveLoadProperty(t *testing.T) {
 		if err := m.Save(&buf); err != nil {
 			return false
 		}
-		got, err := Load(&buf)
+		got, err := loadBytes(buf.Bytes())
 		if err != nil {
 			return false
 		}
@@ -219,7 +277,7 @@ func BenchmarkSaveLoad(b *testing.B) {
 		if err := m.Save(&buf); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := Load(&buf); err != nil {
+		if _, err := loadBytes(buf.Bytes()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -75,7 +75,7 @@ func LoadSnapshot(modelPath string, cfg StoreConfig) (*Snapshot, error) {
 	h.Write(vocabBytes)
 	id := fmt.Sprintf("%016x", h.Sum64())
 
-	m, err := model.Load(bytes.NewReader(modelBytes))
+	m, err := model.Load(bytes.NewReader(modelBytes), int64(len(modelBytes)))
 	if err != nil {
 		return nil, err
 	}

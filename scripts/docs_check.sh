@@ -15,8 +15,10 @@ refs=$(
         # Bare references in Go comments/strings: DESIGN.md, BENCH_comm.json, ...
         grep -rhoE '[A-Za-z0-9][A-Za-z0-9_.-]*\.md|BENCH_[A-Za-z0-9_]+\.json' --include='*.go' . 2>/dev/null
         # Markdown link targets in the top-level docs: [text](FILE.md),
-        # [text](BENCH_comm.json)
-        grep -hoE '\]\(([A-Za-z0-9][A-Za-z0-9_./-]*\.md|BENCH_[A-Za-z0-9_]+\.json)\)' ./*.md 2>/dev/null |
+        # [text](BENCH_comm.json). Inline code spans are stripped first:
+        # link syntax quoted inside backticks does not render as a link.
+        sed -e 's/`[^`]*`//g' ./*.md 2>/dev/null |
+            grep -oE '\]\(([A-Za-z0-9][A-Za-z0-9_./-]*\.md|BENCH_[A-Za-z0-9_]+\.json)\)' |
             sed -e 's/^](//' -e 's/)$//'
     } | sort -u
 )
