@@ -111,7 +111,7 @@ func run(args []string, out io.Writer) (err error) {
 	} else {
 		cfg.OnEpoch = func(epoch int, _ core.ModelView, er core.EpochResult) {
 			fmt.Fprintf(out, "epoch %d: alpha %.5f, %d pairs, %s communicated\n",
-				epoch+1, er.Alpha, er.Train.Pairs, cliutil.FormatBytes(er.Comm.TotalBytes()))
+				epoch+1, er.Alpha, er.Train.Pairs, cliutil.FormatBytes(float64(er.Comm.TotalBytes())))
 		}
 		tr, err := core.NewTrainer(cfg, wl.Vocab, wl.Neg, wl.Source, wl.Dim)
 		if err != nil {
@@ -123,7 +123,7 @@ func run(args []string, out io.Writer) (err error) {
 		}
 		fmt.Fprintf(out, "trained %d pairs on %d hosts (%s, %s) in %s; total volume %s\n",
 			res.Train.Pairs, *hosts, cfg.CombinerName, cfg.Mode, time.Since(start).Round(time.Millisecond),
-			cliutil.FormatBytes(res.Comm.TotalBytes()))
+			cliutil.FormatBytes(float64(res.Comm.TotalBytes())))
 		trained = res.Canonical
 	}
 	if d := wl.Dataset; d != nil {

@@ -33,7 +33,10 @@ package main
 import (
 	"errors"
 	"flag"
+	"fmt"
+	"io"
 	"log"
+	"os"
 	"slices"
 	"strings"
 	"time"
@@ -48,57 +51,73 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("gw2v-worker: ")
-	var (
-		wf          = workload.Register(flag.CommandLine, ", identical on every rank")
-		rank        = flag.Int("rank", -1, "this worker's host id in [0, hosts) (required)")
-		peersCSV    = flag.String("peers", "", "comma-separated host:port list, one per rank (required)")
-		listenAddr  = flag.String("listen", "", "bind address override (default: the -peers entry for this rank)")
-		modelPath   = flag.String("model", "model.bin", "output model path (written by rank 0)")
-		healFlags   = cliutil.RegisterHeal(flag.CommandLine)
-		dialTimeout = flag.Duration("dial-timeout", 30*time.Second, "how long to wait for peers during bootstrap")
-		quiet       = flag.Bool("quiet", false, "suppress per-epoch progress")
+	if err := run(os.Args[1:], os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
 
-		ckptDir     = flag.String("checkpoint-dir", "", "directory for round-boundary checkpoints (empty = checkpointing off)")
-		ckptEvery   = flag.Int("checkpoint-every", 0, "checkpoint cadence in sync rounds (0 = once per epoch)")
-		resumeFlag  = flag.Bool("resume", false, "resume from the newest cluster-wide checkpoint in -checkpoint-dir (fresh start if none)")
-		maxRestarts = flag.Int("max-restarts", 0, "after losing a peer, re-dial the mesh and resume up to this many times (0 = exit on peer loss)")
-		peerTimeout = flag.Duration("peer-timeout", 0, "read and write deadline: a peer silent or not draining its socket for this long is dead (healed instead with -heal); heartbeats are sent every third of it (0 = no deadlines). With -heal off and -heal-budget unset, a peer whose connection drops is also declared dead once it stays down this long (5s when 0)")
-		minHosts    = flag.Int("min-hosts", 0, "when a lost peer never re-dials within -dial-timeout, the survivors re-form a smaller mesh and re-shard its master range, but never below this many hosts (0 = never degrade: exit instead; identical on every rank)")
+// run drives this rank per the command-line args, logging progress to
+// out. Every flag is checked before any input is read or any peer is
+// dialed.
+func run(args []string, out io.Writer) error {
+	logger := log.New(out, "gw2v-worker: ", 0)
+	fs := flag.NewFlagSet("gw2v-worker", flag.ContinueOnError)
+	var (
+		wf          = workload.Register(fs, ", identical on every rank")
+		rank        = fs.Int("rank", -1, "this worker's host id in [0, hosts) (required)")
+		peersCSV    = fs.String("peers", "", "comma-separated host:port list, one per rank (required)")
+		listenAddr  = fs.String("listen", "", "bind address override (default: the -peers entry for this rank)")
+		modelPath   = fs.String("model", "model.bin", "output model path (written by rank 0)")
+		healFlags   = cliutil.RegisterHeal(fs)
+		dialTimeout = fs.Duration("dial-timeout", 30*time.Second, "how long to wait for peers during bootstrap")
+		quiet       = fs.Bool("quiet", false, "suppress per-epoch progress")
+
+		ckptDir     = fs.String("checkpoint-dir", "", "directory for round-boundary checkpoints (empty = checkpointing off; at most 64 hosts)")
+		ckptEvery   = fs.Int("checkpoint-every", 0, "checkpoint cadence in sync rounds (0 = once per epoch)")
+		resumeFlag  = fs.Bool("resume", false, "resume from the newest cluster-wide checkpoint in -checkpoint-dir (fresh start if none)")
+		maxRestarts = fs.Int("max-restarts", 0, "after losing a peer, re-dial the mesh and resume up to this many times (0 = exit on peer loss)")
+		peerTimeout = fs.Duration("peer-timeout", 0, "read and write deadline: a peer silent or not draining its socket for this long is dead (healed instead with -heal); heartbeats are sent every third of it (0 = no deadlines). With -heal off and -heal-budget unset, a peer whose connection drops is also declared dead once it stays down this long (5s when 0)")
+		minHosts    = fs.Int("min-hosts", 0, "when a lost peer never re-dials within -dial-timeout, the survivors re-form a smaller mesh and re-shard its master range, but never below this many hosts (0 = never degrade: exit instead; identical on every rank)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *peersCSV == "" {
-		log.Fatal("-peers is required")
+		return errors.New("-peers is required")
 	}
 	peers := strings.Split(*peersCSV, ",")
 	if *rank < 0 || *rank >= len(peers) {
-		log.Fatalf("-rank %d out of range for %d peers", *rank, len(peers))
+		return fmt.Errorf("-rank %d out of range for %d peers", *rank, len(peers))
 	}
 	hosts := len(peers)
-	if *resumeFlag && *ckptDir == "" {
-		log.Fatal("-resume requires -checkpoint-dir")
+	switch {
+	case *resumeFlag && *ckptDir == "":
+		return errors.New("-resume requires -checkpoint-dir")
+	case *maxRestarts > 0 && *ckptDir == "":
+		return errors.New("-max-restarts requires -checkpoint-dir (recovery resumes from checkpoints)")
+	case *minHosts > 0 && *ckptDir == "":
+		return errors.New("-min-hosts requires -checkpoint-dir (membership changes migrate state via checkpoints)")
+	case *minHosts < 0 || *minHosts > hosts:
+		return fmt.Errorf("-min-hosts %d out of range [0,%d]", *minHosts, hosts)
+	case *ckptDir != "" && hosts > gluon.MembershipHostCap:
+		return fmt.Errorf("-checkpoint-dir on %d peers: %w", hosts, gluon.ErrMembershipHostCap)
 	}
-	if *maxRestarts > 0 && *ckptDir == "" {
-		log.Fatal("-max-restarts requires -checkpoint-dir (recovery resumes from checkpoints)")
-	}
-	if *minHosts > 0 && *ckptDir == "" {
-		log.Fatal("-min-hosts requires -checkpoint-dir (membership changes migrate state via checkpoints)")
-	}
-	if *minHosts < 0 || *minHosts > hosts {
-		log.Fatalf("-min-hosts %d out of range [0,%d]", *minHosts, hosts)
+	if err := wf.Validate(); err != nil {
+		return err
 	}
 
 	wl, err := wf.Load(hosts)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if !*quiet {
-		log.Printf("rank %d/%d: %s", *rank, hosts, wl.Summary)
+		logger.Printf("rank %d/%d: %s", *rank, hosts, wl.Summary)
 	}
 	cfg := wl.Config
 	cfg.Heal = healFlags.Heal
 	cfg.HealBudget = healFlags.Budget
 	budgetSet := false
-	flag.Visit(func(f *flag.Flag) { budgetSet = budgetSet || f.Name == "heal-budget" })
+	fs.Visit(func(f *flag.Flag) { budgetSet = budgetSet || f.Name == "heal-budget" })
 	if !cfg.Heal && !budgetSet {
 		// Without healing a dropped connection is a dead peer once it
 		// outlasts -peer-timeout, like a silent one (0: the library's 5s).
@@ -118,7 +137,7 @@ func main() {
 	var onEpoch func(int, float32, sgns.Stats, gluon.Stats)
 	if !*quiet {
 		onEpoch = func(epoch int, alpha float32, train sgns.Stats, comm gluon.Stats) {
-			log.Printf("rank %d epoch %d: alpha %.5f, %d pairs, %s sent", *rank, epoch+1, alpha, train.Pairs, cliutil.FormatBytes(comm.TotalBytes()))
+			logger.Printf("rank %d epoch %d: alpha %.5f, %d pairs, %s sent", *rank, epoch+1, alpha, train.Pairs, cliutil.FormatBytes(float64(comm.TotalBytes())))
 		}
 	}
 
@@ -161,11 +180,11 @@ func main() {
 		}
 		defer func() { tr.Close(); lost = tr.LostPeers() }()
 		if !*quiet {
-			log.Printf("rank %d: mesh of %d hosts connected", curRank, len(addrs))
+			logger.Printf("rank %d: mesh of %d hosts connected", curRank, len(addrs))
 		}
 		c := cfg
 		c.Hosts = len(addrs) // SyncRounds stays pinned to the launch value
-		opts := core.RunOptions{OnEpoch: onEpoch, Checksum: sum, Warnf: log.Printf}
+		opts := core.RunOptions{OnEpoch: onEpoch, Checksum: sum, Warnf: logger.Printf}
 		if *ckptDir != "" {
 			opts.Checkpoint = &core.CheckpointPolicy{
 				Dir: *ckptDir, Every: *ckptEvery,
@@ -200,7 +219,7 @@ func main() {
 					lostNow = append(lostNow, p)
 				}
 			}
-			log.Printf("rank %d: %v — re-forming mesh and resuming (restart %d/%d)", curRank, err, attempt+1, *maxRestarts)
+			logger.Printf("rank %d: %v — re-forming mesh and resuming (restart %d/%d)", curRank, err, attempt+1, *maxRestarts)
 			time.Sleep(500 * time.Millisecond)
 			resume = true
 		case errors.Is(err, gluon.ErrMeshTimeout) && *minHosts > 0 && attempt < *maxRestarts &&
@@ -221,28 +240,29 @@ func main() {
 				nextAddrs = append(nextAddrs, addrs[i])
 				nextMembers = append(nextMembers, members[i])
 			}
-			log.Printf("rank %d: peers %v never re-dialed — continuing as rank %d of a %d-host cluster (original ranks %v)",
+			logger.Printf("rank %d: peers %v never re-dialed — continuing as rank %d of a %d-host cluster (original ranks %v)",
 				curRank, lostNow, nextRank, len(nextMembers), nextMembers)
 			addrs, members, curRank = nextAddrs, nextMembers, nextRank
 			lostNow = nil
 			resume = true
 		default:
-			log.Fatal(err)
+			return err
 		}
 	}
 	if res.ResumedFrom > 0 {
-		log.Printf("rank %d: resumed from checkpoint round %d", curRank, res.ResumedFrom)
+		logger.Printf("rank %d: resumed from checkpoint round %d", curRank, res.ResumedFrom)
 	}
-	log.Printf("rank %d: trained %d pairs in %s (%s sent)", curRank,
-		res.Engine.Train.Pairs, time.Since(start).Round(time.Millisecond), cliutil.FormatBytes(res.Engine.Comm.TotalBytes()))
+	logger.Printf("rank %d: trained %d pairs in %s (%s sent)", curRank,
+		res.Engine.Train.Pairs, time.Since(start).Round(time.Millisecond), cliutil.FormatBytes(float64(res.Engine.Comm.TotalBytes())))
 
 	if res.Canonical != nil {
 		if err := res.Canonical.SaveFile(*modelPath); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := cliutil.SaveVocabSidecar(*modelPath, wl.Vocab); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		log.Printf("rank 0: saved canonical model to %s", *modelPath)
+		logger.Printf("rank 0: saved canonical model to %s", *modelPath)
 	}
+	return nil
 }

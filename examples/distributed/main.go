@@ -141,5 +141,5 @@ func tcpParityCheck(d *harness.Dataset, opts harness.Options) {
 		}
 	}
 	fmt.Printf("\n%d engines over localhost TCP reproduced the simulated cluster bit-for-bit (%s sent on the wire by rank 0)\n",
-		cfg.Hosts, cliutil.FormatBytes(results[0].Engine.Comm.TotalBytes()))
+		cfg.Hosts, cliutil.FormatBytes(float64(results[0].Engine.Comm.TotalBytes())))
 }

@@ -48,7 +48,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("simulated cluster: %d training pairs on %d hosts, %s communicated\n",
-		sim.Train.Pairs, opts.Hosts, cliutil.FormatBytes(sim.Comm.TotalBytes()))
+		sim.Train.Pairs, opts.Hosts, cliutil.FormatBytes(float64(sim.Comm.TotalBytes())))
 
 	// 3. The same training as free-running engines over real TCP sockets.
 	trs, err := gluon.NewTCPCluster(cfg.Hosts)
@@ -86,7 +86,7 @@ func main() {
 		}
 	}
 	fmt.Printf("%d engines over localhost TCP reproduced the simulation bit-for-bit (%s on the wire from rank 0)\n",
-		cfg.Hosts, cliutil.FormatBytes(results[0].Engine.Comm.TotalBytes()))
+		cfg.Hosts, cliutil.FormatBytes(float64(results[0].Engine.Comm.TotalBytes())))
 
 	// 4. The planted communities are recoverable from the embedding.
 	acc, err := d.Evaluate(sim.Canonical)

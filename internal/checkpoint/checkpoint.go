@@ -201,38 +201,47 @@ func Load(path string) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
+	return parse(path, data)
+}
+
+// parse validates and decodes the bytes of a snapshot file; name labels
+// its errors. Every accepted input re-encodes (writeSnapshot) to the
+// same bytes.
+func parse(name string, data []byte) (*Snapshot, error) {
 	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
 		if len(data) == 0 {
-			return nil, fmt.Errorf("%w: %s is empty", ErrTruncated, path)
+			return nil, fmt.Errorf("%w: %s is empty", ErrTruncated, name)
 		}
-		return nil, fmt.Errorf("%w: %s", ErrNotSnapshot, path)
+		return nil, fmt.Errorf("%w: %s", ErrNotSnapshot, name)
 	}
 	if len(data) < headerLen {
-		return nil, fmt.Errorf("%w: %s has only %d header bytes", ErrTruncated, path, len(data))
+		return nil, fmt.Errorf("%w: %s has only %d header bytes", ErrTruncated, name, len(data))
 	}
 	off := len(magic)
 	if v := binary.LittleEndian.Uint32(data[off:]); v != Version {
-		return nil, fmt.Errorf("%w: %s is version %d, want %d", ErrVersion, path, v, Version)
+		return nil, fmt.Errorf("%w: %s is version %d, want %d", ErrVersion, name, v, Version)
 	}
 	s := &Snapshot{Checksum: binary.LittleEndian.Uint64(data[off+4:])}
 	var rank, hosts, threads, vocab, dim uint32
 	for i, p := range []*uint32{&rank, &hosts, &s.NextRound, &threads, &vocab, &dim} {
 		*p = binary.LittleEndian.Uint32(data[off+12+4*i:])
 	}
+	// The shape bound comes first: it keeps encodedSize far from
+	// wrapping, so a forged header cannot claim a body-less size.
+	if vocab == 0 || dim == 0 || vocab > 1<<31 || dim > 1<<20 {
+		return nil, fmt.Errorf("%w: %s has implausible shape vocab=%d dim=%d", ErrCorrupt, name, vocab, dim)
+	}
 	want := encodedSize(uint64(threads), uint64(vocab), uint64(dim))
 	if uint64(len(data)) < want {
-		return nil, fmt.Errorf("%w: %s is %d bytes, header implies %d", ErrTruncated, path, len(data), want)
+		return nil, fmt.Errorf("%w: %s is %d bytes, header implies %d", ErrTruncated, name, len(data), want)
 	}
 	if uint64(len(data)) > want {
-		return nil, fmt.Errorf("%w: %s has %d trailing bytes", ErrCorrupt, path, uint64(len(data))-want)
+		return nil, fmt.Errorf("%w: %s has %d trailing bytes", ErrCorrupt, name, uint64(len(data))-want)
 	}
 	body := data[:len(data)-hashLen]
 	sum := sha256.Sum256(body)
 	if string(sum[:]) != string(data[len(body):]) {
-		return nil, fmt.Errorf("%w: %s", ErrCorrupt, path)
-	}
-	if vocab == 0 || dim == 0 || vocab > 1<<31 || dim > 1<<20 {
-		return nil, fmt.Errorf("%w: %s has implausible shape vocab=%d dim=%d", ErrCorrupt, path, vocab, dim)
+		return nil, fmt.Errorf("%w: %s", ErrCorrupt, name)
 	}
 	s.Rank, s.Hosts = int(rank), int(hosts)
 

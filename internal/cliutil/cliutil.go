@@ -61,16 +61,16 @@ func StartProfiles(cpuPath, memPath string) (stop func() error, err error) {
 	}, nil
 }
 
-// FormatBytes renders a byte count with SI units ("1.5MB").
-func FormatBytes(b int64) string {
+// FormatBytes renders a byte count with SI units ("1.5MB"). It takes a
+// float64 so extrapolated counts render without rounding first.
+func FormatBytes(b float64) string {
 	units := []string{"B", "KB", "MB", "GB", "TB"}
-	f := float64(b)
 	i := 0
-	for f >= 1000 && i < len(units)-1 {
-		f /= 1000
+	for b >= 1000 && i < len(units)-1 {
+		b /= 1000
 		i++
 	}
-	return fmt.Sprintf("%.1f%s", f, units[i])
+	return fmt.Sprintf("%.1f%s", b, units[i])
 }
 
 // SaveVocabSidecar writes the vocabulary next to the model so gw2v-eval

@@ -68,7 +68,7 @@ type PerfFlags struct {
 func RegisterPerf(fs *flag.FlagSet) *PerfFlags {
 	p := &PerfFlags{}
 	fs.BoolVar(&p.SyncOverlap, "sync-overlap", false,
-		"double-buffer the BSP step: run each synchronisation round on a background goroutine while the next round's compute starts on rows the round has already finalised, blocking per node until finality; bit-identical to serialized rounds, so this per-host knob may differ between ranks (DESIGN.md §12)")
+		"double-buffer the BSP step: start the next round's compute while each synchronisation round is in flight, on rows the round has already finalised, blocking per node until finality; bit-identical to serialized rounds, so this per-host knob may differ between ranks (DESIGN.md §12)")
 	return p
 }
 

@@ -48,15 +48,14 @@ type Config struct {
 	// experiment harness keeps 1 and models intra-host parallelism via
 	// ModeledThreadsPerHost instead (see DESIGN.md).
 	ThreadsPerHost int
-	// SyncOverlap double-buffers the BSP step (DESIGN.md §12): each
-	// synchronisation round runs on a background goroutine while the
-	// next round's compute starts on the rows the round has already
-	// finalised, blocking per node until finality. The fold order and
-	// every RNG stream are unchanged — overlapped runs are bit-identical
-	// to serialized ones, and a round's wire bytes are the same with it
-	// on or off — so this is a per-host performance knob, excluded from
-	// the cluster checksum. Capped at gluon.OverlapHostCap (64) hosts:
-	// Validate refuses larger clusters with gluon.ErrOverlapHostCap.
+	// SyncOverlap double-buffers the BSP step (DESIGN.md §12): every
+	// synchronisation round runs on a background goroutine, and with
+	// this set the next round's compute starts meanwhile on the rows
+	// the round has already finalised, blocking per node until
+	// finality. The fold order and every RNG stream are unchanged —
+	// overlapped runs are bit-identical to serialized ones, and a
+	// round's wire bytes are the same with it on or off — so this is a
+	// per-host performance knob, excluded from the cluster checksum.
 	SyncOverlap bool
 	// Heal sets this rank's gluon session policy (PROTOCOL.md §12) on
 	// TCP meshes: transient connection faults — resets, partitions,
@@ -154,8 +153,6 @@ func (c *Config) Validate() error {
 		return errors.New("core: ThreadsPerHost must be positive")
 	case c.HealBudget < 0:
 		return errors.New("core: HealBudget must be non-negative")
-	case c.SyncOverlap && c.Hosts > gluon.OverlapHostCap:
-		return fmt.Errorf("core: SyncOverlap on %d hosts: %w", c.Hosts, gluon.ErrOverlapHostCap)
 	}
 	if err := c.Params.Validate(); err != nil {
 		return fmt.Errorf("core: %w", err)

@@ -79,7 +79,9 @@ type DistributedResult struct {
 }
 
 // CheckpointPolicy configures round-boundary checkpointing for a
-// distributed run (DESIGN.md §10).
+// distributed run (DESIGN.md §10). Clusters past
+// gluon.MembershipHostCap hosts are refused with
+// gluon.ErrMembershipHostCap: their snapshots could not be resumed.
 type CheckpointPolicy struct {
 	// Dir is the per-host checkpoint directory; each rank writes
 	// rank%04d.ckpt plus one rolled-back .prev generation there. Ranks
@@ -174,6 +176,9 @@ func RunDistributed(cfg Config, rank int, tr gluon.Transport, voc *vocab.Vocabul
 // uninterrupted run.
 func RunDistributedOpts(cfg Config, rank int, tr gluon.Transport, voc *vocab.Vocabulary, neg *vocab.UnigramTable, src corpus.SequenceSource, dim int,
 	opts RunOptions) (*DistributedResult, error) {
+	if opts.Checkpoint != nil && cfg.Hosts > gluon.MembershipHostCap {
+		return nil, fmt.Errorf("core: checkpointing %d hosts: %w", cfg.Hosts, gluon.ErrMembershipHostCap)
+	}
 	eng, err := NewEngine(cfg, rank, tr, voc, neg, src, dim)
 	if err != nil {
 		return nil, err

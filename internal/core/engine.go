@@ -59,9 +59,9 @@ type Engine struct {
 	touched *bitset.Bitset
 	access  *bitset.Bitset
 
-	// Compute/sync overlap state (DESIGN.md §12). touchedNext is the
-	// second half of the double buffer: while an in-flight sync reads
-	// touched (round r), the gated compute of round r+1 records into
+	// Round lifecycle state (DESIGN.md §12). touchedNext is the second
+	// half of the double buffer: while an in-flight sync reads touched
+	// (round r), the gated compute of round r+1 records into
 	// touchedNext; syncFinishRound swaps them. gates hold one
 	// sgns.NodeGate per compute thread; inFlight marks the window
 	// between syncStartRound and syncFinishRound, in which
@@ -331,12 +331,10 @@ func newEngine(cfg Config, host int, tr gluon.Transport, voc *vocab.Vocabulary, 
 		e.rands[th] = xrand.New(0)
 		e.perThread[th] = bitset.New(voc.Size())
 	}
-	if cfg.SyncOverlap {
-		e.touchedNext = bitset.New(voc.Size())
-		e.gates = make([]*overlapGate, threads)
-		for th := 0; th < threads; th++ {
-			e.gates[th] = newOverlapGate(e)
-		}
+	e.touchedNext = bitset.New(voc.Size())
+	e.gates = make([]*overlapGate, threads)
+	for th := 0; th < threads; th++ {
+		e.gates[th] = newOverlapGate(e)
 	}
 	return e, nil
 }
@@ -357,10 +355,9 @@ type EngineResult struct {
 	// charged to SyncSeconds instead.
 	ComputeSeconds float64
 	// SyncSeconds is the host's total CRITICAL-PATH synchronisation
-	// time: for serialized rounds the blocking Sync call (including
-	// peer wait); for overlapped rounds SyncStart + the longest time
-	// any compute thread spent gate-blocked + SyncFinish. The window a
-	// sync round spent hidden behind useful compute is excluded and
+	// time: per round SyncStart + the longest time any compute thread
+	// spent gate-blocked + SyncFinish (including peer wait). The window
+	// a sync round spent hidden behind useful compute is excluded and
 	// reported in OverlapSeconds.
 	SyncSeconds float64
 	// OverlapSeconds is the total synchronisation time hidden behind
@@ -398,7 +395,7 @@ func (e *Engine) Run(onEpoch func(epoch int, alpha float32, train sgns.Stats, co
 			continue
 		}
 		alpha := e.cfg.alphaForEpoch(epoch)
-		var ep EngineResult // this epoch's share of res
+		var ep EngineResult // this epoch's counters
 		for round := 0; round < e.cfg.SyncRounds; round++ {
 			if globalRound < e.startRound {
 				// Covered by the snapshot: its effects on the model,
@@ -431,27 +428,25 @@ func (e *Engine) Run(onEpoch func(epoch int, alpha float32, train sgns.Stats, co
 			if e.cfg.Mode == gluon.PullModel {
 				do(phaseInspect, func() error { e.inspectNext(epoch, round); return nil })
 			}
+			// Launch sync(r) in the background and join it. When
+			// overlap may, round r+1's compute runs in between, gated
+			// on the sync's progress: same fold order, same RNG
+			// streams — bit-identical to joining at once.
+			do(phaseSync, func() error { return e.syncStartRound(globalRound) })
 			if e.overlapNextOK(round, globalRound) {
-				// Double-buffered round: launch sync(r) in the
-				// background, run round r+1's compute gated on its
-				// progress, then join. Same fold order, same RNG
-				// streams — bit-identical to the serialized path.
-				do(phaseSync, func() error { return e.syncStartRound(globalRound) })
 				do(phaseGated, func() error { e.computeRound(epoch, round+1, alpha); return nil })
-				do(phaseSync, e.syncFinishRound)
 				computedNext = true
-			} else {
-				do(phaseSync, func() error { return e.syncRound(globalRound) })
 			}
+			do(phaseSync, e.syncFinishRound)
 			if err == nil {
 				err = ls.endRound(compute, e.syncSeconds)
 			}
 			if err != nil {
 				return nil, fmt.Errorf("core: host %d epoch %d round %d: %w", e.host, epoch, round, err)
 			}
-			ep.ComputeSeconds += compute
-			ep.SyncSeconds += e.syncSeconds
-			ep.OverlapSeconds += e.overlapSeconds
+			res.ComputeSeconds += compute
+			res.SyncSeconds += e.syncSeconds
+			res.OverlapSeconds += e.overlapSeconds
 			globalRound++
 			if err := e.maybeCheckpoint(globalRound); err != nil {
 				return nil, err
@@ -460,9 +455,6 @@ func (e *Engine) Run(onEpoch func(epoch int, alpha float32, train sgns.Stats, co
 		ep.Train, ep.Comm = e.finishEpoch(epoch)
 		res.Train.Add(ep.Train)
 		res.Comm.Add(ep.Comm)
-		res.ComputeSeconds += ep.ComputeSeconds
-		res.SyncSeconds += ep.SyncSeconds
-		res.OverlapSeconds += ep.OverlapSeconds
 		if onEpoch != nil {
 			onEpoch(epoch, alpha, ep.Train, ep.Comm)
 		}
@@ -560,18 +552,6 @@ func (e *Engine) inspectNext(epoch, round int) {
 	}
 }
 
-// syncRound runs one bulk-synchronous synchronisation (Algorithm 1 line
-// 10) against the rest of the cluster and records its wall time in
-// syncSeconds (the per-phase timer behind EngineResult.SyncSeconds and
-// the benchmark's core.sync_s).
-func (e *Engine) syncRound(round uint32) error {
-	start := time.Now()
-	err := e.sync.Sync(round, e.local, e.base, e.touched, e.access)
-	e.syncSeconds = time.Since(start).Seconds()
-	e.overlapSeconds = 0
-	return err
-}
-
 // overlapNextOK reports whether round (at global index globalRound) may
 // run its synchronisation overlapped with the NEXT round's compute.
 // Overlap needs a next round in the same epoch (alpha and the epoch
@@ -591,9 +571,12 @@ func (e *Engine) overlapNextOK(round int, globalRound uint32) bool {
 	return true
 }
 
-// syncStartRound launches this round's synchronisation on a background
-// goroutine (gluon.HostSync.SyncStart) and records the launch cost.
+// syncStartRound launches this round's synchronisation (Algorithm 1
+// line 10) on a background goroutine (gluon.HostSync.SyncStart) and
+// records the launch cost. The gate timers start at zero: a round with
+// no gated compute hides nothing.
 func (e *Engine) syncStartRound(round uint32) error {
+	e.gateBlocked, e.overlapSeconds = 0, 0
 	start := time.Now()
 	err := e.sync.SyncStart(round, e.local, e.base, e.touched, e.access)
 	e.syncStartDur = time.Since(start).Seconds()
@@ -601,10 +584,12 @@ func (e *Engine) syncStartRound(round uint32) error {
 	return err
 }
 
-// syncFinishRound joins the in-flight round and composes the overlapped
-// round's critical-path sync time: launch + the longest any compute
-// thread was gate-blocked + the join. It then swaps the touched double
-// buffer so the next round's set (written gated) becomes current.
+// syncFinishRound joins the in-flight round and composes its
+// critical-path sync time — launch + the longest any compute thread was
+// gate-blocked + the join, the syncSeconds behind
+// EngineResult.SyncSeconds and the benchmark's core.sync_s. It then
+// swaps the touched double buffer so the next round's set (written
+// gated, or reset by the next computeRound) becomes current.
 func (e *Engine) syncFinishRound() error {
 	start := time.Now()
 	err := e.sync.SyncFinish()

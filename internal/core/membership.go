@@ -183,8 +183,10 @@ func buildOffer(entries []checkpoint.DirEntry, oldRank int, mode gluon.Mode) glu
 			}
 		}
 	}
-	if offer.OldHosts == 0 || offer.OldHosts > 64 {
-		return gluon.MembershipOffer{OldRank: oldRank}
+	if offer.OldHosts == 0 || offer.OldHosts > gluon.MembershipHostCap {
+		// Nothing to offer; a cluster past the cap keeps its size so
+		// NegotiateMembership refuses it by name.
+		return offer
 	}
 	full := uint64(1)<<uint(offer.OldHosts) - 1
 	masks := map[uint32]uint64{}

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
+	"graphword2vec/internal/checkpoint"
 	"graphword2vec/internal/gluon"
 )
 
@@ -155,5 +157,45 @@ func TestMembershipChecksum(t *testing.T) {
 	}
 	if MembershipChecksum(base+1, []int{0, 2}) == a {
 		t.Fatal("base not folded")
+	}
+}
+
+// TestCheckpointPast64HostsRefused: the membership negotiation can
+// describe at most 64 old hosts, so a checkpointed cluster wider than
+// that is refused by name before it trains a round — it would otherwise
+// write snapshots it could never resume from and, on resume, silently
+// restart from round 0. A store holding such snapshots is refused by
+// the negotiation rather than read as empty.
+func TestCheckpointPast64HostsRefused(t *testing.T) {
+	const hosts = gluon.MembershipHostCap + 1
+	v, neg, c := testData(t, repeatedText(4))
+	tr, err := gluon.NewInProcTransport(hosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	cfg := smallConfig(hosts)
+	for _, resume := range []bool{false, true} {
+		opts := RunOptions{Checkpoint: &CheckpointPolicy{Dir: t.TempDir(), Resume: resume}}
+		if _, err := RunDistributedOpts(cfg, 0, tr, v, neg, c, 8, opts); !errors.Is(err, gluon.ErrMembershipHostCap) {
+			t.Fatalf("resume=%v: RunDistributedOpts on %d hosts = %v, want ErrMembershipHostCap", resume, hosts, err)
+		}
+	}
+
+	offer := buildOffer([]checkpoint.DirEntry{{Rank: 0, Hosts: hosts, NextRound: 3}}, 0, gluon.RepModelOpt)
+	if offer.OldHosts != hosts {
+		t.Fatalf("offer over a %d-host store claims %d old hosts", hosts, offer.OldHosts)
+	}
+	one, err := gluon.NewInProcTransport(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer one.Close()
+	eng, err := NewEngine(smallConfig(1), 0, one, v, neg, c, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.sync.NegotiateMembership(offer); !errors.Is(err, gluon.ErrMembershipHostCap) {
+		t.Fatalf("negotiating a %d-host offer = %v, want ErrMembershipHostCap", hosts, err)
 	}
 }

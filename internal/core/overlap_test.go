@@ -2,11 +2,15 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"graphword2vec/internal/corpus"
 	"graphword2vec/internal/gluon"
+	"graphword2vec/internal/vocab"
 )
 
 // TestRunOverlapBitIdentical is the tentpole invariant at the core
@@ -15,8 +19,26 @@ import (
 // must produce a model byte-identical to the serialized one.
 func TestRunOverlapBitIdentical(t *testing.T) {
 	v, neg, c := testData(t, repeatedText(8))
+	checkOverlapIdentical(t, smallConfig(3), v, neg, c)
+}
+
+// TestRunOverlapPast64Hosts: overlap has no host cap — on 65 hosts,
+// where the installed-host set spans two words, overlapped and
+// serialized runs still train the same bits in every mode.
+func TestRunOverlapPast64Hosts(t *testing.T) {
+	var text strings.Builder
+	for i := 0; i < 3000; i++ {
+		fmt.Fprintf(&text, "w%d ", (i*i+3*i)%150)
+	}
+	v, neg, c := testData(t, text.String())
+	checkOverlapIdentical(t, smallConfig(65), v, neg, c)
+}
+
+// checkOverlapIdentical runs cfg with SyncOverlap off and on in each
+// mode, demanding byte-identical models and a hidden sync window only
+// when overlap is on.
+func checkOverlapIdentical(t *testing.T, cfg Config, v *vocab.Vocabulary, neg *vocab.UnigramTable, c *corpus.Corpus) {
 	run := func(mode gluon.Mode, overlap bool) *Result {
-		cfg := smallConfig(3)
 		cfg.Mode = mode
 		cfg.SyncOverlap = overlap
 		tr, err := NewTrainer(cfg, v, neg, c, 8)
@@ -30,7 +52,6 @@ func TestRunOverlapBitIdentical(t *testing.T) {
 		return res
 	}
 	for _, mode := range []gluon.Mode{gluon.RepModelNaive, gluon.RepModelOpt, gluon.PullModel} {
-		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
 			serial := run(mode, false)
 			over := run(mode, true)
@@ -108,26 +129,6 @@ func TestEngineResultOverlapAccounting(t *testing.T) {
 	}
 	if res.CriticalSyncSeconds <= 0 {
 		t.Error("no critical sync time recorded")
-	}
-}
-
-// TestValidateOverlapHostCap: overlap past the 64-host installed-mask
-// width is refused by name at configuration time rather than silently
-// serialized; 64 hosts, and 65 without overlap, stay valid.
-func TestValidateOverlapHostCap(t *testing.T) {
-	cfg := DefaultConfig(65)
-	cfg.SyncOverlap = true
-	if err := cfg.Validate(); !errors.Is(err, gluon.ErrOverlapHostCap) {
-		t.Fatalf("65-host overlap: Validate = %v, want ErrOverlapHostCap", err)
-	}
-	cfg.SyncOverlap = false
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("65 hosts without overlap: %v", err)
-	}
-	cfg = DefaultConfig(64)
-	cfg.SyncOverlap = true
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("64-host overlap: %v", err)
 	}
 }
 

@@ -19,24 +19,6 @@ type EpochResult struct {
 	Epoch int
 	// Alpha is the learning rate used this epoch.
 	Alpha float32
-	// ComputeSeconds[h] is the wall time host h spent in compute phases
-	// this epoch (each host's compute is measured individually).
-	ComputeSeconds []float64
-	// CriticalComputeSeconds sums, over the epoch's rounds, the maximum
-	// per-host compute time of that round — the BSP critical path.
-	CriticalComputeSeconds float64
-	// SyncSeconds[h] is the critical-path time host h spent on
-	// synchronisation rounds this epoch: for serialized rounds the
-	// blocking Sync wall time (encode, transport, decode, combine, and
-	// waiting for peers); for overlapped rounds only the part that
-	// extended the critical path (launch + gate-blocked + join).
-	SyncSeconds []float64
-	// CriticalSyncSeconds sums, over the epoch's rounds, the maximum
-	// per-host sync time of that round.
-	CriticalSyncSeconds float64
-	// OverlapSeconds[h] is the sync time host h hid behind the next
-	// round's compute this epoch (zero when Config.SyncOverlap is off).
-	OverlapSeconds []float64
 	// Comm aggregates all hosts' communication counters for the epoch.
 	Comm gluon.Stats
 	// Train aggregates the epoch's SGNS counters across hosts.
@@ -60,8 +42,8 @@ type Result struct {
 	// CriticalComputeSeconds is the run's BSP compute critical path.
 	CriticalComputeSeconds float64
 	// SyncSeconds[h] is host h's total critical-path synchronisation
-	// time (overlapped rounds count only their non-hidden part — see
-	// EpochResult.SyncSeconds).
+	// time: per round the launch, the longest gate-blocked wait and the
+	// join (see EngineResult.SyncSeconds).
 	SyncSeconds []float64
 	// CriticalSyncSeconds is the run's synchronisation critical path:
 	// the sum over rounds of the slowest host's sync time.

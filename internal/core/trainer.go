@@ -126,12 +126,11 @@ func (t *Trainer) Run() (*Result, error) {
 	if cause != nil {
 		return nil, cause
 	}
-	res := &Result{Hosts: cfg.Hosts, Canonical: assembleCanonical(part, ls.engines, t.dim), Epochs: ls.epochs}
+	res := &Result{Hosts: cfg.Hosts, Canonical: assembleCanonical(part, ls.engines, t.dim), Epochs: ls.epochs,
+		CriticalComputeSeconds: ls.critCompute, CriticalSyncSeconds: ls.critSync}
 	for _, er := range res.Epochs {
 		res.Comm.Add(er.Comm)
 		res.Train.Add(er.Train)
-		res.CriticalComputeSeconds += er.CriticalComputeSeconds
-		res.CriticalSyncSeconds += er.CriticalSyncSeconds
 	}
 	for _, hr := range hostRes {
 		res.ComputeSeconds = append(res.ComputeSeconds, hr.ComputeSeconds)
@@ -168,8 +167,8 @@ type lockstep struct {
 	aborted bool
 	cause   error // the run's first real failure
 
-	// Under mu: the open round's and epoch's critical path, each host's
-	// share of the open epoch, and the finished epochs.
+	// Under mu: the open round's and the run's critical path, each
+	// host's share of the open epoch, and the finished epochs.
 	roundCompute, roundSync float64
 	critCompute, critSync   float64
 	eps                     []EngineResult
@@ -202,7 +201,7 @@ func (l *lockstep) step(e *Engine, p phase, fn func() error) (err error) {
 }
 
 // endRound closes a round at a barrier, adding the slowest host's
-// compute and sync time to the epoch's critical path.
+// compute and sync time to the run's critical path.
 func (l *lockstep) endRound(compute, sync float64) error {
 	if l == nil {
 		return nil
@@ -232,15 +231,11 @@ func (l *lockstep) endEpoch(host, epoch int, alpha float32, ep *EngineResult) er
 		if !last {
 			return
 		}
-		er := EpochResult{Epoch: epoch, Alpha: alpha, CriticalComputeSeconds: l.critCompute, CriticalSyncSeconds: l.critSync}
+		er := EpochResult{Epoch: epoch, Alpha: alpha}
 		for _, hp := range l.eps {
-			er.ComputeSeconds = append(er.ComputeSeconds, hp.ComputeSeconds)
-			er.SyncSeconds = append(er.SyncSeconds, hp.SyncSeconds)
-			er.OverlapSeconds = append(er.OverlapSeconds, hp.OverlapSeconds)
 			er.Comm.Add(hp.Comm)
 			er.Train.Add(hp.Train)
 		}
-		l.critCompute, l.critSync = 0, 0
 		l.epochs = append(l.epochs, er)
 	})
 	if err != nil || l.onEpoch == nil {

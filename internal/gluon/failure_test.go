@@ -148,29 +148,6 @@ func TestSyncRejectsUnexpectedAccessMessage(t *testing.T) {
 	}
 }
 
-// TestSyncStartOverlapHostCap: an overlapped round on a cluster past
-// OverlapHostCap is refused by name, not run with a truncated mask.
-func TestSyncStartOverlapHostCap(t *testing.T) {
-	const hosts = OverlapHostCap + 1
-	part, err := graph.NewPartition(2*hosts, hosts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := NewInProcTransport(hosts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	hs, err := NewHostSync(0, part, tr, 2, RepModelOpt, combine.Sum{}, CodecPacked)
-	if err != nil {
-		t.Fatal(err)
-	}
-	init := model.New(2*hosts, 2)
-	if err := hs.SyncStart(0, init.Clone(), init.Clone(), bitset.New(2*hosts), nil); !errors.Is(err, ErrOverlapHostCap) {
-		t.Fatalf("SyncStart on %d hosts = %v, want ErrOverlapHostCap", hosts, err)
-	}
-}
-
 // TestSyncRejectsCorruptPayload: a garbage frame must error out.
 func TestSyncRejectsCorruptPayload(t *testing.T) {
 	part, err := graph.NewPartition(10, 2)

@@ -49,10 +49,16 @@ var (
 // in the old cluster (a brand-new or wiped replacement member).
 const FreshRank = -1
 
-// maxOldHosts bounds the old-cluster size a source mask can describe.
-// The mask is a uint64 bit per old rank; the paper's largest cluster is
-// 64 hosts, so the bound is not limiting in practice.
-const maxOldHosts = 64
+// MembershipHostCap bounds the old-cluster size a source mask can
+// describe: the mask is a uint64, one bit per old rank (the paper's
+// largest cluster is 64 hosts). Snapshots written by a wider cluster
+// could never be negotiated back, so core refuses checkpointing past it
+// with ErrMembershipHostCap before any mesh is dialed.
+const MembershipHostCap = 64
+
+// ErrMembershipHostCap names a cluster wider than MembershipHostCap
+// where checkpoints or a membership offer are involved.
+var ErrMembershipHostCap = fmt.Errorf("gluon: checkpoint membership supports at most %d hosts", MembershipHostCap)
 
 // RoundSources describes, for one candidate cut round, which old
 // ranks' master ranges this host can source from its checkpoint store
@@ -136,8 +142,8 @@ func parseMembershipOffer(payload []byte) (MembershipOffer, error) {
 		return o, fmt.Errorf("gluon: membership offer of %d bytes claims %d rounds", len(payload), count)
 	}
 	o.OldHosts = int(binary.LittleEndian.Uint32(payload[headerBytes:]))
-	if o.OldHosts > maxOldHosts {
-		return o, fmt.Errorf("gluon: membership offer from %d-host cluster exceeds the %d-host limit", o.OldHosts, maxOldHosts)
+	if o.OldHosts > MembershipHostCap {
+		return o, fmt.Errorf("%w: offer from a %d-host cluster", ErrMembershipHostCap, o.OldHosts)
 	}
 	o.OldRank = FreshRank
 	if v := binary.LittleEndian.Uint32(payload[headerBytes+4:]); v != 0xFFFFFFFF {
@@ -226,8 +232,8 @@ func parseMembershipDecision(payload []byte) (MembershipDecision, error) {
 // degrade. The returned decision is validated against the local offer:
 // a source assignment this rank did not offer is a protocol error.
 func (hs *HostSync) NegotiateMembership(offer MembershipOffer) (MembershipDecision, error) {
-	if offer.OldHosts > maxOldHosts {
-		return MembershipDecision{}, fmt.Errorf("gluon: membership offer from %d-host cluster exceeds the %d-host limit", offer.OldHosts, maxOldHosts)
+	if offer.OldHosts > MembershipHostCap {
+		return MembershipDecision{}, fmt.Errorf("%w: offer from a %d-host cluster", ErrMembershipHostCap, offer.OldHosts)
 	}
 	n := hs.part.NumHosts()
 	if hs.host != 0 {
@@ -409,7 +415,7 @@ func checkMembershipDecision(d MembershipDecision, offer MembershipOffer, host, 
 	if d.Round == 0 {
 		return nil
 	}
-	if len(d.Sources) != d.OldHosts || d.OldHosts <= 0 || d.OldHosts > maxOldHosts {
+	if len(d.Sources) != d.OldHosts || d.OldHosts <= 0 || d.OldHosts > MembershipHostCap {
 		return fmt.Errorf("gluon: membership decision carries %d sources for %d old hosts", len(d.Sources), d.OldHosts)
 	}
 	mine := offerMask(offer, d.Round)

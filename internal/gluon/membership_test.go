@@ -8,6 +8,7 @@ import (
 
 	"graphword2vec/internal/graph"
 	"graphword2vec/internal/model"
+	"graphword2vec/internal/xrand"
 )
 
 // offerFor builds a MembershipOffer for old rank q of an oldHosts-sized
@@ -457,4 +458,148 @@ func TestMembershipOfferRoundTrip(t *testing.T) {
 			t.Fatalf("decision round trip: got %+v, want %+v", got, d)
 		}
 	}
+}
+
+// randomOffers draws one cluster's offer set: 1–8 new ranks over a 1–8
+// host old cluster, ranks keeping an old identity, holding none
+// (fresh), or — rarely — claiming one twice; each offer lists a random
+// subset of the candidate rounds, its masks full (RepModel), own-range
+// (PullModel) or arbitrary, and a rank may hold no snapshot at all.
+func randomOffers(r *xrand.Rand) []MembershipOffer {
+	n, oldHosts := 1+r.Intn(8), 1+r.Intn(8)
+	unchanged := r.Intn(2) == 0
+	if unchanged {
+		n = oldHosts
+	}
+	ids := make([]int, oldHosts)
+	for i := range ids {
+		ids[i] = i
+	}
+	for i := len(ids) - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		ids[i], ids[j] = ids[j], ids[i]
+	}
+	maskKind := r.Intn(3)
+	full := uint64(1)<<uint(oldHosts) - 1
+	offers := make([]MembershipOffer, n)
+	for i := range offers {
+		o := MembershipOffer{OldRank: FreshRank}
+		switch {
+		case unchanged:
+			o.OldRank = i
+		case i < oldHosts && r.Intn(3) > 0:
+			o.OldRank = ids[i]
+		}
+		if r.Intn(20) == 0 {
+			o.OldRank = r.Intn(oldHosts + 1) // a duplicate or out-of-range claim
+		}
+		offers[i] = o
+		if r.Intn(6) == 0 {
+			continue // no usable snapshot
+		}
+		o.OldHosts = oldHosts
+		for _, round := range []uint32{2, 4, 6, 8} {
+			if r.Intn(3) == 0 {
+				continue // missing round
+			}
+			rs := RoundSources{Round: round, SelfHeld: o.OldRank >= 0 && o.OldRank < oldHosts && r.Intn(4) > 0}
+			switch maskKind {
+			case 0:
+				rs.Mask = full
+			case 1:
+				if rs.SelfHeld {
+					rs.Mask = 1 << uint(o.OldRank)
+				}
+			default:
+				rs.Mask = r.Uint64() & full
+			}
+			if rs.SelfHeld {
+				rs.Mask |= 1 << uint(o.OldRank)
+			}
+			if rs.Mask != 0 || rs.SelfHeld {
+				o.Rounds = append(o.Rounds, rs)
+			}
+		}
+		offers[i] = o
+	}
+	return offers
+}
+
+// TestDecideMembershipProperties: over random offer sets, every
+// decision rank 0 reaches passes every member's own check, and the
+// decision does not depend on which of ranks 1..n−1 sent which offer
+// beyond identity: permuting their offers keeps the verdict's class
+// (the same identity error, or success) and the agreed cut round, and
+// a plain restore stays plain exactly when every rank still holds its
+// own old identity.
+func TestDecideMembershipProperties(t *testing.T) {
+	r := xrand.New(25)
+	errClass := func(err error) error {
+		for _, e := range []error{ErrDuplicateOldRank, ErrOldRankRange} {
+			if errors.Is(err, e) {
+				return e
+			}
+		}
+		return err
+	}
+	checkAll := func(d MembershipDecision, offers []MembershipOffer) {
+		t.Helper()
+		for h, o := range offers {
+			if err := checkMembershipDecision(d, o, h, len(offers)); err != nil {
+				t.Fatalf("offers %+v: decision %+v fails rank %d's check: %v", offers, d, h, err)
+			}
+		}
+	}
+	kept := func(offers []MembershipOffer) bool {
+		for i, o := range offers {
+			if o.OldRank != i {
+				return false
+			}
+		}
+		return true
+	}
+	var plain, reshard, fresh, failed int
+	for trial := 0; trial < 3000; trial++ {
+		offers := randomOffers(r)
+		d, err := decideMembership(offers)
+		switch {
+		case err != nil:
+			failed++
+		case d.Plain && d.Round > 0:
+			plain++
+		case d.Reshard():
+			reshard++
+		default:
+			fresh++
+		}
+		if err == nil {
+			checkAll(d, offers)
+		}
+		perm := append([]MembershipOffer(nil), offers...)
+		for i := len(perm) - 1; i > 1; i-- {
+			j := 1 + r.Intn(i)
+			perm[i], perm[j] = perm[j], perm[i]
+		}
+		d2, err2 := decideMembership(perm)
+		if (err == nil) != (err2 == nil) || err != nil && errClass(err) != errClass(err2) {
+			t.Fatalf("offers %+v: error %v, permuted %v", offers, err, err2)
+		}
+		if err != nil {
+			continue
+		}
+		checkAll(d2, perm)
+		if d2.Round != d.Round {
+			t.Fatalf("offers %+v: cut round %d, permuted %d", offers, d.Round, d2.Round)
+		}
+		if d.Plain && d.Round > 0 && d2.Plain != kept(perm) {
+			t.Fatalf("offers %+v: plain restore, permuted plain=%v with identities kept=%v", offers, d2.Plain, kept(perm))
+		}
+		if d.Reshard() && d2.Reshard() && d2.OldHosts != d.OldHosts {
+			t.Fatalf("offers %+v: reshard from %d old hosts, permuted %d", offers, d.OldHosts, d2.OldHosts)
+		}
+	}
+	if plain == 0 || reshard == 0 || fresh == 0 || failed == 0 {
+		t.Fatalf("generator missed a verdict: %d plain, %d reshard, %d fresh, %d identity errors", plain, reshard, fresh, failed)
+	}
+	t.Logf("%d plain, %d reshard, %d fresh, %d identity errors", plain, reshard, fresh, failed)
 }

@@ -9,12 +9,13 @@ import (
 	"graphword2vec/internal/model"
 )
 
-// Compute/sync overlap (DESIGN.md §12, PROTOCOL.md §11). SyncStart runs
-// one synchronisation round on a background goroutine — the exact same
-// round body Sync executes, so the deterministic host-ordered fold and
-// every wire byte are unchanged — and SyncFinish joins it. In between,
-// the caller may start the *next* round's compute, blocking per model
-// row on the SyncProgress events below until the row is final:
+// Compute/sync overlap (DESIGN.md §12, PROTOCOL.md §11). Every
+// synchronisation round runs the same way: SyncStart stages it on the
+// caller's goroutine and runs its body on a background goroutine, and
+// SyncFinish joins it. A serialized round calls the two back to back;
+// an overlapped one starts the *next* round's compute in between,
+// blocking per model row on the SyncProgress events below until the row
+// is final:
 //
 //	ownFinal      our own master range is canonical (fold applied) and
 //	              the broadcast encode is done reading it.
@@ -26,10 +27,10 @@ import (
 // over-block, never under-block — and blocking is the only thing a
 // reader may do with them: compute order (and with it the RNG stream)
 // must not depend on arrival order, which is what keeps overlapped
-// models bit-identical to serialized ones. Every round posts them, so
-// Sync and SyncStart differ only in which goroutine runs the round, and
-// overlap can differ across a cluster (it is a per-host performance
-// choice, excluded from the config checksum).
+// models bit-identical to serialized ones. The wire bytes of a round do
+// not depend on what runs between start and finish, so overlap can
+// differ across a cluster (it is a per-host performance choice,
+// excluded from the config checksum).
 
 // SyncProgress publishes one in-flight round's completion events. The
 // zero value is usable after init(); reads are snapshot-based so the
@@ -41,7 +42,7 @@ type SyncProgress struct {
 
 	ownFinal  bool
 	done      bool
-	installed uint64 // bit g: host g's broadcast installed
+	installed *bitset.Bitset // bit g: host g's broadcast installed
 }
 
 // ProgressSnapshot is a consistent copy of the event flags, valid as
@@ -49,21 +50,25 @@ type SyncProgress struct {
 type ProgressSnapshot struct {
 	OwnFinal bool
 	Done     bool
-	// Installed is the broadcast-installed host mask (bit g = host g);
-	// the uint64 width is why overlap is capped at 64 hosts.
-	Installed uint64
+	// installed is the broadcast-installed host set, sized to the
+	// cluster on the first Snapshot and refilled in place after that.
+	installed *bitset.Bitset
 }
 
 // InstalledHost reports whether host g's broadcast has been installed.
-func (s *ProgressSnapshot) InstalledHost(g int) bool { return s.Installed&(1<<uint(g)) != 0 }
+func (s *ProgressSnapshot) InstalledHost(g int) bool { return s.installed.Get(g) }
 
-func (pr *SyncProgress) init() { pr.cond.L = &pr.mu }
+// init readies the tracker for a cluster of n hosts.
+func (pr *SyncProgress) init(n int) {
+	pr.cond.L = &pr.mu
+	pr.installed = bitset.New(n)
+}
 
 // resetRound clears the events for a new round.
 func (pr *SyncProgress) resetRound() {
 	pr.mu.Lock()
 	pr.ownFinal, pr.done = false, false
-	pr.installed = 0
+	pr.installed.Reset()
 	pr.bump()
 }
 
@@ -71,11 +76,14 @@ func (pr *SyncProgress) resetRound() {
 func (pr *SyncProgress) Version() uint32 { return pr.ver.Load() }
 
 // Snapshot copies the event flags into s and returns the matching
-// version token.
+// version token. Only the first call on a given s allocates.
 func (pr *SyncProgress) Snapshot(s *ProgressSnapshot) uint32 {
+	if s.installed == nil {
+		s.installed = bitset.New(pr.installed.Len())
+	}
 	pr.mu.Lock()
 	s.OwnFinal, s.Done = pr.ownFinal, pr.done
-	s.Installed = pr.installed
+	s.installed.CopyFrom(pr.installed)
 	v := pr.ver.Load()
 	pr.mu.Unlock()
 	return v
@@ -106,7 +114,7 @@ func (pr *SyncProgress) postOwnFinal() {
 
 func (pr *SyncProgress) postInstalled(g int) {
 	pr.mu.Lock()
-	pr.installed |= 1 << uint(g)
+	pr.installed.Set(g)
 	pr.bump()
 }
 
@@ -116,35 +124,25 @@ func (pr *SyncProgress) postDone() {
 	pr.bump()
 }
 
-// OverlapHostCap bounds the cluster size overlap supports: the
-// installed mask is a uint64.
-const OverlapHostCap = 64
-
-// ErrOverlapHostCap refuses overlapped rounds on a cluster wider than
-// OverlapHostCap. SyncStart returns it, and core.Config.Validate reports
-// it at configuration time, so no run silently falls back to serialized
-// rounds.
-var ErrOverlapHostCap = fmt.Errorf("gluon: sync overlap supports at most %d hosts", OverlapHostCap)
-
 // Progress returns the event tracker for the in-flight round. The
 // pointer is stable across rounds; resetRound invalidates snapshots by
 // bumping the version.
 func (hs *HostSync) Progress() *SyncProgress { return &hs.progress }
 
-// SyncStart begins an overlapped synchronisation round: the arguments
-// and wire behaviour are exactly Sync's, but the round body runs on a
-// background goroutine and SyncFinish reports its error. Between the
-// two calls the caller owns neither local, base nor touched for the
-// nodes the round covers — it may only access rows the Progress events
-// have declared final (the caller enforces this; sgns.NodeGate is the
-// enforcement seam). Clusters past OverlapHostCap are refused with
-// ErrOverlapHostCap; rounds must not be nested, and
-// Barrier/GatherMasters/NegotiateMembership must not run while a round
-// is in flight.
+// SyncStart begins synchronisation round `round` (Algorithm 1 line
+// 10). local is this host's working replica, base the replica state as
+// of the previous synchronisation; touched is the set of nodes this
+// host's compute phase wrote. For PullModel, nextAccess must hold the
+// node set the *next* compute round will access (from the inspection
+// phase); other modes ignore it.
+//
+// The progress events are reset here, on the caller's goroutine, so a
+// gate that snapshots them after SyncStart returns never sees the last
+// round's done. The round body then runs in the background until
+// SyncFinish; meanwhile the caller may touch only rows the Progress
+// events declare final (sgns.NodeGate is the enforcement seam). Rounds
+// must not nest, nor overlap Barrier/GatherMasters/NegotiateMembership.
 func (hs *HostSync) SyncStart(round uint32, local, base *model.Model, touched *bitset.Bitset, nextAccess *bitset.Bitset) error {
-	if hs.part.NumHosts() > OverlapHostCap {
-		return ErrOverlapHostCap
-	}
 	if hs.inFlight {
 		return fmt.Errorf("gluon: SyncStart while round %d is in flight", hs.curRound)
 	}
@@ -157,8 +155,10 @@ func (hs *HostSync) SyncStart(round uint32, local, base *model.Model, touched *b
 }
 
 // SyncFinish joins the round SyncStart launched and returns its error.
-// On return the round is fully applied: local == base for every updated
-// node, masters are canonical, and all buffers are reusable.
+// On return the round is fully applied: local == base for every node
+// this host received an update for, the canonical (master) values
+// incorporate every host's deltas via the reduction operator, and all
+// buffers are reusable.
 func (hs *HostSync) SyncFinish() error {
 	if !hs.inFlight {
 		return fmt.Errorf("gluon: SyncFinish without SyncStart")

@@ -25,9 +25,11 @@ func (r *recordingTransport) Send(from, to int, payload []byte) error {
 	return r.Transport.Send(from, to, payload)
 }
 
-// TestSyncOverlapSameFrames: a round's frames are byte-identical whether
-// it runs via Sync or via SyncStart/SyncFinish — overlap decides only
-// which goroutine runs the round, never what goes on the wire.
+// TestSyncOverlapSameFrames: a round's frames are byte-identical
+// whether its body runs inline on the caller's goroutine or on
+// SyncStart's background goroutine while the caller waits on the
+// progress events, as gated compute does — what runs between start and
+// finish never changes what goes on the wire.
 func TestSyncOverlapSameFrames(t *testing.T) {
 	const hosts, nodes, dim, rounds = 3, 40, 4, 3
 	for _, mode := range []Mode{RepModelNaive, RepModelOpt, PullModel} {
@@ -43,15 +45,17 @@ func TestSyncOverlapSameFrames(t *testing.T) {
 				wg.Add(1)
 				go func(h int) {
 					defer wg.Done()
+					hs := c.syncs[h]
 					access := allNodesBitset(nodes)
 					for round := uint32(0); round < rounds; round++ {
 						touched := c.perturb(h, []int{h, 7 + h, 20 + int(round), 33}, 0.05)
 						if overlap {
-							if errs[h] = c.syncs[h].SyncStart(round, c.local[h], c.base[h], touched, access); errs[h] == nil {
-								errs[h] = c.syncs[h].SyncFinish()
+							if errs[h] = hs.SyncStart(round, c.local[h], c.base[h], touched, access); errs[h] == nil {
+								waitDone(hs.Progress())
+								errs[h] = hs.SyncFinish()
 							}
-						} else {
-							errs[h] = c.syncs[h].Sync(round, c.local[h], c.base[h], touched, access)
+						} else if errs[h] = hs.prepRound(round, c.local[h], c.base[h], touched, access); errs[h] == nil {
+							errs[h] = hs.runRound()
 						}
 						if errs[h] != nil {
 							return
@@ -85,11 +89,24 @@ func TestSyncOverlapSameFrames(t *testing.T) {
 	}
 }
 
-// TestSyncSerializedPastOverlapCap: every round posts its progress
-// events, but a serialized round is not bound by OverlapHostCap — on a
-// cluster one past the cap, Sync completes and the replicas agree.
-func TestSyncSerializedPastOverlapCap(t *testing.T) {
-	const hosts = OverlapHostCap + 1
+// waitDone blocks on the progress events until the in-flight round is
+// over, the way a gated reader does.
+func waitDone(pr *SyncProgress) {
+	var snap ProgressSnapshot
+	for {
+		ver := pr.Snapshot(&snap)
+		if snap.Done {
+			return
+		}
+		pr.WaitChange(ver)
+	}
+}
+
+// TestSyncStartPast64Hosts: the installed-host set is sized to the
+// cluster, so a round on 65 hosts reports host 64's broadcast like any
+// other, and the replicas agree afterwards.
+func TestSyncStartPast64Hosts(t *testing.T) {
+	const hosts = 65
 	const nodes = 2 * hosts
 	c := newCluster(t, hosts, nodes, 2, RepModelOpt, "SUM")
 	touched := make([]*bitset.Bitset, hosts)
@@ -98,4 +115,11 @@ func TestSyncSerializedPastOverlapCap(t *testing.T) {
 	}
 	c.syncAll(t, 0, touched, nil)
 	c.replicasEqual(t)
+	var snap ProgressSnapshot
+	c.syncs[0].Progress().Snapshot(&snap)
+	for g := 1; g < hosts; g++ {
+		if !snap.InstalledHost(g) {
+			t.Fatalf("host 0 never saw host %d's broadcast installed", g)
+		}
+	}
 }

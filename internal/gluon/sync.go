@@ -105,7 +105,7 @@ func (s *Stats) Add(other Stats) {
 
 // HostSync is one host's view of the synchronisation substrate. It owns no
 // model data; the distributed trainer passes its local and base replicas
-// to each Sync call.
+// to each round's SyncStart.
 //
 // A synchronisation round is a concurrent, steady-state-zero-allocation
 // pipeline (DESIGN.md §8): per-peer reduce and broadcast frames are
@@ -131,8 +131,9 @@ func (s *Stats) Add(other Stats) {
 // queue) is dead by the time the buffer is rewritten. The -race
 // concurrency tests exercise exactly this overlap.
 //
-// Sync, Barrier and GatherMasters must be called from one goroutine (the
-// host's driver); the concurrency inside a round is HostSync's own.
+// SyncStart/SyncFinish, Barrier and GatherMasters must be called from
+// one goroutine (the host's driver); the concurrency inside a round is
+// HostSync's own.
 type HostSync struct {
 	host  int
 	part  *graph.Partition
@@ -142,7 +143,7 @@ type HostSync struct {
 	comb  combine.Combiner
 	codec Codec
 	// workers is GOMAXPROCS at construction: 1 runs every round phase
-	// serially on the calling goroutine, more enables the concurrent
+	// serially on the round goroutine, more enables the concurrent
 	// pipeline (one worker per peer per phase, so the goroutine count is
 	// bounded by the cluster size). Models are byte-identical either
 	// way; the choice is purely a performance one, made from the CPUs
@@ -172,8 +173,8 @@ type HostSync struct {
 	// disjoint per-sender columns.
 	acc *combine.Accumulator
 
-	// Round state shared with the prebuilt closures below; set at the
-	// top of Sync.
+	// Round state shared with the prebuilt closures below; set by
+	// prepRound.
 	curLocal   *model.Model
 	curBase    *model.Model
 	curTouched *bitset.Bitset
@@ -187,7 +188,7 @@ type HostSync struct {
 	combScratch  []float32
 	ownedTouched []int32
 
-	// Overlapped-round state (overlap.go). inFlight guards the
+	// Round lifecycle state (overlap.go). inFlight guards the
 	// SyncStart/SyncFinish pairing; progress publishes every round's
 	// completion events, which gated compute waits on.
 	inFlight bool
@@ -336,7 +337,7 @@ func NewHostSync(host int, part *graph.Partition, tr Transport, dim int, mode Mo
 		decErrs:     make([]error, n),
 		roundCh:     make(chan error, 1),
 	}
-	hs.progress.init()
+	hs.progress.init(n)
 	hs.goRound = func() { hs.roundCh <- hs.runRound() }
 	hs.reduceVecAt = func(nd int32, dst []float32) { nodeDelta(hs.curLocal, hs.curBase, nd, dst) }
 	hs.bcastVecAt = func(nd int32, dst []float32) { nodeValue(hs.curLocal, nd, dst) }
@@ -434,23 +435,6 @@ func (hs *HostSync) frameFlags(kind byte) byte {
 	return 0
 }
 
-// Sync runs one bulk-synchronous synchronisation round (Algorithm 1 line
-// 10). local is this host's working replica, base the replica state as of
-// the previous synchronisation; touched is the set of nodes this host's
-// compute phase wrote. For PullModel, nextAccess must hold the node set
-// the *next* compute round will access (from the inspection phase);
-// other modes ignore it.
-//
-// On return, local == base for every node this host received an update
-// for, and the canonical (master) values incorporate every host's deltas
-// via the reduction operator.
-func (hs *HostSync) Sync(round uint32, local, base *model.Model, touched *bitset.Bitset, nextAccess *bitset.Bitset) error {
-	if err := hs.prepRound(round, local, base, touched, nextAccess); err != nil {
-		return err
-	}
-	return hs.runRound()
-}
-
 // prepRound validates and stages one round's inputs: the shared cur*
 // fields the prebuilt closures read, per-peer dedup flags and error
 // slots, and the progress events. Runs on the caller's goroutine, before
@@ -478,9 +462,7 @@ func (hs *HostSync) prepRound(round uint32, local, base *model.Model, touched *b
 }
 
 // runRound executes one synchronisation round against the staged cur*
-// state: Sync calls it inline, SyncStart on a background goroutine. The
-// phase structure, every wire byte and the progress events are
-// identical either way.
+// state, on the background goroutine SyncStart launches.
 func (hs *HostSync) runRound() error {
 	h := hs.host
 	nHosts := hs.part.NumHosts()

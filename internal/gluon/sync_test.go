@@ -71,6 +71,15 @@ func (c *cluster) perturb(h int, nodes []int, scale float32) *bitset.Bitset {
 	return touched
 }
 
+// Sync runs one whole synchronisation round, SyncStart then SyncFinish
+// with nothing computed in between: the serialized round of the engine.
+func (hs *HostSync) Sync(round uint32, local, base *model.Model, touched *bitset.Bitset, nextAccess *bitset.Bitset) error {
+	if err := hs.SyncStart(round, local, base, touched, nextAccess); err != nil {
+		return err
+	}
+	return hs.SyncFinish()
+}
+
 // syncAll runs one synchronisation round on every host concurrently.
 func (c *cluster) syncAll(t testing.TB, round uint32, touched []*bitset.Bitset, access []*bitset.Bitset) {
 	t.Helper()

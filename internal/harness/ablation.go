@@ -5,6 +5,7 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"graphword2vec/internal/cliutil"
 	"graphword2vec/internal/gluon"
 	"graphword2vec/internal/model"
 	"graphword2vec/internal/sgns"
@@ -90,7 +91,7 @@ func AblationSparsity(opts Options) ([]AblationSparsityRow, error) {
 	fmt.Fprintf(w, "Ablation: communication sparsity, 1-billion, %d hosts (scale=%s)\n", hosts, opts.Scale)
 	fmt.Fprintln(w, "Variant\tVolume\tvs Naive")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%s\t%.2fx\n", r.Mode, fmtBytes(r.TotalBytes), r.RatioToNaive)
+		fmt.Fprintf(w, "%s\t%s\t%.2fx\n", r.Mode, cliutil.FormatBytes(r.TotalBytes), r.RatioToNaive)
 	}
 	if err := w.Flush(); err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"text/tabwriter"
 
+	"graphword2vec/internal/cliutil"
 	"graphword2vec/internal/core"
 	"graphword2vec/internal/corpus"
 	"graphword2vec/internal/gluon"
@@ -147,8 +148,8 @@ func CommVolume(opts Options) ([]CommVolumeRow, error) {
 	fmt.Fprintln(w, "Workload\tVariant\tCodec\tReduce\tBroadcast\tControl\tTotal\tPer round\tvs raw")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%.2fx\n",
-			r.Workload, r.Mode, r.Codec, fmtBytes(float64(r.ReduceBytes)), fmtBytes(float64(r.BroadcastBytes)),
-			fmtBytes(float64(r.ControlBytes)), fmtBytes(float64(r.TotalBytes)), fmtBytes(float64(r.BytesPerRound)), r.VsRaw)
+			r.Workload, r.Mode, r.Codec, cliutil.FormatBytes(float64(r.ReduceBytes)), cliutil.FormatBytes(float64(r.BroadcastBytes)),
+			cliutil.FormatBytes(float64(r.ControlBytes)), cliutil.FormatBytes(float64(r.TotalBytes)), cliutil.FormatBytes(float64(r.BytesPerRound)), r.VsRaw)
 	}
 	if err := w.Flush(); err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"text/tabwriter"
 
+	"graphword2vec/internal/cliutil"
 	"graphword2vec/internal/core"
 	"graphword2vec/internal/gluon"
 )
@@ -93,7 +94,7 @@ func scalingSweep(opts Options, hostCounts []int, title string) ([]Fig8Point, er
 		fmt.Fprintf(w, "%s\t%s\t%d(%d)\t%s\t%s\t%s\t%s\n",
 			p.Dataset, p.Mode, p.Hosts, p.SyncFrequency,
 			fmtDuration(p.ComputeSeconds), fmtDuration(p.CommSeconds),
-			fmtDuration(p.TotalSeconds), fmtBytes(p.TotalBytes))
+			fmtDuration(p.TotalSeconds), cliutil.FormatBytes(p.TotalBytes))
 	}
 	if err := w.Flush(); err != nil {
 		return nil, err

@@ -6,6 +6,7 @@ import (
 	"os"
 	"text/tabwriter"
 
+	"graphword2vec/internal/cliutil"
 	"graphword2vec/internal/core"
 	"graphword2vec/internal/eval"
 	"graphword2vec/internal/gluon"
@@ -309,7 +310,7 @@ func GraphSync(opts Options) ([]GraphSyncRow, error) {
 	fmt.Fprintln(w, "Variant\tVolume\tvs Naive\tComm time\tPurity\tLink AUC")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%s\t%s\t%.2fx\t%s\t%.3f\t%.3f\n",
-			r.Mode, fmtBytes(float64(r.TotalBytes)), r.RatioToNaive, fmtDuration(r.CommSeconds), r.Acc.Purity, r.Acc.AUC)
+			r.Mode, cliutil.FormatBytes(float64(r.TotalBytes)), r.RatioToNaive, fmtDuration(r.CommSeconds), r.Acc.Purity, r.Acc.AUC)
 	}
 	if err := w.Flush(); err != nil {
 		return nil, err

@@ -131,12 +131,6 @@ func TestFormatters(t *testing.T) {
 			t.Errorf("fmtDuration(%v) = %q, want %q", in, got, want)
 		}
 	}
-	if got := fmtBytes(1234); got != "1.2KB" {
-		t.Errorf("fmtBytes(1234) = %q", got)
-	}
-	if got := fmtBytes(2.5e12); got != "2.5TB" {
-		t.Errorf("fmtBytes(2.5e12) = %q", got)
-	}
 }
 
 func TestOptionsDefaults(t *testing.T) {

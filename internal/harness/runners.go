@@ -252,17 +252,6 @@ func fmtDuration(sec float64) string {
 	}
 }
 
-// fmtBytes renders a byte count with binary-ish SI units.
-func fmtBytes(b float64) string {
-	units := []string{"B", "KB", "MB", "GB", "TB"}
-	i := 0
-	for b >= 1000 && i < len(units)-1 {
-		b /= 1000
-		i++
-	}
-	return fmt.Sprintf("%.1f%s", b, units[i])
-}
-
 // TrainDistributed is the exported convenience used by the examples: one
 // GraphWord2Vec run with the paper's defaults and the given combiner.
 func TrainDistributed(d *Dataset, opts Options, combiner string) (*core.Result, error) {

@@ -3,6 +3,8 @@ package harness
 import (
 	"fmt"
 	"text/tabwriter"
+
+	"graphword2vec/internal/cliutil"
 )
 
 // Table1Row reports one dataset's properties (paper Table 1: vocabulary
@@ -34,7 +36,7 @@ func Table1(opts Options) ([]Table1Row, error) {
 	fmt.Fprintf(w, "Table 1: Datasets and their properties (scale=%s)\n", opts.Scale)
 	fmt.Fprintln(w, "Dataset\tVocabulary Words\tTraining Words\tSize")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%d\t%d\t%s\n", r.Dataset, r.VocabWords, r.TrainingWords, fmtBytes(float64(r.SizeBytes)))
+		fmt.Fprintf(w, "%s\t%d\t%d\t%s\n", r.Dataset, r.VocabWords, r.TrainingWords, cliutil.FormatBytes(float64(r.SizeBytes)))
 	}
 	if err := w.Flush(); err != nil {
 		return nil, err
