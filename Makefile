@@ -46,7 +46,7 @@ overlap-smoke:
 
 # One-iteration benchmark run: keeps every benchmark executable.
 bench-smoke:
-	$(GO) test -run '^$$' -bench=. -benchtime=1x ./internal/vecmath/ ./internal/sgns/
+	$(GO) test -run '^$$' -bench=. -benchtime=1x ./internal/vecmath/ ./internal/sgns/ ./internal/index/
 	$(GO) test -run '^$$' -bench 'BenchmarkSyncRound' -benchtime=1x ./internal/gluon/
 	$(GO) test -run '^$$' -bench 'BenchmarkSyncRoundOverlap' -benchtime=1x ./internal/core/
 

@@ -2,12 +2,11 @@ package index
 
 import (
 	"fmt"
-	"math"
+	"slices"
 
 	"graphword2vec/internal/bitset"
 	"graphword2vec/internal/graph"
 	"graphword2vec/internal/vecmath"
-	"graphword2vec/internal/xrand"
 )
 
 // HNSW is a Hierarchical Navigable Small World graph over a Normalized
@@ -21,11 +20,14 @@ import (
 // of the visited set — approximation enters only through which rows the
 // beam visits.
 //
-// Construction is deterministic for a given (model, config): level
-// draws come from a seeded xrand stream and all candidate selection
-// tie-breaks on (score desc, id asc). The structure is immutable after
-// Build and safe for concurrent searches; per-search scratch lives in a
-// Searcher so steady-state queries do not allocate.
+// Construction (BuildHNSW, build.go) inserts rows in id-ordered,
+// doubling batches, each searched against the graph frozen at the batch
+// start, so the graph is a function of (model, config) alone: level
+// draws come from a seeded xrand stream, all candidate selection
+// tie-breaks on (score desc, id asc), and the worker count changes only
+// how fast the same graph is built. The structure is immutable after
+// BuildHNSW and safe for concurrent searches; per-search scratch lives
+// in a Searcher so steady-state queries do not allocate.
 type HNSW struct {
 	norm   *Normalized
 	cfg    HNSWConfig
@@ -80,65 +82,6 @@ func (c HNSWConfig) withDefaults() HNSWConfig {
 // mult = 1/ln(M) this is never reached below ~M^32 rows.
 const maxLayers = 32
 
-// BuildHNSW indexes every row of norm. Rows are inserted in id order,
-// which (with the seeded level stream) makes the build deterministic.
-func BuildHNSW(norm *Normalized, cfg HNSWConfig) *HNSW {
-	cfg = cfg.withDefaults()
-	h := &HNSW{
-		norm:   norm,
-		cfg:    cfg,
-		levels: make([]int8, norm.Rows()),
-		entry:  -1,
-		top:    -1,
-		mult:   1 / math.Log(float64(cfg.M)),
-	}
-	if norm.Rows() == 0 {
-		return h
-	}
-
-	// Draw all levels up front so layer allocation is exact.
-	r := xrand.New(cfg.Seed)
-	counts := make([]int, 0, 8) // counts[l] = nodes with level >= l
-	for i := range h.levels {
-		l := h.drawLevel(r)
-		h.levels[i] = int8(l)
-		for len(counts) <= l {
-			counts = append(counts, 0)
-		}
-		for j := 0; j <= l; j++ {
-			counts[j]++
-		}
-	}
-	h.layers = make([]*graph.Adjacency, len(counts))
-	for l := range h.layers {
-		capPerNode := cfg.M
-		if l == 0 {
-			capPerNode = 2 * cfg.M
-		}
-		h.layers[l] = graph.NewAdjacency(norm.Rows(), capPerNode)
-	}
-
-	s := NewSearcher(h)
-	for id := int32(0); id < int32(norm.Rows()); id++ {
-		h.insert(s, id)
-	}
-	return h
-}
-
-// drawLevel samples a node's top layer from the exponential layer
-// distribution floor(−ln(U)·mult).
-func (h *HNSW) drawLevel(r *xrand.Rand) int {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	l := int(-math.Log(u) * h.mult)
-	if l >= maxLayers {
-		l = maxLayers - 1
-	}
-	return l
-}
-
 // Config returns the build parameters.
 func (h *HNSW) Config() HNSWConfig { return h.cfg }
 
@@ -152,105 +95,6 @@ func (h *HNSW) MemoryBytes() int64 {
 		b += l.MemoryBytes()
 	}
 	return b + int64(len(h.levels))
-}
-
-// insert links node id into every layer up to its drawn level.
-func (h *HNSW) insert(s *Searcher, id int32) {
-	level := int(h.levels[id])
-	q := h.norm.Row(int(id))
-	if h.entry < 0 {
-		h.entry = id
-		h.top = level
-		return
-	}
-
-	ep := Candidate{ID: h.entry, Score: vecmath.Dot(h.norm.Row(int(h.entry)), q)}
-	// Greedy descent through layers above the node's level.
-	for l := h.top; l > level; l-- {
-		ep = h.greedy(q, ep, l)
-	}
-	// Beam-search each layer the node joins, connect both ways.
-	for l := min(level, h.top); l >= 0; l-- {
-		cands := h.searchLayer(s, q, ep, h.cfg.EfConstruction, l)
-		ep = cands[0]
-		m := h.layers[l].Cap()
-		h.layers[l].Set(id, selectNeighbors(s, h.norm, q, cands, h.cfg.M))
-		// Iterate the adjacency's own copy: shrink reuses the searcher's
-		// selection scratch, and only ever rewrites other nodes' rows.
-		for _, nb := range h.layers[l].Neighbors(id) {
-			if !h.layers[l].Append(nb, id) {
-				h.shrink(s, l, nb, id, m)
-			}
-		}
-	}
-	if level > h.top {
-		h.top = level
-		h.entry = id
-	}
-}
-
-// shrink re-selects node nb's neighbour list after a failed append of
-// extra: the union of the current list and extra is re-ranked by
-// proximity to nb and the diversity heuristic keeps at most m links.
-func (h *HNSW) shrink(s *Searcher, l int, nb, extra int32, m int) {
-	base := h.norm.Row(int(nb))
-	cands := s.shrink[:0]
-	for _, o := range h.layers[l].Neighbors(nb) {
-		cands = append(cands, Candidate{ID: o, Score: vecmath.Dot(h.norm.Row(int(o)), base)})
-	}
-	cands = append(cands, Candidate{ID: extra, Score: vecmath.Dot(h.norm.Row(int(extra)), base)})
-	SortCandidates(cands)
-	s.shrink = cands
-	h.layers[l].Set(nb, selectNeighbors(s, h.norm, base, cands, m))
-}
-
-// selectNeighbors is the HNSW diversity heuristic: walk cands in
-// canonical order and keep c only if it is closer to the query than to
-// every already-kept neighbour, up to m. This spreads links across
-// directions instead of clustering them, which is what keeps the graph
-// navigable. cands must be sorted; the result aliases s.selected.
-func selectNeighbors(s *Searcher, norm *Normalized, q []float32, cands []Candidate, m int) []int32 {
-	sel := s.selected[:0]
-	for _, c := range cands {
-		if len(sel) >= m {
-			break
-		}
-		row := norm.Row(int(c.ID))
-		keep := true
-		for _, kept := range sel {
-			// Score is similarity: "closer to a kept neighbour than to
-			// the query" means dot(c, kept) > dot(c, q).
-			if vecmath.Dot(row, norm.Row(int(kept))) > c.Score {
-				keep = false
-				break
-			}
-		}
-		if keep {
-			sel = append(sel, c.ID)
-		}
-	}
-	// Degenerate geometries (many coincident vectors) can reject almost
-	// everything; backfill with the nearest rejected candidates so every
-	// node keeps enough links to stay reachable.
-	if len(sel) < m {
-		for _, c := range cands {
-			if len(sel) >= m {
-				break
-			}
-			dup := false
-			for _, kept := range sel {
-				if kept == c.ID {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				sel = append(sel, c.ID)
-			}
-		}
-	}
-	s.selected = sel
-	return sel
 }
 
 // greedy walks layer l from ep to the locally best node.
@@ -359,8 +203,6 @@ type Searcher struct {
 	visited  *bitset.Bitset
 	frontier []Candidate // max-heap on canonical order
 	beam     []Candidate // sorted ascending-rank (canonical order)
-	selected []int32
-	shrink   []Candidate
 }
 
 // NewSearcher allocates scratch sized for h.
@@ -373,8 +215,6 @@ func NewSearcher(h *HNSW) *Searcher {
 		visited:  bitset.New(h.norm.Rows()),
 		frontier: make([]Candidate, 0, 4*ef),
 		beam:     make([]Candidate, 0, ef+1),
-		selected: make([]int32, 0, 2*h.cfg.M),
-		shrink:   make([]Candidate, 0, 2*h.cfg.M+1),
 	}
 }
 
@@ -437,11 +277,23 @@ func (s *Searcher) pushBeam(c Candidate, ef int) {
 	s.beam[i] = c
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// Equal reports whether h and o are the same graph over equal-sized
+// indexes: config, levels, entry point, top layer and every layer's
+// neighbour lists.
+func (h *HNSW) Equal(o *HNSW) bool {
+	if h.cfg != o.cfg || h.entry != o.entry || h.top != o.top ||
+		h.norm.Rows() != o.norm.Rows() || len(h.layers) != len(o.layers) ||
+		!slices.Equal(h.levels, o.levels) {
+		return false
 	}
-	return b
+	for l, adj := range h.layers {
+		for n := int32(0); n < int32(adj.NumNodes()); n++ {
+			if !slices.Equal(adj.Neighbors(n), o.layers[l].Neighbors(n)) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Validate checks structural invariants — every linked id is in range

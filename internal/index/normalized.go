@@ -1,8 +1,9 @@
 // Package index holds the read-only query-side view of a trained model:
 // a row-normalized copy of the embedding layer computed once
 // (Normalized), exact top-k scoring over it, and a graph-based
-// approximate nearest-neighbour index (HNSW, hnsw.go) layered on
-// internal/graph's adjacency storage.
+// approximate nearest-neighbour index (HNSW: search in hnsw.go, the
+// batch-parallel build in build.go) layered on internal/graph's
+// adjacency storage.
 //
 // The package exists so that every query path — the eval package's
 // analogy/neighbour scoring and the serving daemon's /v1 endpoints
@@ -13,6 +14,7 @@
 package index
 
 import (
+	"slices"
 	"sort"
 
 	"graphword2vec/internal/model"
@@ -68,9 +70,17 @@ func better(a, b Candidate) bool {
 }
 
 // SortCandidates sorts cands into the canonical (score desc, id asc)
-// order in place.
+// order in place, without allocating.
 func SortCandidates(cands []Candidate) {
-	sort.Slice(cands, func(i, j int) bool { return better(cands[i], cands[j]) })
+	slices.SortFunc(cands, func(a, b Candidate) int {
+		switch {
+		case better(a, b):
+			return -1
+		case better(b, a):
+			return 1
+		}
+		return 0
+	})
 }
 
 // TopK scans every row and returns the k best candidates for target in

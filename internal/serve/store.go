@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,11 +52,23 @@ type StoreConfig struct {
 }
 
 // LoadSnapshot reads a model (and its .vocab sidecar) from disk and
-// builds the query indexes. A torn read — the training cluster mid-way
-// through publishing a new snapshot — surfaces as a parse or size
-// mismatch error; the caller (the store's poller) keeps the current
-// snapshot and retries on the next tick.
+// builds the query indexes on every processor: nothing reads a snapshot
+// before it exists. A torn read — the training cluster mid-way through
+// publishing a new snapshot — surfaces as a parse or size mismatch
+// error; the caller (the store's poller) keeps the current snapshot and
+// retries on the next tick.
 func LoadSnapshot(modelPath string, cfg StoreConfig) (*Snapshot, error) {
+	return loadSnapshot(modelPath, cfg, runtime.GOMAXPROCS(0))
+}
+
+// reloadWorkers is the index-build worker count of a hot reload. Readers
+// are live while it runs and must never stall behind it (MVPipe), so it
+// leaves them one processor.
+func reloadWorkers() int { return max(1, runtime.GOMAXPROCS(0)-1) }
+
+// loadSnapshot is LoadSnapshot with the HNSW build spread over workers
+// goroutines; the index is the same for every count.
+func loadSnapshot(modelPath string, cfg StoreConfig, workers int) (*Snapshot, error) {
 	st, err := os.Stat(modelPath)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
@@ -86,15 +99,19 @@ func LoadSnapshot(modelPath string, cfg StoreConfig) (*Snapshot, error) {
 	if voc.Size() != m.VocabSize() {
 		return nil, fmt.Errorf("serve: vocabulary has %d words but model has %d rows", voc.Size(), m.VocabSize())
 	}
-	snap := NewSnapshot(id, m, voc, cfg)
+	snap := newSnapshot(id, m, voc, cfg, workers)
 	snap.ModelPath = modelPath
 	snap.mtime, snap.size = st.ModTime(), st.Size()
 	return snap, nil
 }
 
-// NewSnapshot builds the query indexes over an in-memory model — the
-// path tests use; LoadSnapshot routes through it too.
+// NewSnapshot builds the query indexes over an in-memory model on every
+// processor — the path tests use; LoadSnapshot routes through it too.
 func NewSnapshot(id string, m *model.Model, voc *vocab.Vocabulary, cfg StoreConfig) *Snapshot {
+	return newSnapshot(id, m, voc, cfg, runtime.GOMAXPROCS(0))
+}
+
+func newSnapshot(id string, m *model.Model, voc *vocab.Vocabulary, cfg StoreConfig, workers int) *Snapshot {
 	start := time.Now()
 	snap := &Snapshot{
 		ID:    id,
@@ -103,7 +120,7 @@ func NewSnapshot(id string, m *model.Model, voc *vocab.Vocabulary, cfg StoreConf
 		Norm:  index.NewNormalized(m),
 	}
 	if cfg.BuildANN {
-		snap.ANN = index.BuildHNSW(snap.Norm, cfg.HNSW)
+		snap.ANN = index.BuildHNSW(snap.Norm, cfg.HNSW, workers)
 	}
 	snap.BuildTime = time.Since(start)
 	snap.LoadedAt = time.Now()
@@ -176,7 +193,10 @@ func (s *Store) Swaps() uint64 { return s.swapped.Load() }
 // content changed. It reports whether a swap happened. The mtime/size
 // pair is the cheap first-level check (no hashing on an idle tick);
 // the content hash is the authoritative second level, so a rewrite
-// with identical bytes — or a touch(1) — swaps nothing.
+// with identical bytes — or a touch(1) — swaps nothing. The
+// replacement's index is built on reloadWorkers goroutines, leaving the
+// readers a processor; it equals the index OpenStore builds from the
+// same bytes.
 func (s *Store) TryReload() (bool, error) {
 	if s.path == "" {
 		return false, nil
@@ -194,7 +214,7 @@ func (s *Store) TryReload() (bool, error) {
 	if st.ModTime().Equal(cur.mtime) && st.Size() == cur.size {
 		return false, nil
 	}
-	next, err := LoadSnapshot(s.path, s.cfg)
+	next, err := loadSnapshot(s.path, s.cfg, reloadWorkers())
 	if err != nil {
 		s.failures.Add(1)
 		return false, err

@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -101,6 +102,44 @@ func bumpMtime(t testing.TB, path string) {
 }
 
 var mtimeBumps atomic.Int64
+
+// TestReloadIndexEqualsOpenIndex: a hot reload builds its HNSW on one
+// worker fewer than a store open, and equal model bytes must still give
+// equal indexes (DESIGN.md §9). GOMAXPROCS is raised to at least 3 so
+// both paths build concurrently, on different worker counts.
+func TestReloadIndexEqualsOpenIndex(t *testing.T) {
+	prev := runtime.GOMAXPROCS(max(3, runtime.GOMAXPROCS(0)))
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	if reloadWorkers() == runtime.GOMAXPROCS(0) {
+		t.Fatalf("reload and open both build on %d workers", reloadWorkers())
+	}
+
+	dir := t.TempDir()
+	path, voc := diskModel(t, dir, 1000, 16, 3)
+	cfg := StoreConfig{BuildANN: true}
+	store, err := OpenStore(path, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	m2 := model.New(1000, 16)
+	m2.InitRandom(11)
+	writeModelFiles(t, path, m2, voc)
+	bumpMtime(t, path)
+	if swapped, err := store.TryReload(); err != nil || !swapped {
+		t.Fatalf("reload: swapped=%v err=%v", swapped, err)
+	}
+	reloaded := store.Current()
+
+	opened, err := OpenStore(path, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer opened.Close()
+	if got := opened.Current(); got.ID != reloaded.ID || !got.ANN.Equal(reloaded.ANN) {
+		t.Fatalf("reloaded snapshot %s and opened snapshot %s of the same bytes have different ANN graphs", reloaded.ID, got.ID)
+	}
+}
 
 func TestTryReloadSwapsOnContentChange(t *testing.T) {
 	dir := t.TempDir()
