@@ -37,7 +37,7 @@ test-sync-race:
 
 # Overlap-pipeline lane: the double-buffered BSP step (DESIGN.md §12)
 # must be invisible in the trained bits — the pinned-hash identity
-# diagonal (modes × codecs × transports against the serialized seed
+# diagonal (modes × transports against the serialized seed
 # hashes) plus the free-running out-of-phase TCP cluster, under the
 # race detector (mirrored as a CI step).
 overlap-smoke:

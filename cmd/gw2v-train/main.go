@@ -51,7 +51,7 @@ func run(args []string, out io.Writer) (err error) {
 		modelPath = fs.String("model", "model.bin", "output model path")
 		hosts     = fs.Int("hosts", 1, "simulated hosts (1 = shared-memory training for text)")
 		sgnsTier  = fs.String("sgns", "pairwise",
-			"shared-memory SGNS schedule: pairwise (word2vec.c Hogwild), or batched (Gensim-style jobs whose pair groups share one negative-sample set and score through GEMM kernels; lossy-but-deterministic like -wire fp16 — a coarser SGD schedule, but the same seed always yields the same model, independent of -threads)")
+			"shared-memory SGNS schedule: pairwise (word2vec.c Hogwild), or batched (Gensim-style jobs whose pair groups share one negative-sample set and score through GEMM kernels; lossy-but-deterministic: a coarser SGD schedule, but the same seed always yields the same model, independent of -threads)")
 		sgnsWindow = fs.Int("sgns-window", 8, "batched SGNS tier: pairs per shared-negative GEMM group")
 		profiles   = cliutil.RegisterProfiles(fs)
 	)

@@ -23,6 +23,8 @@ func TestBadFlagFailsBeforeInput(t *testing.T) {
 		{[]string{"-sgns", "bogus"}, "-sgns"},
 		{[]string{"-sgns", "batched", "-hosts", "4"}, "-sgns"},
 		{[]string{"-workload", "bogus"}, "-workload"},
+		// Retired with the raw and fp16 codecs: an unknown flag now.
+		{[]string{"-wire", "raw"}, "-wire"},
 	} {
 		err := run(append(tc.args, "-corpus", missing), io.Discard)
 		if err == nil || !strings.Contains(err.Error(), tc.flag) || strings.Contains(err.Error(), missing) {

@@ -171,7 +171,6 @@ func run(args []string, out io.Writer) error {
 			Peers:    addrs,
 			Listen:   *listenAddr,
 			Checksum: meshSum,
-			Wire:     cfg.Wire,
 			Timeout:  *dialTimeout,
 			TCP:      tcpOpts,
 		})

@@ -38,6 +38,8 @@ func TestBadFlagFailsBeforeInput(t *testing.T) {
 		{[]string{"-rank", "0", "-peers", peers(2), "-checkpoint-dir", dir, "-min-hosts", "3"}, "-min-hosts"},
 		{[]string{"-rank", "0", "-peers", peers(2), "-checkpoint-dir", dir, "-min-hosts", "-1"}, "-min-hosts"},
 		{[]string{"-rank", "0", "-peers", peers(gluon.MembershipHostCap + 1), "-checkpoint-dir", dir}, "-checkpoint-dir"},
+		// Retired with the raw and fp16 codecs: an unknown flag now.
+		{[]string{"-rank", "0", "-peers", peers(2), "-wire", "raw"}, "-wire"},
 	} {
 		err := run(append(tc.args, "-corpus", missing, "-dial-timeout", "1ms"), io.Discard)
 		if err == nil || !strings.Contains(err.Error(), tc.flag) || strings.Contains(err.Error(), missing) {

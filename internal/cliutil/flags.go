@@ -1,7 +1,7 @@
 package cliutil
 
 // Shared flag surfaces. Before these helpers, each training command
-// declared its own -combiner/-mode/-wire trio and gw2v-train/gw2v-bench
+// declared its own -combiner/-mode pair and gw2v-train/gw2v-bench
 // their own -cpuprofile/-memprofile pair, with hand-copied help text that had already started to drift. Every tool
 // now registers the canonical definition, so flag names, defaults and
 // documentation stay identical across the whole CLI by construction.
@@ -24,34 +24,19 @@ type CommFlags struct {
 	Combiner string
 	// Mode is the communication mode name.
 	Mode string
-	// Wire is the sync payload codec name.
-	Wire string
 }
 
-// RegisterComm installs the canonical -combiner, -mode and -wire flags
-// on fs. wireNote is inserted after "codec" in the -wire help — pass
-// ", identical on every rank" for multi-process tools like gw2v-worker,
-// "" otherwise.
-func RegisterComm(fs *flag.FlagSet, wireNote string) *CommFlags {
+// RegisterComm installs the canonical -combiner and -mode flags on fs.
+func RegisterComm(fs *flag.FlagSet) *CommFlags {
 	c := &CommFlags{}
 	fs.StringVar(&c.Combiner, "combiner", "MC", "reduction: MC, AVG, SUM, MC-GS")
 	fs.StringVar(&c.Mode, "mode", "RepModel-Opt", "communication: RepModel-Naive, RepModel-Opt, PullModel")
-	fs.StringVar(&c.Wire, "wire", "packed",
-		"sync payload codec"+wireNote+": packed (lossless, default), raw, fp16 (lossy reduce payloads); see PROTOCOL.md")
 	return c
 }
 
-// Resolve parses the mode and wire names into their typed forms.
-func (c *CommFlags) Resolve() (gluon.Mode, gluon.Codec, error) {
-	mode, err := gluon.ParseMode(c.Mode)
-	if err != nil {
-		return 0, 0, err
-	}
-	wire, err := gluon.ParseCodec(c.Wire)
-	if err != nil {
-		return 0, 0, err
-	}
-	return mode, wire, nil
+// Resolve parses the mode name into its typed form.
+func (c *CommFlags) Resolve() (gluon.Mode, error) {
+	return gluon.ParseMode(c.Mode)
 }
 
 // PerfFlags holds the per-host performance knobs after parsing —

@@ -84,16 +84,6 @@ type Config struct {
 	// Mode selects the communication scheme (RepModel-Naive,
 	// RepModel-Opt, PullModel).
 	Mode gluon.Mode
-	// Wire selects the sync payload codec (PROTOCOL.md §5). The zero
-	// value is gluon.CodecPacked — varint-delta indices plus zero-half
-	// suppression, lossless and on by default. gluon.CodecRaw ships
-	// v1-equivalent dense frames (the measurement baseline);
-	// gluon.CodecFP16 additionally quantizes reduce payloads to IEEE
-	// half precision (lossy: excluded from bit-identity against
-	// lossless runs, but still deterministic across execution modes).
-	// Every host of a cluster must agree; the mesh handshake enforces
-	// it.
-	Wire gluon.Codec
 	// Seed drives every random choice in the run.
 	Seed uint64
 	// ShuffleEachEpoch randomises sentence order per epoch per host.
@@ -119,7 +109,6 @@ func DefaultConfig(hosts int) Config {
 		Params:           sgns.DefaultParams(),
 		CombinerName:     "MC",
 		Mode:             gluon.RepModelOpt,
-		Wire:             gluon.CodecPacked,
 		Seed:             1,
 		ShuffleEachEpoch: true,
 	}
@@ -164,9 +153,6 @@ func (c *Config) Validate() error {
 	case gluon.RepModelNaive, gluon.RepModelOpt, gluon.PullModel:
 	default:
 		return fmt.Errorf("core: unknown mode %v", c.Mode)
-	}
-	if err := c.Wire.Validate(); err != nil {
-		return fmt.Errorf("core: %w", err)
 	}
 	return nil
 }

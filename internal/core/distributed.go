@@ -58,7 +58,11 @@ func (c *Config) Checksum(vocabSize, corpusLen, dim int, extra ...uint64) uint64
 		uint64(math.Float32bits(c.Alpha)), uint64(math.Float32bits(c.MinAlphaFactor)),
 		uint64(c.ThreadsPerHost),
 		uint64(c.Params.Window), uint64(c.Params.Negatives), uint64(c.Params.MaxSentenceLength),
-		uint64(c.Mode), uint64(c.Wire), c.Seed, shuffle, comb,
+		// The 0 stands where the wire codec was folded until protocol
+		// v10 (0 was the packed codec, the only one left): keeping it
+		// keeps every checksum value, so checkpoints written before
+		// v10 still resume.
+		uint64(c.Mode), 0, c.Seed, shuffle, comb,
 		uint64(vocabSize), uint64(corpusLen), uint64(dim),
 	}
 	parts = append(parts, extra...)

@@ -55,3 +55,17 @@ func TestRunDistributedTCPCleanCloseLosesNoPeer(t *testing.T) {
 		})
 	}
 }
+
+// TestConfigChecksumPinned pins Checksum for a fixed configuration to
+// the values protocol v9 computed, when the wire codec was still folded
+// (as 0, the packed default): a checkpoint stamped by an older build
+// must still resume.
+func TestConfigChecksumPinned(t *testing.T) {
+	cfg := DefaultConfig(4)
+	if got, want := cfg.Checksum(1000, 50000, 100), uint64(0x4855a4deaadfcd57); got != want {
+		t.Errorf("Checksum(1000, 50000, 100) = %#x, want %#x", got, want)
+	}
+	if got, want := cfg.Checksum(1000, 50000, 100, 0xfeed), uint64(0xfea90484484128b4); got != want {
+		t.Errorf("Checksum(1000, 50000, 100, 0xfeed) = %#x, want %#x", got, want)
+	}
+}

@@ -298,7 +298,7 @@ func newEngine(cfg Config, host int, tr gluon.Transport, voc *vocab.Vocabulary, 
 		local = init.Clone()
 	}
 	base := local.Clone()
-	hs, err := gluon.NewHostSync(host, part, tr, dim, cfg.Mode, combine.ByName(cfg.CombinerName, 2*dim), cfg.Wire)
+	hs, err := gluon.NewHostSync(host, part, tr, dim, cfg.Mode, combine.ByName(cfg.CombinerName, 2*dim))
 	if err != nil {
 		return nil, err
 	}

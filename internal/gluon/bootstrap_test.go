@@ -24,7 +24,7 @@ func newBootstrapCluster(t *testing.T, n, nodes, dim int) (*InProcTransport, []*
 	}
 	syncs := make([]*HostSync, n)
 	for h := 0; h < n; h++ {
-		syncs[h], err = NewHostSync(h, part, tr, dim, RepModelOpt, combine.NewModelCombiner(2*dim), CodecPacked)
+		syncs[h], err = NewHostSync(h, part, tr, dim, RepModelOpt, combine.NewModelCombiner(2*dim))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,100 +2,69 @@ package gluon
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 )
 
-// Payload codecs for vector frames (reduce / broadcast / gather). The
-// full byte-level specification lives in PROTOCOL.md; this file is the
-// reference implementation.
+// The vector-frame encoding for reduce, broadcast, gather and transfer
+// frames. The full byte-level specification lives in PROTOCOL.md §4–5;
+// this file is the reference implementation.
 //
-// A Codec names one of the supported encoding combinations. Every host
-// in a cluster must be configured with the same codec: the receive path
-// rejects frames whose codec byte differs from the negotiated one, and
-// the multi-process mesh handshake (transport_mesh.go) refuses peers
-// configured differently before any training traffic flows.
-type Codec uint8
-
+// There is one encoding (protocol v10): index sets are sorted varint
+// deltas, and all-zero vector halves are suppressed where the receiver
+// can reconstruct them — on reduce frames and on RepModel broadcasts
+// (frameFlags). Which rows ship at all is the synchronisation scheme's
+// business; the bytes of the rows that do ship are exact float32, so
+// every run is bit-identical to one over the uncompressed v1 format.
+//
+// Every vector frame still carries a flag byte naming the encodings
+// applied to it. Both sides derive it from the frame kind and the
+// synchronisation mode, so the byte is a format check: a frame whose
+// byte differs from the expected one is rejected.
 const (
-	// CodecPacked is the default lossless codec: index sets are encoded
-	// as sorted varint deltas instead of raw uint32s, and all-zero
-	// vector halves (a node touched only as a center word, or only as a
-	// context/negative) are suppressed from the payload. Runs are
-	// bit-identical to CodecRaw — only the bytes on the wire change.
-	CodecPacked Codec = iota
-	// CodecRaw ships protocol-v1-equivalent volume: raw uint32 indices
-	// and dense float32 payloads. It exists as the measurement baseline
-	// for the comm-volume experiment and as the escape hatch if a codec
-	// bug is ever suspected.
-	CodecRaw
-	// CodecFP16 is CodecPacked plus lossy quantization of reduce-phase
-	// payloads to IEEE 754 binary16. Broadcast and gather payloads (the
-	// canonical master values) stay float32, so replicas remain exactly
-	// consistent across hosts; only the deltas folded by the reduction
-	// operator lose precision. Excluded from bit-identity guarantees
-	// against lossless runs, but still deterministic: the simulated and
-	// TCP execution modes quantize identically.
-	CodecFP16
-)
-
-// ParseCodec converts a -wire flag value into a Codec.
-func ParseCodec(s string) (Codec, error) {
-	switch s {
-	case "packed", "":
-		return CodecPacked, nil
-	case "raw":
-		return CodecRaw, nil
-	case "fp16":
-		return CodecFP16, nil
-	}
-	return 0, fmt.Errorf("gluon: unknown wire codec %q (want packed, raw or fp16)", s)
-}
-
-// String returns the -wire flag spelling of the codec.
-func (c Codec) String() string {
-	switch c {
-	case CodecPacked:
-		return "packed"
-	case CodecRaw:
-		return "raw"
-	case CodecFP16:
-		return "fp16"
-	default:
-		return fmt.Sprintf("Codec(%d)", int(c))
-	}
-}
-
-// Validate reports whether the codec is one of the supported values.
-func (c Codec) Validate() error {
-	switch c {
-	case CodecPacked, CodecRaw, CodecFP16:
-		return nil
-	}
-	return fmt.Errorf("gluon: unknown wire codec %d", int(c))
-}
-
-// Lossless reports whether training under this codec is bit-identical
-// to CodecRaw.
-func (c Codec) Lossless() bool { return c != CodecFP16 }
-
-// Per-frame codec byte: the flag bits actually applied to one vector
-// frame. The configured Codec maps to a flag set per message kind (see
-// HostSync.frameFlags) — e.g. fp16 never applies to broadcasts — and
-// the byte is embedded in every vector frame so a decoder can verify it
-// against the negotiated codec.
-const (
-	// wireVarint: the index section is a sorted varint-delta list
-	// instead of raw uint32s.
+	// wireVarint: the index section is a sorted varint-delta list.
 	wireVarint byte = 1 << 0
 	// wireHalves: a half-presence mask section follows the indices and
 	// absent halves are omitted from the payload.
 	wireHalves byte = 1 << 1
-	// wireFP16: payload values are IEEE binary16 instead of binary32.
-	wireFP16 byte = 1 << 2
+	// wireRetiredFP16 marked binary16 payloads under the fp16 codec
+	// (protocol v2–v9). Retired in v10 and never to be reused: a frame
+	// carrying it fails with ErrRetiredCodec, like a frame without
+	// wireVarint (the raw codec's flag byte).
+	wireRetiredFP16 byte = 1 << 2
 
-	wireKnownFlags = wireVarint | wireHalves | wireFP16
+	wireKnownFlags = wireVarint | wireHalves | wireRetiredFP16
 )
+
+// ErrRetiredCodec marks a vector frame encoded under a codec that
+// protocol v10 retired: raw (no varint bit) or fp16 (bit 2). Only a
+// peer from an older build, past the hello's version check, or a
+// corrupted frame can produce one.
+var ErrRetiredCodec = errors.New("gluon: vector frame uses a retired codec")
+
+// frameFlags is the flag byte of every vector frame of one kind under
+// one synchronisation mode (PROTOCOL.md §5). Half suppression applies
+// only where an absent half can be reconstructed by the receiver: on
+// reduce frames (an absent half is a zero delta) and on RepModel
+// broadcasts (an absent half is unchanged on every replica). PullModel
+// broadcasts serve arbitrarily stale mirrors, and gather and transfer
+// frames install rows on hosts with no prior state, so those ship
+// full values.
+func frameFlags(kind byte, mode Mode) byte {
+	if kind == kindReduce || kind == kindBroadcast && mode != PullModel {
+		return wireVarint | wireHalves
+	}
+	return wireVarint
+}
+
+// rawVectorBytes is the size the given number of vector frames and
+// entries would occupy in the uncompressed format of protocol v1 (the
+// retired raw codec): per frame the header and flag byte, per entry a
+// uint32 index and both halves as float32.
+func rawVectorBytes(frames, entries int64, dim int) int64 {
+	return frames*(headerBytes+1) + entries*int64(4+2*dim*4)
+}
 
 // Half-presence bits, two per entry in the mask section.
 const (
@@ -103,19 +72,6 @@ const (
 	halfCtx  byte = 1 << 1 // training/context (second dim floats) present
 	halfBoth      = halfEmb | halfCtx
 )
-
-// flags returns the full flag set the codec enables; per-kind policy
-// masks bits off (HostSync.frameFlags).
-func (c Codec) flags() byte {
-	switch c {
-	case CodecRaw:
-		return 0
-	case CodecFP16:
-		return wireVarint | wireHalves | wireFP16
-	default: // CodecPacked
-		return wireVarint | wireHalves
-	}
-}
 
 // nonzeroHalves returns the half-presence mask of a concatenated
 // (embedding ‖ training) vector: a half is present iff any component is
@@ -141,23 +97,22 @@ func nonzeroHalves(vec []float32, dim int) byte {
 // halfCount returns how many halves the mask selects (0, 1 or 2).
 func halfCount(h byte) int { return int(h&1 + h>>1&1) }
 
-// encodeVectorFrame builds a reduce, broadcast or gather frame:
+// encodeVectorFrame builds a reduce, broadcast, gather or transfer
+// frame:
 //
-//	header (9 bytes) · codec byte · index section · mask section · payload
+//	header (9 bytes) · flag byte · index section · mask section · payload
 //
-// nodes must be sorted strictly ascending (the protocol invariant the
-// varint-delta encoding relies on; senders always walk master ranges in
-// order). vecAt fills the 2·dim-float concatenated vector for a node.
-// halfAt, when non-nil and wireHalves is set, selects which halves of
-// each node ship; with a nil halfAt the mask is derived from the vector
-// content (all-zero halves are suppressed). Without wireHalves every
-// entry ships both halves and no mask section is emitted.
+// flags is the frame's flag byte (frameFlags) and must include
+// wireVarint. nodes must be sorted strictly ascending (the protocol
+// invariant the varint-delta encoding relies on; senders always walk
+// master ranges in order). vecAt fills the 2·dim-float concatenated
+// vector for a node. halfAt, when non-nil and wireHalves is set, selects
+// which halves of each node ship; with a nil halfAt the mask is derived
+// from the vector content (all-zero halves are suppressed). Without
+// wireHalves every entry ships both halves and no mask section is
+// emitted.
 func encodeVectorFrame(kind byte, round uint32, flags byte, dim int, nodes []int32, halfAt func(node int32) byte, vecAt func(node int32, dst []float32)) []byte {
-	valBytes := 4
-	if flags&wireFP16 != 0 {
-		valBytes = 2
-	}
-	buf := make([]byte, 0, headerBytes+1+len(nodes)*(1+2*dim*valBytes))
+	buf := make([]byte, 0, headerBytes+1+len(nodes)*(1+2*dim*4))
 	return appendVectorFrame(buf, kind, round, flags, dim, nodes, halfAt, vecAt, make([]float32, 2*dim))
 }
 
@@ -169,32 +124,22 @@ func encodeVectorFrame(kind byte, round uint32, flags byte, dim int, nodes []int
 // identical to encodeVectorFrame's (the golden wire tests pin the
 // format).
 func appendVectorFrame(dst []byte, kind byte, round uint32, flags byte, dim int, nodes []int32, halfAt func(node int32) byte, vecAt func(node int32, dst []float32), vec []float32) []byte {
-	valBytes := 4
-	if flags&wireFP16 != 0 {
-		valBytes = 2
-	}
 	start := len(dst)
 	var hdr [headerBytes]byte
 	dst = append(dst, hdr[:]...)
 	putHeader(dst[start:], kind, round, uint32(len(nodes)))
 	dst = append(dst, flags)
 
-	// Index section.
-	if flags&wireVarint != 0 {
-		var tmp [binary.MaxVarintLen32]byte
-		prev := int32(0)
-		for i, n := range nodes {
-			d := uint64(n)
-			if i > 0 {
-				d = uint64(n - prev) // strictly ascending ⇒ ≥ 1
-			}
-			dst = append(dst, tmp[:binary.PutUvarint(tmp[:], d)]...)
-			prev = n
+	// Index section: the first id, then strictly positive gaps.
+	var tmp [binary.MaxVarintLen32]byte
+	prev := int32(0)
+	for i, n := range nodes {
+		d := uint64(n)
+		if i > 0 {
+			d = uint64(n - prev)
 		}
-	} else {
-		for _, n := range nodes {
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
-		}
+		dst = append(dst, tmp[:binary.PutUvarint(tmp[:], d)]...)
+		prev = n
 	}
 
 	// Mask section: reserved zeroed in place, filled while the payload
@@ -218,23 +163,17 @@ func appendVectorFrame(dst []byte, kind byte, round uint32, flags byte, dim int,
 			dst[maskOff+i/4] |= h << uint(i%4*2)
 		}
 		if h&halfEmb != 0 {
-			dst = appendHalf(dst, vec[:dim], valBytes)
+			dst = appendFloats(dst, vec[:dim])
 		}
 		if h&halfCtx != 0 {
-			dst = appendHalf(dst, vec[dim:], valBytes)
+			dst = appendFloats(dst, vec[dim:])
 		}
 	}
 	return dst
 }
 
-// appendHalf appends one half's values in the codec's value width.
-func appendHalf(dst []byte, half []float32, valBytes int) []byte {
-	if valBytes == 2 {
-		for _, v := range half {
-			dst = binary.LittleEndian.AppendUint16(dst, float16bits(v))
-		}
-		return dst
-	}
+// appendFloats appends one half's values as little-endian binary32.
+func appendFloats(dst []byte, half []float32) []byte {
 	for _, v := range half {
 		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(v))
 	}
@@ -250,11 +189,11 @@ type decodeScratch struct {
 	vec   []float32
 }
 
-// decodeVectorFrame decodes a vector frame, enforcing that its codec
-// byte equals wantFlags (the codec negotiated for this cluster and
-// message kind). fn receives each node id, its half-presence mask, and
-// the full 2·dim vector with absent halves zero-filled; the slice is
-// reused across entries. Any structural defect — unknown codec bits, a
+// decodeVectorFrame decodes a vector frame, enforcing that its flag
+// byte equals wantFlags (frameFlags for the expected kind and mode). fn
+// receives each node id, its half-presence mask, and the full 2·dim
+// vector with absent halves zero-filled; the slice is reused across
+// entries. Any structural defect — unknown or retired flag bits, a
 // truncated or overlong varint, a non-ascending index, nonzero mask
 // padding, or a payload whose length does not match the mask — is
 // rejected with an error.
@@ -272,14 +211,18 @@ func decodeVectorFrameInto(payload []byte, dim int, wantFlags byte, sc *decodeSc
 		return err
 	}
 	if len(payload) < headerBytes+1 {
-		return fmt.Errorf("gluon: vector frame of %d bytes lacks a codec byte", len(payload))
+		return fmt.Errorf("gluon: vector frame of %d bytes lacks a flag byte", len(payload))
 	}
 	flags := payload[headerBytes]
-	if flags&^wireKnownFlags != 0 {
-		return fmt.Errorf("gluon: vector frame with unknown codec bits %#x", flags)
-	}
-	if flags != wantFlags {
-		return fmt.Errorf("gluon: vector frame codec %#x, negotiated %#x — mixed -wire configurations in one cluster", flags, wantFlags)
+	switch {
+	case flags&^wireKnownFlags != 0:
+		return fmt.Errorf("gluon: vector frame with unknown flag bits %#x", flags)
+	case flags&wireRetiredFP16 != 0:
+		return fmt.Errorf("%w: fp16 (flag byte %#x; retired in protocol v10)", ErrRetiredCodec, flags)
+	case flags&wireVarint == 0:
+		return fmt.Errorf("%w: raw (flag byte %#x; retired in protocol v10)", ErrRetiredCodec, flags)
+	case flags != wantFlags:
+		return fmt.Errorf("gluon: vector frame flag byte %#x, want %#x for its kind and mode", flags, wantFlags)
 	}
 	rest := payload[headerBytes+1:]
 	// Each entry consumes at least one index byte, so an absurd count in
@@ -293,39 +236,25 @@ func decodeVectorFrameInto(payload []byte, dim int, wantFlags byte, sc *decodeSc
 		sc.nodes = make([]int32, count)
 	}
 	nodes := sc.nodes[:count]
-	if flags&wireVarint != 0 {
-		prev := int64(-1)
-		for i := range nodes {
-			v, n := binary.Uvarint(rest)
-			if n <= 0 {
-				return fmt.Errorf("gluon: corrupt varint in index %d of vector frame", i)
-			}
-			rest = rest[n:]
-			cur := int64(v)
-			if i > 0 {
-				if v == 0 {
-					return fmt.Errorf("gluon: zero index delta at entry %d (indices must be strictly ascending)", i)
-				}
-				cur = prev + int64(v)
-			}
-			if cur > math.MaxInt32 {
-				return fmt.Errorf("gluon: index %d overflows int32 in vector frame", cur)
-			}
-			nodes[i] = int32(cur)
-			prev = cur
+	prev := int64(-1)
+	for i := range nodes {
+		v, n := binary.Uvarint(rest)
+		if n <= 0 {
+			return fmt.Errorf("gluon: corrupt varint in index %d of vector frame", i)
 		}
-	} else {
-		if len(rest) < 4*int(count) {
-			return fmt.Errorf("gluon: vector frame index section truncated (%d bytes for %d entries)", len(rest), count)
-		}
-		for i := range nodes {
-			v := binary.LittleEndian.Uint32(rest[4*i:])
-			if v > math.MaxInt32 {
-				return fmt.Errorf("gluon: index %d overflows int32 in vector frame", v)
+		rest = rest[n:]
+		cur := int64(v)
+		if i > 0 {
+			if v == 0 {
+				return fmt.Errorf("gluon: zero index delta at entry %d (indices must be strictly ascending)", i)
 			}
-			nodes[i] = int32(v)
+			cur = prev + int64(v)
 		}
-		rest = rest[4*int(count):]
+		if cur > math.MaxInt32 {
+			return fmt.Errorf("gluon: index %d overflows int32 in vector frame", cur)
+		}
+		nodes[i] = int32(cur)
+		prev = cur
 	}
 
 	// Mask section.
@@ -343,10 +272,6 @@ func decodeVectorFrameInto(payload []byte, dim int, wantFlags byte, sc *decodeSc
 	}
 
 	// Payload section: verify the exact length before decoding.
-	valBytes := 4
-	if flags&wireFP16 != 0 {
-		valBytes = 2
-	}
 	halves := 2 * int(count)
 	if masks != nil {
 		halves = 0
@@ -354,7 +279,7 @@ func decodeVectorFrameInto(payload []byte, dim int, wantFlags byte, sc *decodeSc
 			halves += halfCount(masks[i/4] >> uint(i%4*2) & halfBoth)
 		}
 	}
-	if want := halves * dim * valBytes; len(rest) != want {
+	if want := halves * dim * 4; len(rest) != want {
 		return fmt.Errorf("gluon: vector frame payload of %d bytes, want %d for %d present halves", len(rest), want, halves)
 	}
 
@@ -362,7 +287,6 @@ func decodeVectorFrameInto(payload []byte, dim int, wantFlags byte, sc *decodeSc
 		sc.vec = make([]float32, 2*dim)
 	}
 	vec := sc.vec[:2*dim]
-	off := 0
 	for i, node := range nodes {
 		h := halfBoth
 		if masks != nil {
@@ -372,10 +296,10 @@ func decodeVectorFrameInto(payload []byte, dim int, wantFlags byte, sc *decodeSc
 			vec[j] = 0
 		}
 		if h&halfEmb != 0 {
-			off = decodeHalf(rest, off, vec[:dim], valBytes)
+			rest = decodeFloats(rest, vec[:dim])
 		}
 		if h&halfCtx != 0 {
-			off = decodeHalf(rest, off, vec[dim:], valBytes)
+			rest = decodeFloats(rest, vec[dim:])
 		}
 		if err := fn(node, h, vec); err != nil {
 			return err
@@ -384,19 +308,11 @@ func decodeVectorFrameInto(payload []byte, dim int, wantFlags byte, sc *decodeSc
 	return nil
 }
 
-// decodeHalf reads one half's values from src starting at off and
-// returns the advanced offset.
-func decodeHalf(src []byte, off int, dst []float32, valBytes int) int {
-	if valBytes == 2 {
-		for j := range dst {
-			dst[j] = float16frombits(binary.LittleEndian.Uint16(src[off:]))
-			off += 2
-		}
-		return off
-	}
+// decodeFloats fills dst with little-endian binary32 values from the
+// front of src and returns the rest of src.
+func decodeFloats(src []byte, dst []float32) []byte {
 	for j := range dst {
-		dst[j] = math.Float32frombits(binary.LittleEndian.Uint32(src[off:]))
-		off += 4
+		dst[j] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*j:]))
 	}
-	return off
+	return src[4*len(dst):]
 }

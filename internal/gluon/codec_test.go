@@ -2,6 +2,7 @@ package gluon
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"testing"
@@ -9,17 +10,8 @@ import (
 	"graphword2vec/internal/xrand"
 )
 
-// allFlagCombos enumerates every legal codec-byte value.
-var allFlagCombos = []byte{
-	0,
-	wireVarint,
-	wireHalves,
-	wireFP16,
-	wireVarint | wireHalves,
-	wireVarint | wireFP16,
-	wireHalves | wireFP16,
-	wireVarint | wireHalves | wireFP16,
-}
+// legalFlags are the flag bytes frameFlags can produce.
+var legalFlags = []byte{wireVarint, wireVarint | wireHalves}
 
 // randomIndexSet draws a sorted strictly-ascending index set of the
 // given size from [0, span).
@@ -39,8 +31,7 @@ func randomIndexSet(r *xrand.Rand, size, span int) []int32 {
 
 // TestCodecRoundTripProperty: random index sets — empty, singleton,
 // sparse, dense — with random payloads (including zero halves) must
-// survive encode → decode exactly under every flag combination; fp16
-// flags round-trip through the half-precision quantizer.
+// survive encode → decode exactly under both legal flag bytes.
 func TestCodecRoundTripProperty(t *testing.T) {
 	r := xrand.New(7)
 	for trial := 0; trial < 200; trial++ {
@@ -59,7 +50,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 		default: // sparse random
 			nodes = randomIndexSet(r, 1+r.Intn(min(span, 64)), span)
 		}
-		flags := allFlagCombos[trial%len(allFlagCombos)]
+		flags := legalFlags[trial%len(legalFlags)]
 
 		vals := make(map[int32][]float32, len(nodes))
 		for _, n := range nodes {
@@ -91,9 +82,6 @@ func TestCodecRoundTripProperty(t *testing.T) {
 			want := vals[n]
 			for i, v := range want {
 				expect := v
-				if flags&wireFP16 != 0 {
-					expect = float16frombits(float16bits(v))
-				}
 				if flags&wireHalves != 0 {
 					// Suppressed halves decode as exact zeros.
 					if i < dim && half&halfEmb == 0 || i >= dim && half&halfCtx == 0 {
@@ -144,7 +132,7 @@ func TestCodecRejectsCorruptVarint(t *testing.T) {
 		}
 	}
 	corrupt("truncated varint (continuation bit into nothing)", func(msg []byte) []byte {
-		// Frame reduced to the header, codec byte, and a lone 0x80: an
+		// Frame reduced to the header, flag byte, and a lone 0x80: an
 		// unterminated varint.
 		return append(msg[:headerBytes+1:headerBytes+1], 0x80)
 	})
@@ -176,119 +164,39 @@ func TestCodecRejectsCorruptVarint(t *testing.T) {
 		msg[headerBytes+3] |= 0xF0
 		return msg
 	})
-	corrupt("codec mismatch", func(msg []byte) []byte {
+	corrupt("flag byte mismatch", func(msg []byte) []byte {
 		msg[headerBytes] = wireVarint
 		return msg
 	})
-	corrupt("unknown codec bits", func(msg []byte) []byte {
+	corrupt("unknown flag bits", func(msg []byte) []byte {
 		msg[headerBytes] |= 1 << 6
 		return msg
 	})
 }
 
-// TestCodecParse covers the -wire flag surface.
-func TestCodecParse(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Codec
-	}{{"packed", CodecPacked}, {"", CodecPacked}, {"raw", CodecRaw}, {"fp16", CodecFP16}} {
-		got, err := ParseCodec(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("ParseCodec(%q) = (%v, %v), want %v", tc.in, got, err, tc.want)
-		}
-	}
-	if _, err := ParseCodec("bogus"); err == nil {
-		t.Error("bogus codec accepted")
-	}
-	if CodecPacked.String() != "packed" || CodecRaw.String() != "raw" || CodecFP16.String() != "fp16" {
-		t.Error("codec names wrong")
-	}
-	if err := Codec(42).Validate(); err == nil {
-		t.Error("unknown codec validated")
-	}
-	if !CodecPacked.Lossless() || !CodecRaw.Lossless() || CodecFP16.Lossless() {
-		t.Error("Lossless wrong")
-	}
-	var zero Codec
-	if zero != CodecPacked {
-		t.Error("the zero Codec must be the packed default")
-	}
-}
+// The reduce frame that protocol v2–v9 pinned as golden line
+// "reduce-raw": three entries of dim 2 under the retired raw codec
+// (flag byte 0). The FuzzDecodeVectorFrame corpus carries it, and its
+// fp16 twin, as seeds retired-raw and retired-fp16.
+const (
+	retiredRawReduceHex = "010700000003000000000000000003000000830000000000c03f000000c00000803e00000041000000bf00004040000000000000000000000000000000000000003e000028c2"
+	// retiredRawReduceBytes is the length of the reduce-raw frame.
+	retiredRawReduceBytes = 70
+)
 
-// TestFloat16ExhaustiveRoundTrip: every non-NaN half value must survive
-// f16 → f32 → f16 bit-exactly (float32 represents all halves exactly).
-func TestFloat16ExhaustiveRoundTrip(t *testing.T) {
-	for h := 0; h < 1<<16; h++ {
-		f := float16frombits(uint16(h))
-		if math.IsNaN(float64(f)) {
-			if uint16(h)&0x7C00 != 0x7C00 || uint16(h)&0x03FF == 0 {
-				t.Fatalf("non-NaN bits %#04x decoded to NaN", h)
-			}
-			continue
-		}
-		if got := float16bits(f); got != uint16(h) {
-			t.Fatalf("h=%#04x → %v → %#04x", h, f, got)
-		}
+// TestRawVectorBytesMatchesRetiredGolden pins the arithmetic behind
+// comm-volume's raw column to the last raw frame ever pinned: one
+// frame, three entries, dim 2.
+func TestRawVectorBytesMatchesRetiredGolden(t *testing.T) {
+	frame, err := hex.DecodeString(retiredRawReduceHex)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestFloat16QuantizationErrorBound: for values in the half-precision
-// normal range, round-to-nearest-even keeps the relative error within
-// 2⁻¹¹ (half a unit in the last place of a 10-bit mantissa).
-func TestFloat16QuantizationErrorBound(t *testing.T) {
-	r := xrand.New(99)
-	const relBound = 1.0 / 2048
-	for i := 0; i < 100000; i++ {
-		// Log-uniform magnitudes across the normal half range
-		// [2⁻¹⁴, 65504), signs mixed.
-		e := r.Float64()*29 - 14 // exponent in [-14, 15)
-		v := float32(math.Pow(2, e) * (1 + r.Float64()))
-		if v >= 65504 {
-			continue
-		}
-		if r.Intn(2) == 0 {
-			v = -v
-		}
-		q := float16frombits(float16bits(v))
-		if rel := math.Abs(float64(q-v)) / math.Abs(float64(v)); rel > relBound {
-			t.Fatalf("quantizing %v → %v: relative error %v > %v", v, q, rel, relBound)
-		}
+	if len(frame) != retiredRawReduceBytes {
+		t.Fatalf("reduce-raw golden is %d bytes, constant says %d", len(frame), retiredRawReduceBytes)
 	}
-}
-
-// TestFloat16SpecialValues pins the edge behaviour the codec depends on.
-func TestFloat16SpecialValues(t *testing.T) {
-	if float16frombits(float16bits(0)) != 0 {
-		t.Error("zero not preserved")
-	}
-	if b := float16bits(float32(math.Copysign(0, -1))); b != 0x8000 {
-		t.Errorf("-0 → %#04x", b)
-	}
-	if got := float16frombits(float16bits(float32(math.Inf(1)))); !math.IsInf(float64(got), 1) {
-		t.Errorf("+Inf → %v", got)
-	}
-	if got := float16frombits(float16bits(1e10)); !math.IsInf(float64(got), 1) {
-		t.Errorf("overflow 1e10 → %v, want +Inf", got)
-	}
-	if got := float16frombits(float16bits(-1e10)); !math.IsInf(float64(got), -1) {
-		t.Errorf("overflow -1e10 → %v, want -Inf", got)
-	}
-	if got := float16frombits(float16bits(float32(math.NaN()))); !math.IsNaN(float64(got)) {
-		t.Errorf("NaN → %v", got)
-	}
-	if got := float16frombits(float16bits(1e-10)); got != 0 {
-		t.Errorf("underflow 1e-10 → %v, want 0", got)
-	}
-	// Subnormal halves survive: 2⁻²⁴ is the smallest positive half.
-	tiny := float32(math.Pow(2, -24))
-	if got := float16frombits(float16bits(tiny)); got != tiny {
-		t.Errorf("smallest subnormal %v → %v", tiny, got)
-	}
-	// Exact halves stay exact.
-	for _, v := range []float32{1, -1, 0.5, 2048, 65504, -65504} {
-		if got := float16frombits(float16bits(v)); got != v {
-			t.Errorf("exact half %v → %v", v, got)
-		}
+	if got := rawVectorBytes(1, 3, 2); got != retiredRawReduceBytes {
+		t.Fatalf("rawVectorBytes(1 frame, 3 entries, dim 2) = %d, want %d", got, retiredRawReduceBytes)
 	}
 }
 

@@ -26,7 +26,7 @@ func TestSyncFailsCleanlyOnClosedTransport(t *testing.T) {
 	}
 	init := model.New(10, 4)
 	init.InitRandom(3)
-	hs, err := NewHostSync(0, part, tr, 4, RepModelOpt, combine.NewModelCombiner(8), CodecPacked)
+	hs, err := NewHostSync(0, part, tr, 4, RepModelOpt, combine.NewModelCombiner(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestSyncRejectsForeignRangeMessages(t *testing.T) {
 	}
 	defer tr.Close()
 	init := model.New(10, 2)
-	hs0, err := NewHostSync(0, part, tr, 2, RepModelOpt, combine.Sum{}, CodecPacked)
+	hs0, err := NewHostSync(0, part, tr, 2, RepModelOpt, combine.Sum{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestSyncRejectsForeignBroadcast(t *testing.T) {
 	}
 	defer tr.Close()
 	init := model.New(10, 2)
-	hs0, err := NewHostSync(0, part, tr, 2, RepModelOpt, combine.Sum{}, CodecPacked)
+	hs0, err := NewHostSync(0, part, tr, 2, RepModelOpt, combine.Sum{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestSyncRejectsUnexpectedAccessMessage(t *testing.T) {
 	}
 	defer tr.Close()
 	init := model.New(10, 2)
-	hs0, err := NewHostSync(0, part, tr, 2, RepModelOpt, combine.Sum{}, CodecPacked)
+	hs0, err := NewHostSync(0, part, tr, 2, RepModelOpt, combine.Sum{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestSyncRejectsCorruptPayload(t *testing.T) {
 	}
 	defer tr.Close()
 	init := model.New(10, 2)
-	hs0, err := NewHostSync(0, part, tr, 2, RepModelOpt, combine.Sum{}, CodecPacked)
+	hs0, err := NewHostSync(0, part, tr, 2, RepModelOpt, combine.Sum{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestSyncModelSizeMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	hs, err := NewHostSync(0, part, tr, 2, RepModelOpt, combine.Sum{}, CodecPacked)
+	hs, err := NewHostSync(0, part, tr, 2, RepModelOpt, combine.Sum{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestRoundErrorNamesCause(t *testing.T) {
 	for _, tc := range cases {
 		for _, workers := range []int{1, 4} {
 			tr := splitFaultTransport{hosts: 4, sendErr: tc.sendErr, recvErr: tc.recvErr}
-			hs, err := NewHostSync(0, part, tr, 4, RepModelOpt, combine.Sum{}, CodecPacked)
+			hs, err := NewHostSync(0, part, tr, 4, RepModelOpt, combine.Sum{})
 			if err != nil {
 				t.Fatal(err)
 			}

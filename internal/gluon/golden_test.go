@@ -34,8 +34,7 @@ const goldenPath = "testdata/wire_golden.txt"
 
 // goldenVec are the fixed payloads: one dense entry, one with only the
 // embedding half nonzero, one with only the training half nonzero.
-// Values include negatives, a subnormal-ish magnitude, and an exactly
-// representable half so the fp16 frame is stable too.
+// Values include negatives and a small magnitude.
 func goldenVec(n int32, dst []float32) {
 	switch n {
 	case 0:
@@ -54,8 +53,6 @@ func goldenFrames(t *testing.T) map[string][]byte {
 	nodes := []int32{0, 3, 131}
 	frames := map[string][]byte{
 		"reduce-packed": encodeVectorFrame(kindReduce, 7, wireVarint|wireHalves, dim, nodes, nil, goldenVec),
-		"reduce-raw":    encodeVectorFrame(kindReduce, 7, 0, dim, nodes, nil, goldenVec),
-		"reduce-fp16":   encodeVectorFrame(kindReduce, 7, wireVarint|wireHalves|wireFP16, dim, nodes, nil, goldenVec),
 		"broadcast-packed": encodeVectorFrame(kindBroadcast, 12, wireVarint|wireHalves, dim, []int32{1, 2},
 			func(n int32) byte {
 				if n == 1 {
@@ -83,7 +80,7 @@ func goldenFrames(t *testing.T) map[string][]byte {
 			Round: 4, OldHosts: 3, Sources: []int{0, 0, 1},
 		}),
 		"membership-decision-plain": membershipDecisionMessage(MembershipDecision{Plain: true, Round: 6, OldHosts: 3}),
-		// Transfer frames reuse the vector-frame codec with the round
+		// Transfer frames reuse the vector-frame encoding with the round
 		// field carrying the migrated old rank (here: old rank 1).
 		"transfer-varint": encodeVectorFrame(kindTransfer, 1, wireVarint, dim, []int32{5, 6, 7}, nil, func(n int32, dst []float32) {
 			for i := range dst {
@@ -99,8 +96,7 @@ func goldenFrames(t *testing.T) map[string][]byte {
 	frames["session-hello"] = goldenSessionHello(t)
 
 	// The mesh hello, captured off a pipe: rank 1 of 3, checksum
-	// 0x0123456789ABCDEF, packed codec, session token
-	// 0x1122334455667788.
+	// 0x0123456789ABCDEF, session token 0x1122334455667788.
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
@@ -114,7 +110,7 @@ func goldenFrames(t *testing.T) map[string][]byte {
 		}
 		helloCh <- buf
 	}()
-	cfg := MeshConfig{Rank: 1, Peers: []string{"a", "b", "c"}, Checksum: 0x0123456789ABCDEF, Wire: CodecPacked}
+	cfg := MeshConfig{Rank: 1, Peers: []string{"a", "b", "c"}, Checksum: 0x0123456789ABCDEF}
 	if err := writeHello(a, cfg, 0x1122334455667788, time.Now().Add(5*time.Second)); err != nil {
 		t.Fatalf("writeHello: %v", err)
 	}
@@ -157,7 +153,7 @@ func TestWireGolden(t *testing.T) {
 
 	if *updateGolden {
 		var sb strings.Builder
-		sb.WriteString("# Golden wire frames, protocol version 9 (PROTOCOL.md).\n")
+		sb.WriteString("# Golden wire frames, protocol version 10 (PROTOCOL.md).\n")
 		sb.WriteString("# Regenerate ONLY on a deliberate, version-bumped format change:\n")
 		sb.WriteString("#   go test ./internal/gluon -run TestWireGolden -update-golden\n")
 		names := make([]string, 0, len(frames))
@@ -253,37 +249,16 @@ func TestWireGoldenDecodes(t *testing.T) {
 		return
 	}
 
-	for _, tc := range []struct {
-		name  string
-		flags byte
-	}{
-		{"reduce-packed", wireVarint | wireHalves},
-		{"reduce-raw", 0},
-	} {
-		nodes, _, vecs := decodeAll(tc.name, tc.flags)
-		if len(nodes) != 3 || nodes[0] != 0 || nodes[1] != 3 || nodes[2] != 131 {
-			t.Fatalf("%s nodes = %v", tc.name, nodes)
-		}
-		want := make([]float32, 2*dim)
-		for i, n := range nodes {
-			goldenVec(n, want)
-			for j := range want {
-				if vecs[i][j] != want[j] {
-					t.Fatalf("%s node %d: %v, want %v", tc.name, n, vecs[i], want)
-				}
-			}
-		}
+	nodes, _, vecs := decodeAll("reduce-packed", wireVarint|wireHalves)
+	if len(nodes) != 3 || nodes[0] != 0 || nodes[1] != 3 || nodes[2] != 131 {
+		t.Fatalf("reduce-packed nodes = %v", nodes)
 	}
-
-	// fp16 frame: values quantize through binary16; the golden payloads
-	// were chosen exactly representable, so they decode bit-equal.
-	nodes, _, vecs := decodeAll("reduce-fp16", wireVarint|wireHalves|wireFP16)
 	want := make([]float32, 2*dim)
 	for i, n := range nodes {
 		goldenVec(n, want)
 		for j := range want {
-			if q := float16frombits(float16bits(want[j])); vecs[i][j] != q {
-				t.Fatalf("reduce-fp16 node %d: %v, want %v", n, vecs[i][j], q)
+			if vecs[i][j] != want[j] {
+				t.Fatalf("reduce-packed node %d: %v, want %v", n, vecs[i], want)
 			}
 		}
 	}

@@ -448,11 +448,10 @@ func selfHeldAt(o MembershipOffer, round uint32) bool {
 // the caller re-shards it under the new partition map (set local = base
 // = canonical) and checkpoints the result. ranges(q) returns old rank
 // q's master node range [lo, hi). Transfer frames always carry full
-// exact values (frameFlags strips fp16/half-suppression), so migration
-// is bit-exact regardless of the negotiated codec. Runs between the
-// negotiation and the start barrier; transfers for distinct old ranks
-// are disambiguated by the frame's round field, so arrival order does
-// not matter.
+// values (frameFlags never suppresses halves on them), so migration is
+// bit-exact. Runs between the negotiation and the start barrier;
+// transfers for distinct old ranks are disambiguated by the frame's
+// round field, so arrival order does not matter.
 func (hs *HostSync) MigrateRanges(d MembershipDecision, ranges func(q int) (lo, hi int), canonical *model.Model) error {
 	if !d.Reshard() {
 		return nil
@@ -461,7 +460,7 @@ func (hs *HostSync) MigrateRanges(d MembershipDecision, ranges func(q int) (lo, 
 		return fmt.Errorf("gluon: canonical model size %d does not match partition %d", canonical.VocabSize(), hs.part.NumNodes())
 	}
 	n := hs.part.NumHosts()
-	flags := hs.frameFlags(kindTransfer)
+	flags := frameFlags(kindTransfer, hs.mode)
 	for q, src := range d.Sources {
 		if src != hs.host {
 			continue

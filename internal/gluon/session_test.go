@@ -324,7 +324,7 @@ func TestSessionHelloRejectsForeignProtocol(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	go func() {
-		cfg := MeshConfig{Rank: 1, Peers: []string{"x", "y"}, Checksum: 1, Wire: CodecPacked}
+		cfg := MeshConfig{Rank: 1, Peers: []string{"x", "y"}, Checksum: 1}
 		writeHello(a, cfg, 0, time.Now().Add(time.Second))
 	}()
 	b.SetReadDeadline(time.Now().Add(5 * time.Second))

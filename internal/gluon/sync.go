@@ -78,6 +78,18 @@ type Stats struct {
 // TotalBytes returns all bytes sent by this host.
 func (s Stats) TotalBytes() int64 { return s.ReduceBytes + s.BroadcastBytes + s.ControlBytes }
 
+// RawBytes returns the size the reduce and broadcast traffic counted
+// in s would have had in the uncompressed format of protocol v1 (the
+// retired raw codec) on a cluster of the given size — the baseline the
+// comm-volume experiment reports against. It is arithmetic over the
+// counters: every completed round ships one reduce and one broadcast
+// frame to each peer, and Rounds counts rounds per host (summed over
+// hosts in an aggregate).
+func (s Stats) RawBytes(hosts, dim int) (reduce, broadcast int64) {
+	frames := s.Rounds * int64(hosts-1)
+	return rawVectorBytes(frames, s.ReduceEntries, dim), rawVectorBytes(frames, s.BroadcastEntries, dim)
+}
+
 // Sub returns the component-wise difference s − prev (per-epoch deltas
 // from cumulative counters).
 func (s Stats) Sub(prev Stats) Stats {
@@ -135,13 +147,12 @@ func (s *Stats) Add(other Stats) {
 // one goroutine (the host's driver); the concurrency inside a round is
 // HostSync's own.
 type HostSync struct {
-	host  int
-	part  *graph.Partition
-	tr    Transport
-	dim   int
-	mode  Mode
-	comb  combine.Combiner
-	codec Codec
+	host int
+	part *graph.Partition
+	tr   Transport
+	dim  int
+	mode Mode
+	comb combine.Combiner
 	// workers is GOMAXPROCS at construction: 1 runs every round phase
 	// serially on the round goroutine, more enables the concurrent
 	// pipeline (one worker per peer per phase, so the goroutine count is
@@ -297,10 +308,8 @@ type pendingQueue struct {
 
 // NewHostSync creates the sync engine for one host. comb is the reduction
 // operator applied at masters (paper §4.3); dim is the model
-// dimensionality (payload vectors have length 2·dim); codec selects the
-// wire payload encoding (PROTOCOL.md §4–5) and must be identical on
-// every host of the cluster.
-func NewHostSync(host int, part *graph.Partition, tr Transport, dim int, mode Mode, comb combine.Combiner, codec Codec) (*HostSync, error) {
+// dimensionality (payload vectors have length 2·dim).
+func NewHostSync(host int, part *graph.Partition, tr Transport, dim int, mode Mode, comb combine.Combiner) (*HostSync, error) {
 	if host < 0 || host >= part.NumHosts() {
 		return nil, fmt.Errorf("gluon: host %d out of range [0,%d)", host, part.NumHosts())
 	}
@@ -313,9 +322,6 @@ func NewHostSync(host int, part *graph.Partition, tr Transport, dim int, mode Mo
 	if comb == nil {
 		return nil, fmt.Errorf("gluon: nil combiner")
 	}
-	if err := codec.Validate(); err != nil {
-		return nil, err
-	}
 	lo, hi := part.MasterRange(host)
 	n := part.NumHosts()
 	hs := &HostSync{
@@ -325,7 +331,6 @@ func NewHostSync(host int, part *graph.Partition, tr Transport, dim int, mode Mo
 		dim:         dim,
 		mode:        mode,
 		comb:        comb,
-		codec:       codec,
 		workers:     runtime.GOMAXPROCS(0),
 		pending:     make(map[pendingKey]*pendingQueue),
 		acc:         combine.NewAccumulator(lo, hi, n, dim),
@@ -402,38 +407,8 @@ func (hs *HostSync) Stats() Stats { return hs.stats }
 // Mode returns the synchronisation scheme.
 func (hs *HostSync) Mode() Mode { return hs.mode }
 
-// Codec returns the configured wire codec.
-func (hs *HostSync) Codec() Codec { return hs.codec }
-
 // parallel reports whether the round pipeline runs concurrently.
 func (hs *HostSync) parallel() bool { return hs.workers > 1 }
-
-// frameFlags maps the configured codec to the flag set actually applied
-// to one message kind (the per-kind policy of PROTOCOL.md §5): fp16 is
-// reduce-only — broadcasts and gathers carry canonical master values,
-// which must stay exact for replicas to remain consistent — and
-// half-suppression never applies where an absent half could not be
-// reconstructed by the receiver (PullModel broadcasts serve arbitrarily
-// stale mirrors; gathers assemble a fresh model from nothing).
-func (hs *HostSync) frameFlags(kind byte) byte {
-	f := hs.codec.flags()
-	switch kind {
-	case kindReduce:
-		return f
-	case kindBroadcast:
-		f &^= wireFP16
-		if hs.mode == PullModel {
-			f &^= wireHalves
-		}
-		return f
-	case kindGather, kindTransfer:
-		// Gather assembles a fresh model from nothing and transfer
-		// installs a departed rank's master range on hosts with no
-		// prior state: both need full exact values.
-		return f &^ (wireFP16 | wireHalves)
-	}
-	return 0
-}
 
 // prepRound validates and stages one round's inputs: the shared cur*
 // fields the prebuilt closures read, per-peer dedup flags and error
@@ -533,7 +508,7 @@ func (hs *HostSync) runRound() error {
 		if hs.mode == RepModelNaive {
 			nodes = hs.denseOwnRange()
 		}
-		hs.bcastBuf = appendVectorFrame(hs.bcastBuf[:0], kindBroadcast, round, hs.frameFlags(kindBroadcast), hs.dim, nodes, hs.bcastHalfAt, hs.bcastVecAt, hs.bcastVec)
+		hs.bcastBuf = appendVectorFrame(hs.bcastBuf[:0], kindBroadcast, round, frameFlags(kindBroadcast, hs.mode), hs.dim, nodes, hs.bcastHalfAt, hs.bcastVecAt, hs.bcastVec)
 		// Masters are canonical and the encode is done reading our rows:
 		// our own range is final for gated compute.
 		hs.progress.postOwnFinal()
@@ -635,7 +610,7 @@ func (hs *HostSync) reduceWorker(g int) {
 		p.nodes = hs.curTouched.AppendRange(p.nodes[:0], p.lo, p.hi)
 		nodes = p.nodes
 	}
-	p.buf = appendVectorFrame(p.buf[:0], kindReduce, hs.curRound, hs.frameFlags(kindReduce), hs.dim, nodes, nil, hs.reduceVecAt, p.vec)
+	p.buf = appendVectorFrame(p.buf[:0], kindReduce, hs.curRound, frameFlags(kindReduce, hs.mode), hs.dim, nodes, nil, hs.reduceVecAt, p.vec)
 	if err := hs.tr.Send(hs.host, g, p.buf); err != nil {
 		hs.sendErrs[g] = err
 		return
@@ -681,7 +656,7 @@ func (hs *HostSync) pullBcastWorker(g int) {
 	p := &hs.peers[g]
 	lo, hi := hs.part.MasterRange(hs.host)
 	p.bnodes = hs.accessByHost[g].AppendRange(p.bnodes[:0], lo, hi)
-	p.bbuf = appendVectorFrame(p.bbuf[:0], kindBroadcast, hs.curRound, hs.frameFlags(kindBroadcast), hs.dim, p.bnodes, nil, hs.bcastVecAt, p.bvec)
+	p.bbuf = appendVectorFrame(p.bbuf[:0], kindBroadcast, hs.curRound, frameFlags(kindBroadcast, hs.mode), hs.dim, p.bnodes, nil, hs.bcastVecAt, p.bvec)
 	if err := hs.tr.Send(hs.host, g, p.bbuf); err != nil {
 		hs.sendErrs[g] = err
 		return
@@ -696,7 +671,7 @@ func (hs *HostSync) pullBcastWorker(g int) {
 func (hs *HostSync) decodeReduceWorker(g int) {
 	defer hs.wg.Done()
 	p := &hs.peers[g]
-	if err := decodeVectorFrameInto(p.payload, hs.dim, hs.frameFlags(kindReduce), &p.dec, p.decReduce); err != nil {
+	if err := decodeVectorFrameInto(p.payload, hs.dim, frameFlags(kindReduce, hs.mode), &p.dec, p.decReduce); err != nil {
 		hs.decErrs[g] = err
 	}
 }
@@ -706,7 +681,7 @@ func (hs *HostSync) decodeReduceWorker(g int) {
 func (hs *HostSync) decodeBcastWorker(g int) {
 	defer hs.wg.Done()
 	p := &hs.peers[g]
-	if err := decodeVectorFrameInto(p.payload, hs.dim, hs.frameFlags(kindBroadcast), &p.dec, p.decBcast); err != nil {
+	if err := decodeVectorFrameInto(p.payload, hs.dim, frameFlags(kindBroadcast, hs.mode), &p.dec, p.decBcast); err != nil {
 		hs.decErrs[g] = err
 		return
 	}
@@ -944,7 +919,7 @@ func (hs *HostSync) GatherMasters(local *model.Model) (*model.Model, error) {
 	if local.VocabSize() != hs.part.NumNodes() {
 		return nil, fmt.Errorf("gluon: model size %d does not match partition %d", local.VocabSize(), hs.part.NumNodes())
 	}
-	flags := hs.frameFlags(kindGather)
+	flags := frameFlags(kindGather, hs.mode)
 	if hs.host != 0 {
 		lo, hi := hs.part.MasterRange(hs.host)
 		nodes := make([]int32, 0, hi-lo)

@@ -1,7 +1,6 @@
 package gluon
 
 import (
-	"fmt"
 	"testing"
 
 	"graphword2vec/internal/bitset"
@@ -24,7 +23,7 @@ func benchTouched(c *cluster, touchedPerHost int) []*bitset.Bitset {
 }
 
 // BenchmarkSyncRound measures one full synchronisation round (all hosts,
-// in-process transport) across mode × codec on a sparse update pattern:
+// in-process transport) per mode on a sparse update pattern:
 // 4 hosts, a 100k-node vocabulary, dim 100, 100 touched nodes per host
 // (~0.1% density — the RepModel-Opt regime the paper's sparse rounds live
 // in). The sparse-mode cells are dominated by set iteration and frame
@@ -32,24 +31,22 @@ func benchTouched(c *cluster, touchedPerHost int) []*bitset.Bitset {
 func BenchmarkSyncRound(b *testing.B) {
 	const hosts, nodes, dim, perHost = 4, 100_000, 100, 100
 	for _, mode := range []Mode{RepModelNaive, RepModelOpt, PullModel} {
-		for _, codec := range []Codec{CodecRaw, CodecPacked, CodecFP16} {
-			b.Run(fmt.Sprintf("%v/%v", mode, codec), func(b *testing.B) {
-				c := newClusterCodec(b, hosts, nodes, dim, mode, "MC", codec)
-				touched := benchTouched(c, perHost)
-				var access []*bitset.Bitset
-				if mode == PullModel {
-					// Next-round reads: a superset of the touched sets.
-					access = make([]*bitset.Bitset, hosts)
-					for h := range access {
-						access[h] = touched[h].Clone()
-						access[h].Or(touched[(h+1)%hosts])
-					}
+		b.Run(mode.String(), func(b *testing.B) {
+			c := newCluster(b, hosts, nodes, dim, mode, "MC")
+			touched := benchTouched(c, perHost)
+			var access []*bitset.Bitset
+			if mode == PullModel {
+				// Next-round reads: a superset of the touched sets.
+				access = make([]*bitset.Bitset, hosts)
+				for h := range access {
+					access[h] = touched[h].Clone()
+					access[h].Or(touched[(h+1)%hosts])
 				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					c.syncAll(b, uint32(i), touched, access)
-				}
-			})
-		}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.syncAll(b, uint32(i), touched, access)
+			}
+		})
 	}
 }

@@ -13,7 +13,7 @@ import (
 
 // clusterOverTransports builds the test cluster over caller-supplied
 // per-host transports (in-proc shared or one TCP transport per host).
-func clusterOverTransports(t testing.TB, trs []Transport, nodes, dim int, mode Mode, combName string, codec Codec) *cluster {
+func clusterOverTransports(t testing.TB, trs []Transport, nodes, dim int, mode Mode, combName string) *cluster {
 	t.Helper()
 	hosts := len(trs)
 	part, err := graph.NewPartition(nodes, hosts)
@@ -24,7 +24,7 @@ func clusterOverTransports(t testing.TB, trs []Transport, nodes, dim int, mode M
 	init := model.New(nodes, dim)
 	init.InitRandom(1234)
 	for h := 0; h < hosts; h++ {
-		hs, err := NewHostSync(h, part, trs[h], dim, mode, combine.ByName(combName, 2*dim), codec)
+		hs, err := NewHostSync(h, part, trs[h], dim, mode, combine.ByName(combName, 2*dim))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,48 +111,47 @@ func fixedTouched(c *cluster, perHost int, seed uint64) []*bitset.Bitset {
 
 // TestSyncRoundZeroAllocs pins the tentpole claim: after warm-up, a
 // steady-state synchronisation round performs zero heap allocations on
-// every host — across all three modes, all three codecs, and both the
-// serial and the concurrent worker setting. The measurement covers the
-// whole cluster (AllocsPerRun counts process-wide mallocs), so the pin
-// also proves the in-process transport, the pending queues and the
-// accumulator allocate nothing per round.
+// every host — across all three modes and both the serial and the
+// concurrent worker setting. The measurement covers the whole cluster
+// (AllocsPerRun counts process-wide mallocs), so the pin also proves
+// the in-process transport, the pending queues and the accumulator
+// allocate nothing per round. Subtest names end in "packed", the name
+// comm-volume reports the one vector-frame encoding under.
 func TestSyncRoundZeroAllocs(t *testing.T) {
 	const hosts, nodes, dim, perHost = 4, 2048, 16, 40
 	for _, workers := range []int{1, 4} {
 		for _, mode := range []Mode{RepModelNaive, RepModelOpt, PullModel} {
-			for _, codec := range []Codec{CodecRaw, CodecPacked, CodecFP16} {
-				t.Run(fmt.Sprintf("workers=%d/%v/%v", workers, mode, codec), func(t *testing.T) {
-					c := newClusterCodec(t, hosts, nodes, dim, mode, "MC", codec)
-					for _, hs := range c.syncs {
-						hs.workers = workers
+			t.Run(fmt.Sprintf("workers=%d/%v/packed", workers, mode), func(t *testing.T) {
+				c := newCluster(t, hosts, nodes, dim, mode, "MC")
+				for _, hs := range c.syncs {
+					hs.workers = workers
+				}
+				touched := fixedTouched(c, perHost, 11)
+				var access []*bitset.Bitset
+				if mode == PullModel {
+					access = make([]*bitset.Bitset, hosts)
+					for h := range access {
+						access[h] = touched[h].Clone()
+						access[h].Or(touched[(h+1)%hosts])
 					}
-					touched := fixedTouched(c, perHost, 11)
-					var access []*bitset.Bitset
-					if mode == PullModel {
-						access = make([]*bitset.Bitset, hosts)
-						for h := range access {
-							access[h] = touched[h].Clone()
-							access[h].Or(touched[(h+1)%hosts])
-						}
-					}
-					d := newLockstepDriver(c, touched, access)
-					defer d.stop(t)
+				}
+				d := newLockstepDriver(c, touched, access)
+				defer d.stop(t)
 
-					round := uint32(0)
-					// Warm up: grow every reusable buffer and lazily
-					// allocated accumulator slot to the working set.
-					for ; round < 3; round++ {
-						d.round(round)
-					}
-					avg := testing.AllocsPerRun(10, func() {
-						d.round(round)
-						round++
-					})
-					if avg != 0 {
-						t.Errorf("steady-state sync round allocates %.1f times, want 0", avg)
-					}
+				round := uint32(0)
+				// Warm up: grow every reusable buffer and lazily
+				// allocated accumulator slot to the working set.
+				for ; round < 3; round++ {
+					d.round(round)
+				}
+				avg := testing.AllocsPerRun(10, func() {
+					d.round(round)
+					round++
 				})
-			}
+				if avg != 0 {
+					t.Errorf("steady-state sync round allocates %.1f times, want 0", avg)
+				}
+			})
 		}
 	}
 }
@@ -162,65 +161,64 @@ func TestSyncRoundZeroAllocs(t *testing.T) {
 // out-of-phase frames exercise the pending queues) and the concurrent
 // worker pipeline forced on. Replicas must agree after every host
 // finishes. Under -race this is the data-race proof for the parallel
-// encode/decode overlap and the send-buffer reuse contract.
+// encode/decode overlap and the send-buffer reuse contract. Subtest
+// names end in "packed", as in TestSyncRoundZeroAllocs.
 func TestSyncConcurrentHammer(t *testing.T) {
 	const hosts, nodes, dim, roundsN = 4, 513, 9, 30
 	for _, mode := range []Mode{RepModelNaive, RepModelOpt, PullModel} {
-		for _, codec := range []Codec{CodecPacked, CodecFP16} {
-			t.Run(fmt.Sprintf("%v/%v", mode, codec), func(t *testing.T) {
-				c := newClusterCodec(t, hosts, nodes, dim, mode, "MC", codec)
-				for _, hs := range c.syncs {
-					hs.workers = 8
-				}
-				// Per-host free-running drivers: each host performs its
-				// compute perturbation and Sync for all rounds with no
-				// cross-host coordination beyond the protocol itself.
-				errs := make([]error, hosts)
-				done := make(chan int, hosts)
-				for h := 0; h < hosts; h++ {
-					go func(h int) {
-						r := xrand.New(uint64(h)*77 + 1)
-						touched := bitset.New(nodes)
-						access := bitset.New(nodes)
-						for round := 0; round < roundsN; round++ {
-							touched.Reset()
-							for i := 0; i < 20; i++ {
-								n := r.Intn(nodes)
-								touched.Set(n)
-								c.local[h].EmbRow(int32(n))[round%dim] += 0.001 * float32(h+1)
-								if i%3 == 0 {
-									c.local[h].CtxRow(int32(n))[(round+1)%dim] -= 0.002
-								}
-							}
-							var acc *bitset.Bitset
-							if mode == PullModel {
-								access.Reset()
-								for i := 0; i < 40; i++ {
-									access.Set(r.Intn(nodes))
-								}
-								acc = access
-							}
-							if err := c.syncs[h].Sync(uint32(round), c.local[h], c.base[h], touched, acc); err != nil {
-								errs[h] = err
-								break
+		t.Run(fmt.Sprintf("%v/packed", mode), func(t *testing.T) {
+			c := newCluster(t, hosts, nodes, dim, mode, "MC")
+			for _, hs := range c.syncs {
+				hs.workers = 8
+			}
+			// Per-host free-running drivers: each host performs its
+			// compute perturbation and Sync for all rounds with no
+			// cross-host coordination beyond the protocol itself.
+			errs := make([]error, hosts)
+			done := make(chan int, hosts)
+			for h := 0; h < hosts; h++ {
+				go func(h int) {
+					r := xrand.New(uint64(h)*77 + 1)
+					touched := bitset.New(nodes)
+					access := bitset.New(nodes)
+					for round := 0; round < roundsN; round++ {
+						touched.Reset()
+						for i := 0; i < 20; i++ {
+							n := r.Intn(nodes)
+							touched.Set(n)
+							c.local[h].EmbRow(int32(n))[round%dim] += 0.001 * float32(h+1)
+							if i%3 == 0 {
+								c.local[h].CtxRow(int32(n))[(round+1)%dim] -= 0.002
 							}
 						}
-						done <- h
-					}(h)
-				}
-				for h := 0; h < hosts; h++ {
-					<-done
-				}
-				for h, err := range errs {
-					if err != nil {
-						t.Fatalf("host %d: %v", h, err)
+						var acc *bitset.Bitset
+						if mode == PullModel {
+							access.Reset()
+							for i := 0; i < 40; i++ {
+								access.Set(r.Intn(nodes))
+							}
+							acc = access
+						}
+						if err := c.syncs[h].Sync(uint32(round), c.local[h], c.base[h], touched, acc); err != nil {
+							errs[h] = err
+							break
+						}
 					}
+					done <- h
+				}(h)
+			}
+			for h := 0; h < hosts; h++ {
+				<-done
+			}
+			for h, err := range errs {
+				if err != nil {
+					t.Fatalf("host %d: %v", h, err)
 				}
-				if mode != PullModel {
-					c.replicasEqual(t)
-				}
-			})
-		}
+			}
+			if mode != PullModel {
+				c.replicasEqual(t)
+			}
+		})
 	}
 }
 
@@ -314,7 +312,7 @@ func TestSyncDuplicateFrameRejected(t *testing.T) {
 	const hosts, nodes, dim = 3, 30, 4
 	c := newCluster(t, hosts, nodes, dim, RepModelOpt, "MC")
 	lo, _ := c.part.MasterRange(0)
-	frame := encodeVectorFrame(kindReduce, 0, c.syncs[0].frameFlags(kindReduce), dim, []int32{int32(lo)}, nil, func(n int32, dst []float32) {
+	frame := encodeVectorFrame(kindReduce, 0, frameFlags(kindReduce, RepModelOpt), dim, []int32{int32(lo)}, nil, func(n int32, dst []float32) {
 		for i := range dst {
 			dst[i] = 1
 		}
@@ -342,7 +340,7 @@ func TestSyncBufferReuseAcrossTransports(t *testing.T) {
 	run := func(mk func() ([]Transport, func())) *model.Model {
 		trs, cleanup := mk()
 		defer cleanup()
-		c := clusterOverTransports(t, trs, nodes, dim, RepModelOpt, "MC", CodecPacked)
+		c := clusterOverTransports(t, trs, nodes, dim, RepModelOpt, "MC")
 		for _, hs := range c.syncs {
 			hs.workers = 6
 		}

@@ -26,10 +26,6 @@ type cluster struct {
 }
 
 func newCluster(t testing.TB, hosts, nodes, dim int, mode Mode, combName string) *cluster {
-	return newClusterCodec(t, hosts, nodes, dim, mode, combName, CodecPacked)
-}
-
-func newClusterCodec(t testing.TB, hosts, nodes, dim int, mode Mode, combName string, codec Codec) *cluster {
 	t.Helper()
 	part, err := graph.NewPartition(nodes, hosts)
 	if err != nil {
@@ -44,7 +40,7 @@ func newClusterCodec(t testing.TB, hosts, nodes, dim int, mode Mode, combName st
 	init := model.New(nodes, dim)
 	init.InitRandom(1234)
 	for h := 0; h < hosts; h++ {
-		hs, err := NewHostSync(h, part, tr, dim, mode, combine.ByName(combName, 2*dim), codec)
+		hs, err := NewHostSync(h, part, tr, dim, mode, combine.ByName(combName, 2*dim))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,11 +177,11 @@ func TestSyncNaiveAndOptSameResult(t *testing.T) {
 }
 
 func TestSyncOptCheaperThanNaive(t *testing.T) {
-	// Measured at the raw baseline codec: the scheme comparison is about
-	// which entries ship at all, and the packed codec would blur it by
-	// collapsing Naive's untouched entries to two mask bits each.
+	// Measured in entries shipped: the scheme comparison is about which
+	// entries ship at all, and byte counts would blur it by collapsing
+	// Naive's untouched entries to two mask bits each.
 	volume := func(mode Mode) int64 {
-		c := newClusterCodec(t, 4, 400, 8, mode, "MC", CodecRaw)
+		c := newCluster(t, 4, 400, 8, mode, "MC")
 		touched := make([]*bitset.Bitset, 4)
 		for h := 0; h < 4; h++ {
 			touched[h] = c.perturb(h, []int{h, 100 + h}, 0.1) // sparse updates
@@ -197,7 +193,7 @@ func TestSyncOptCheaperThanNaive(t *testing.T) {
 		c.syncAll(t, 0, touched, acc)
 		var total int64
 		for _, hs := range c.syncs {
-			total += hs.Stats().TotalBytes()
+			total += hs.Stats().ReduceEntries + hs.Stats().BroadcastEntries
 		}
 		return total
 	}
@@ -207,73 +203,44 @@ func TestSyncOptCheaperThanNaive(t *testing.T) {
 	}
 }
 
-// TestSyncPackedCheaperThanRaw: on sparse rounds the default lossless
-// codec must cut volume substantially versus the raw baseline, without
-// changing the result (bit-identity is covered by TestSyncCodecsAgree).
-// The update pattern mirrors SGNS sparse rounds: most touched nodes are
-// negatives/contexts whose delta lives in one half only.
+// TestSyncPackedCheaperThanRaw: on sparse rounds the vector-frame
+// encoding must cut volume substantially versus the uncompressed v1
+// format's arithmetic size (Stats.RawBytes). The update pattern mirrors
+// SGNS sparse rounds: most touched nodes are negatives/contexts whose
+// delta lives in one half only.
 func TestSyncPackedCheaperThanRaw(t *testing.T) {
-	volume := func(codec Codec) int64 {
-		c := newClusterCodec(t, 4, 400, 8, RepModelOpt, "MC", codec)
-		touched := make([]*bitset.Bitset, 4)
-		for h := 0; h < 4; h++ {
-			touched[h] = bitset.New(400)
-			for i := 0; i < 12; i++ {
-				n := 30*i + h
-				touched[h].Set(n)
-				if i == 0 {
-					// One "center word": both halves move.
-					c.local[h].EmbRow(int32(n))[0] += 0.5
-					c.local[h].CtxRow(int32(n))[1] -= 0.25
-				} else {
-					// Context/negative updates: training half only.
-					c.local[h].CtxRow(int32(n))[2] += float32(h+i) * 0.01
-				}
+	const hosts, dim = 4, 8
+	c := newCluster(t, hosts, 400, dim, RepModelOpt, "MC")
+	touched := make([]*bitset.Bitset, hosts)
+	for h := 0; h < hosts; h++ {
+		touched[h] = bitset.New(400)
+		for i := 0; i < 12; i++ {
+			n := 30*i + h
+			touched[h].Set(n)
+			if i == 0 {
+				// One "center word": both halves move.
+				c.local[h].EmbRow(int32(n))[0] += 0.5
+				c.local[h].CtxRow(int32(n))[1] -= 0.25
+			} else {
+				// Context/negative updates: training half only.
+				c.local[h].CtxRow(int32(n))[2] += float32(h+i) * 0.01
 			}
 		}
-		c.syncAll(t, 0, touched, nil)
-		var total int64
-		for _, hs := range c.syncs {
-			total += hs.Stats().TotalBytes()
-		}
-		return total
 	}
-	raw, packed := volume(CodecRaw), volume(CodecPacked)
+	c.syncAll(t, 0, touched, nil)
+	var raw, packed int64
+	for _, hs := range c.syncs {
+		st := hs.Stats()
+		rawReduce, rawBcast := st.RawBytes(hosts, dim)
+		raw += rawReduce + rawBcast + st.ControlBytes
+		packed += st.TotalBytes()
+	}
 	if packed >= raw {
 		t.Fatalf("packed volume %d not below raw %d", packed, raw)
 	}
 	if float64(packed) > 0.7*float64(raw) {
 		t.Errorf("packed volume %d saves less than 30%% of raw %d on sparse rounds", packed, raw)
 	}
-}
-
-// TestSyncCodecsAgree: the lossless codecs must produce bit-identical
-// replicas; fp16 must stay internally consistent (replicas agree) while
-// being allowed to differ from the lossless result.
-func TestSyncCodecsAgree(t *testing.T) {
-	run := func(codec Codec, mode Mode) *cluster {
-		c := newClusterCodec(t, 3, 30, 4, mode, "MC", codec)
-		touched := make([]*bitset.Bitset, 3)
-		access := make([]*bitset.Bitset, 3)
-		for h := 0; h < 3; h++ {
-			touched[h] = c.perturb(h, []int{h, h + 4, 20, 21 + h}, 0.1)
-			access[h] = allNodesBitset(30)
-		}
-		c.syncAll(t, 0, touched, access)
-		c.replicasEqual(t)
-		return c
-	}
-	for _, mode := range []Mode{RepModelNaive, RepModelOpt} {
-		raw := run(CodecRaw, mode)
-		packed := run(CodecPacked, mode)
-		for i := range raw.local[0].Emb.Data {
-			if raw.local[0].Emb.Data[i] != packed.local[0].Emb.Data[i] ||
-				raw.local[0].Ctx.Data[i] != packed.local[0].Ctx.Data[i] {
-				t.Fatalf("mode %v: raw and packed codecs diverge at %d", mode, i)
-			}
-		}
-	}
-	run(CodecFP16, RepModelOpt) // replicas must still agree exactly
 }
 
 func TestSyncAvgMatchesManualComputation(t *testing.T) {
@@ -410,7 +377,7 @@ func TestSyncStatsAccounting(t *testing.T) {
 	touched[1] = c.perturb(1, []int{3, 15}, 0.1)
 	c.syncAll(t, 0, touched, nil)
 	st0 := c.syncs[0].Stats()
-	// Host 0 must reduce node 15 to host 1: a 9-byte header, the codec
+	// Host 0 must reduce node 15 to host 1: a 9-byte header, the flag
 	// byte, one varint index (15 → 1 byte), a 1-byte half mask, and the
 	// dense 2×4-float payload (perturb touches both halves) = 44 bytes.
 	if st0.ReduceEntries != 1 {
@@ -432,21 +399,18 @@ func TestNewHostSyncValidation(t *testing.T) {
 	part, _ := graph.NewPartition(10, 2)
 	tr, _ := NewInProcTransport(2)
 	defer tr.Close()
-	if _, err := NewHostSync(5, part, tr, 4, RepModelOpt, combine.Sum{}, CodecPacked); err == nil {
+	if _, err := NewHostSync(5, part, tr, 4, RepModelOpt, combine.Sum{}); err == nil {
 		t.Error("out-of-range host accepted")
 	}
-	if _, err := NewHostSync(0, part, tr, 0, RepModelOpt, combine.Sum{}, CodecPacked); err == nil {
+	if _, err := NewHostSync(0, part, tr, 0, RepModelOpt, combine.Sum{}); err == nil {
 		t.Error("zero dim accepted")
 	}
-	if _, err := NewHostSync(0, part, tr, 4, RepModelOpt, nil, CodecPacked); err == nil {
+	if _, err := NewHostSync(0, part, tr, 4, RepModelOpt, nil); err == nil {
 		t.Error("nil combiner accepted")
-	}
-	if _, err := NewHostSync(0, part, tr, 4, RepModelOpt, combine.Sum{}, Codec(99)); err == nil {
-		t.Error("unknown codec accepted")
 	}
 	tr3, _ := NewInProcTransport(3)
 	defer tr3.Close()
-	if _, err := NewHostSync(0, part, tr3, 4, RepModelOpt, combine.Sum{}, CodecPacked); err == nil {
+	if _, err := NewHostSync(0, part, tr3, 4, RepModelOpt, combine.Sum{}); err == nil {
 		t.Error("host-count mismatch accepted")
 	}
 }
@@ -529,7 +493,7 @@ func TestTCPTransportSyncMatchesInProc(t *testing.T) {
 		for h := 0; h < hosts; h++ {
 			locals[h] = init.Clone()
 			bases[h] = init.Clone()
-			hs, err := NewHostSync(h, part, trs[h], dim, RepModelOpt, combine.NewModelCombiner(2*dim), CodecPacked)
+			hs, err := NewHostSync(h, part, trs[h], dim, RepModelOpt, combine.NewModelCombiner(2*dim))
 			if err != nil {
 				t.Fatal(err)
 			}

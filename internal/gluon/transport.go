@@ -20,19 +20,17 @@
 // protocol carries cluster-control traffic: tagged barriers (used by the
 // distributed runner's start/finish fences) and a final gather in which
 // every owner ships its canonical master range to rank 0 for model
-// assembly. Vector payloads pass through a pluggable codec (codec.go):
-// by default index sets are varint-delta compressed and all-zero vector
-// halves are suppressed — losslessly, runs stay bit-identical — and an
-// opt-in fp16 codec additionally quantizes reduce deltas to IEEE half
-// precision. The complete frame-level specification, the handshake, and
-// the version-bump policy are documented in PROTOCOL.md.
+// assembly. Vector frames share one encoding (codec.go): index sets are
+// varint-delta compressed and all-zero vector halves are suppressed
+// where the receiver can reconstruct them, while every value that ships
+// is exact float32. The complete frame-level specification, the
+// handshake, and the version-bump policy are documented in PROTOCOL.md.
 //
 // Hosts exchange messages over a pluggable Transport: an in-process
 // channel transport drives the simulated cluster, a TCP transport
 // (transport_tcp.go) exercises the identical protocol over real sockets
 // inside one process, and DialMesh (transport_mesh.go) bootstraps a
-// verified multi-process TCP mesh with a version/checksum/codec
-// handshake.
+// verified multi-process TCP mesh with a version/checksum handshake.
 package gluon
 
 import (

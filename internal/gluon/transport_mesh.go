@@ -14,15 +14,15 @@ import (
 // published address; for each unordered pair the lower rank dials the
 // higher one (the same convention NewTCPCluster uses), and the two ends
 // exchange a hello frame carrying the protocol version, the dialer's
-// rank, the cluster size, a caller-supplied configuration checksum, and
-// the wire codec. A mismatch in any of these aborts the bootstrap on
-// both sides, so a worker started with the wrong flags — or built at a
-// different wire-format version — fails loudly at connect time instead
-// of training a silently divergent model.
+// rank, the cluster size and a caller-supplied configuration checksum.
+// A mismatch in any of these aborts the bootstrap on both sides, so a
+// worker started with the wrong flags — or built at a different
+// wire-format version — fails loudly at connect time instead of
+// training a silently divergent model.
 //
 // Hello frame, all little-endian: magic "GW2VMESH" (8 bytes),
 // version (uint32), sender rank (uint32), cluster size (uint32),
-// checksum (uint64), wire codec (1 byte), session token (uint64).
+// checksum (uint64), session token (uint64).
 // See PROTOCOL.md §6.
 
 const (
@@ -47,13 +47,16 @@ const (
 	// hello carries a session token. Version 9 retired the touched
 	// frame kind (10): overlapped rounds gate by master range only, and
 	// a v8 peer overlapping in RepModel-Opt would still send kind 10.
+	// Version 10 retired the raw and fp16 codecs: one vector-frame
+	// encoding remains, so the hello lost its codec byte and a frame
+	// with a retired flag byte fails with ErrRetiredCodec.
 	// See PROTOCOL.md §7 for the bump policy.
-	meshVersion = 9
+	meshVersion = 10
 	// meshPreambleBytes is the magic plus version, read and checked
 	// before the version-dependent remainder of a hello.
 	meshPreambleBytes = len(meshMagic) + 4
 	// meshHelloBytes is the encoded hello size.
-	meshHelloBytes = meshPreambleBytes + 4 + 4 + 8 + 1 + 8
+	meshHelloBytes = meshPreambleBytes + 4 + 4 + 8 + 8
 	// meshDialRetryMin/Max bound the jittered exponential backoff
 	// between connection attempts while a peer's listener is not up
 	// yet. Jitter keeps a mass restart of N workers from hammering the
@@ -77,10 +80,6 @@ type MeshConfig struct {
 	// Checksum fingerprints the training configuration; all ranks must
 	// agree (see core.Config.Checksum).
 	Checksum uint64
-	// Wire is the payload codec this rank will apply to sync traffic;
-	// all ranks must agree (the codec changes the bytes on the wire, so
-	// a mixed mesh could not even parse its peers' frames).
-	Wire Codec
 	// Timeout bounds the whole bootstrap — listening, dialing every
 	// peer (with retries while peers start up), and handshakes.
 	// Zero means 30 seconds.
@@ -101,9 +100,6 @@ func DialMesh(cfg MeshConfig) (*TCPTransport, error) {
 	n := len(cfg.Peers)
 	if n == 0 {
 		return nil, fmt.Errorf("gluon: mesh needs at least one peer address")
-	}
-	if err := cfg.Wire.Validate(); err != nil {
-		return nil, err
 	}
 	if cfg.Rank < 0 || cfg.Rank >= n {
 		return nil, fmt.Errorf("gluon: mesh rank %d out of range [0,%d)", cfg.Rank, n)
@@ -292,7 +288,6 @@ func acceptHello(conn net.Conn, cfg MeshConfig, sessToken uint64, deadline time.
 type meshHello struct {
 	Rank, Size int
 	Checksum   uint64
-	Wire       Codec
 	Token      uint64
 }
 
@@ -304,7 +299,6 @@ func encodeMeshHello(h meshHello) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(h.Rank))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(h.Size))
 	buf = binary.LittleEndian.AppendUint64(buf, h.Checksum)
-	buf = append(buf, byte(h.Wire))
 	return binary.LittleEndian.AppendUint64(buf, h.Token)
 }
 
@@ -335,8 +329,7 @@ func parseMeshHello(buf []byte) (meshHello, error) {
 		Rank:     int(binary.LittleEndian.Uint32(buf[off:])),
 		Size:     int(binary.LittleEndian.Uint32(buf[off+4:])),
 		Checksum: binary.LittleEndian.Uint64(buf[off+8:]),
-		Wire:     Codec(buf[off+16]),
-		Token:    binary.LittleEndian.Uint64(buf[off+17:]),
+		Token:    binary.LittleEndian.Uint64(buf[off+16:]),
 	}, nil
 }
 
@@ -344,7 +337,7 @@ func parseMeshHello(buf []byte) (meshHello, error) {
 func writeHello(conn net.Conn, cfg MeshConfig, sessToken uint64, deadline time.Time) error {
 	conn.SetDeadline(deadline)
 	buf := encodeMeshHello(meshHello{
-		Rank: cfg.Rank, Size: len(cfg.Peers), Checksum: cfg.Checksum, Wire: cfg.Wire, Token: sessToken,
+		Rank: cfg.Rank, Size: len(cfg.Peers), Checksum: cfg.Checksum, Token: sessToken,
 	})
 	if _, err := conn.Write(buf); err != nil {
 		return fmt.Errorf("gluon: mesh rank %d hello write: %w", cfg.Rank, err)
@@ -376,12 +369,6 @@ func readHello(conn net.Conn, cfg MeshConfig, deadline time.Time) (int, uint64, 
 	}
 	if h.Size != len(cfg.Peers) {
 		return 0, 0, fmt.Errorf("gluon: mesh rank %d: peer cluster size %d, ours %d", cfg.Rank, h.Size, len(cfg.Peers))
-	}
-	// The codec is checked before the checksum: core.Config.Checksum
-	// folds the codec too, so a -wire mismatch would otherwise always
-	// surface as the generic checksum error instead of this named one.
-	if h.Wire != cfg.Wire {
-		return 0, 0, fmt.Errorf("gluon: mesh rank %d: peer rank %d wire codec %v, ours %v — all workers must pass the same -wire", cfg.Rank, h.Rank, h.Wire, cfg.Wire)
 	}
 	if h.Checksum != cfg.Checksum {
 		return 0, 0, fmt.Errorf("gluon: mesh rank %d: peer rank %d config checksum %#x, ours %#x — workers must share identical corpus and flags", cfg.Rank, h.Rank, h.Checksum, cfg.Checksum)

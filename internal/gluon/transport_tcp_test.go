@@ -246,45 +246,10 @@ func TestDialMeshChecksumMismatch(t *testing.T) {
 	}
 }
 
-// TestDialMeshWireCodecMismatch: ranks configured with different -wire
-// codecs could not parse each other's frames, so the handshake must
-// refuse the mesh before any training traffic flows.
-func TestDialMeshWireCodecMismatch(t *testing.T) {
-	addrs := meshAddrs(t, 2)
-	codecs := []Codec{CodecPacked, CodecFP16}
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	trs := make([]*TCPTransport, 2)
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			trs[r], errs[r] = DialMesh(MeshConfig{Rank: r, Peers: addrs, Checksum: 7, Wire: codecs[r], Timeout: 5 * time.Second})
-		}(r)
-	}
-	wg.Wait()
-	closeAll(trs)
-	if errs[0] == nil && errs[1] == nil {
-		t.Fatal("mismatched wire codecs accepted by both ranks")
-	}
-	mentioned := false
-	for _, err := range errs {
-		if err != nil && strings.Contains(err.Error(), "wire codec") {
-			mentioned = true
-		}
-	}
-	if !mentioned {
-		t.Errorf("neither error mentions the wire codec: %v / %v", errs[0], errs[1])
-	}
-}
-
 // TestDialMeshValidation: bad configurations fail fast.
 func TestDialMeshValidation(t *testing.T) {
 	if _, err := DialMesh(MeshConfig{Rank: 0, Peers: nil}); err == nil {
 		t.Error("empty peer list accepted")
-	}
-	if _, err := DialMesh(MeshConfig{Rank: 0, Peers: []string{"a"}, Wire: Codec(9)}); err == nil {
-		t.Error("unknown wire codec accepted")
 	}
 	if _, err := DialMesh(MeshConfig{Rank: 5, Peers: []string{"a", "b"}}); err == nil {
 		t.Error("out-of-range rank accepted")

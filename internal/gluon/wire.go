@@ -9,7 +9,7 @@ import (
 	"graphword2vec/internal/bitset"
 )
 
-// Wire format, version 9 — the byte-level contract is specified in
+// Wire format, version 10 — the byte-level contract is specified in
 // PROTOCOL.md and pinned by the golden frames under testdata/; change
 // either only together with a mesh protocol version bump.
 //
@@ -21,9 +21,9 @@ import (
 //	bytes 5–8  entry count (uint32 LE)
 //
 // Vector frames (reduce, broadcast, gather, transfer) continue with a
-// codec byte and codec-dependent index / mask / payload sections — see
-// codec.go. Access messages carry a bit-vector restricted to the
-// receiver's master range: (lo uint32, bits uint32, packed bytes).
+// flag byte and index / mask / payload sections — see codec.go. Access
+// messages carry a bit-vector restricted to the receiver's master
+// range: (lo uint32, bits uint32, packed bytes).
 // Barrier payloads are empty and use the round field as a caller-chosen
 // tag. Heartbeat frames (v3) are header-only liveness signals emitted
 // and consumed by the transport layer; they never reach the sync

@@ -2,7 +2,9 @@ package gluon
 
 import (
 	"encoding/binary"
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"graphword2vec/internal/bitset"
@@ -60,10 +62,12 @@ func decodeEntries(payload []byte, dim int, flags byte) ([]vectorEntry, error) {
 
 // FuzzDecodeVectorFrame: a vector frame (reduce, broadcast, gather or
 // transfer) is either rejected, or re-encoding its entries under the
-// same codec and decoding again yields the same entries. Two NaNs count
-// as equal, because the fp16 encode canonicalises NaN to 0x7E00. The
-// row dimension is d%8+1 (the golden frames use 2); the negotiated
-// codec is the frame's own, so every codec byte is exercised.
+// same flag byte and decoding again yields the same entries, bit for
+// bit — every value is float32 on the wire, NaN payloads included. A
+// flag byte of a retired codec (no varint bit, or bit 2) must fail with
+// ErrRetiredCodec naming the codec. The row dimension is d%8+1 (the golden frames use
+// 2); the expected flag byte is the frame's own, so every byte value is
+// exercised.
 func FuzzDecodeVectorFrame(f *testing.F) {
 	for _, prefix := range []string{"reduce", "broadcast", "gather", "transfer"} {
 		for _, s := range goldenSeeds(f, prefix) {
@@ -77,6 +81,18 @@ func FuzzDecodeVectorFrame(f *testing.F) {
 		}
 		flags := payload[headerBytes]
 		entries, err := decodeEntries(payload, dim, flags)
+		retired := ""
+		switch {
+		case flags&^wireKnownFlags != 0:
+		case flags&wireRetiredFP16 != 0:
+			retired = "fp16"
+		case flags&wireVarint == 0:
+			retired = "raw"
+		}
+		if _, _, _, herr := parseHeader(payload); herr == nil && retired != "" &&
+			(!errors.Is(err, ErrRetiredCodec) || !strings.Contains(err.Error(), retired)) {
+			t.Fatalf("flag byte %#x: err = %v, want ErrRetiredCodec naming %s", flags, err, retired)
+		}
 		if err != nil {
 			return
 		}
@@ -102,7 +118,7 @@ func FuzzDecodeVectorFrame(f *testing.F) {
 				t.Fatalf("entry %d: node %d half %#x re-decodes as node %d half %#x", i, e.node, e.half, a.node, a.half)
 			}
 			for j := range e.vec {
-				if math.Float32bits(a.vec[j]) != math.Float32bits(e.vec[j]) && !(a.vec[j] != a.vec[j] && e.vec[j] != e.vec[j]) {
+				if math.Float32bits(a.vec[j]) != math.Float32bits(e.vec[j]) {
 					t.Fatalf("entry %d value %d: %v re-decodes as %v", i, j, e.vec[j], a.vec[j])
 				}
 			}

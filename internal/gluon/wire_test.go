@@ -7,23 +7,13 @@ import (
 	"graphword2vec/internal/bitset"
 )
 
-// testFrameFlags returns the flag set a CodecPacked HostSync applies to
-// the given vector-frame kind (reduce keeps the full set; gather strips
-// half suppression).
-func testFrameFlags(kind byte) byte {
-	if kind == kindGather {
-		return wireVarint
-	}
-	return wireVarint | wireHalves
-}
-
-// testVectorFrame builds a vector frame the way a CodecPacked host
-// would, for tests that hand-craft protocol traffic.
+// testVectorFrame builds a vector frame the way a RepModel host would,
+// for tests that hand-craft protocol traffic.
 func testVectorFrame(kind byte, round uint32, dim int, nodes []int32, vecAt func(int32, []float32)) []byte {
 	if vecAt == nil {
 		vecAt = func(int32, []float32) {}
 	}
-	return encodeVectorFrame(kind, round, testFrameFlags(kind), dim, nodes, nil, vecAt)
+	return encodeVectorFrame(kind, round, frameFlags(kind, RepModelOpt), dim, nodes, nil, vecAt)
 }
 
 func TestVectorFrameRoundTrip(t *testing.T) {
@@ -73,7 +63,7 @@ func TestVectorFrameEmpty(t *testing.T) {
 		t.Fatalf("empty message length = %d", len(msg))
 	}
 	n := 0
-	if err := decodeVectorFrame(msg, 4, testFrameFlags(kindBroadcast), func(int32, byte, []float32) error { n++; return nil }); err != nil {
+	if err := decodeVectorFrame(msg, 4, frameFlags(kindBroadcast, RepModelOpt), func(int32, byte, []float32) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 0 {
@@ -85,11 +75,11 @@ func TestDecodeVectorFrameRejectsCorrupt(t *testing.T) {
 	if err := decodeVectorFrame([]byte{1, 2}, 4, 0, nil); err == nil {
 		t.Error("short message accepted")
 	}
-	// Header only, no codec byte.
+	// Header only, no flag byte.
 	msg := make([]byte, headerBytes)
 	putHeader(msg, kindReduce, 1, 0)
 	if err := decodeVectorFrame(msg, 4, 0, nil); err == nil {
-		t.Error("frame without codec byte accepted")
+		t.Error("frame without flag byte accepted")
 	}
 	// Valid header claiming 2 entries but truncated body.
 	msg = make([]byte, headerBytes+3)

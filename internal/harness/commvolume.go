@@ -7,8 +7,6 @@ import (
 	"graphword2vec/internal/cliutil"
 	"graphword2vec/internal/core"
 	"graphword2vec/internal/corpus"
-	"graphword2vec/internal/gluon"
-	"graphword2vec/internal/model"
 	"graphword2vec/internal/sgns"
 	"graphword2vec/internal/synth"
 	"graphword2vec/internal/vocab"
@@ -16,12 +14,18 @@ import (
 	"graphword2vec/internal/xrand"
 )
 
-// The comm-volume experiment: an ablation of the wire payload codecs
-// (PROTOCOL.md §5) across the three synchronisation schemes, both
-// workloads, and two communication regimes. This is the recorded
-// baseline behind BENCH_comm.json; see EXPERIMENTS.md.
+// The comm-volume experiment: the vector-frame encoding (PROTOCOL.md
+// §4–5) against the uncompressed format of protocol v1 across the three
+// synchronisation schemes, both workloads, and two communication
+// regimes. This is the recorded baseline behind BENCH_comm.json; see
+// EXPERIMENTS.md.
 //
-// The regimes matter because the codec's lossless savings scale with
+// Each cell trains once. Its "packed" row is the measured traffic; its
+// "raw" row is what the same frames would have cost with raw uint32
+// indices and dense float32 payloads, computed from the run's counters
+// (gluon.Stats.RawBytes) rather than shipped.
+//
+// The regimes matter because the encoding's savings scale with
 // per-round sparsity:
 //
 //   - "text" / "graph" are the harness's standard datasets at the
@@ -39,10 +43,6 @@ import (
 //     walk per vertex. Both use a narrow window and few negatives so a
 //     round's worklist chunk cannot saturate the vocabulary.
 
-// CommVolumeCodecs are the codecs compared, raw first so every other
-// row can be reported relative to the uncompressed baseline.
-var CommVolumeCodecs = []gluon.Codec{gluon.CodecRaw, gluon.CodecPacked, gluon.CodecFP16}
-
 // CommVolumeWorkloads are the workload/regime rows measured.
 var CommVolumeWorkloads = []string{"text", "graph", "text-sparse", "graph-sparse"}
 
@@ -51,14 +51,16 @@ var CommVolumeWorkloads = []string{"text", "graph", "text-sparse", "graph-sparse
 // figure at any scale.
 const commVolumeEpochs = 2
 
-// CommVolumeRow is one (workload, scheme, codec) cell of the ablation.
+// CommVolumeRow is one (workload, scheme, encoding) row of the table.
 type CommVolumeRow struct {
 	// Workload names the workload/regime (see CommVolumeWorkloads).
 	Workload string `json:"workload"`
 	// Mode is the synchronisation scheme's paper name.
 	Mode string `json:"mode"`
-	// Codec is the -wire codec name.
-	Codec string `json:"codec"`
+	// Encoding is "raw" (the computed v1 baseline) or "packed" (the
+	// measured vector-frame encoding). The JSON key keeps the name of
+	// the retired -wire codecs, so BENCH_comm.json rows stay comparable.
+	Encoding string `json:"codec"`
 	// Rounds is the number of synchronisation rounds measured.
 	Rounds int64 `json:"rounds"`
 	// Byte counters aggregate the sent side of every host.
@@ -68,7 +70,7 @@ type CommVolumeRow struct {
 	TotalBytes     int64 `json:"total_bytes"`
 	// BytesPerRound is TotalBytes / Rounds.
 	BytesPerRound int64 `json:"bytes_per_round"`
-	// VsRaw is TotalBytes relative to the CodecRaw row of the same
+	// VsRaw is TotalBytes relative to the raw row of the same
 	// (workload, mode); 1.0 for the raw row itself.
 	VsRaw float64 `json:"vs_raw"`
 }
@@ -84,11 +86,9 @@ type commVolumeWorkload struct {
 	syncRounds int
 }
 
-// CommVolume measures communication volume for every combination in
-// CommVolumeCodecs × ScalingModes × CommVolumeWorkloads and renders the
-// ablation table. It also verifies the packed codec's lossless claim on
-// every cell: a lossless run's canonical model must be bit-identical to
-// the raw run's (fp16 is exempt — it is lossy by design).
+// CommVolume trains every combination of ScalingModes ×
+// CommVolumeWorkloads once, emits a raw and a packed row per cell, and
+// renders the table.
 func CommVolume(opts Options) ([]CommVolumeRow, error) {
 	opts = opts.WithDefaults()
 	workloads, err := commVolumeLoad(opts)
@@ -100,55 +100,46 @@ func CommVolume(opts Options) ([]CommVolumeRow, error) {
 	for _, wl := range workloads {
 		rounds := int64(commVolumeEpochs * wl.syncRounds)
 		for _, mode := range ScalingModes {
-			var rawBytes int64
-			var rawModel *model.Model
-			for _, codec := range CommVolumeCodecs {
-				cfg := distConfig(opts, opts.Hosts, wl.syncRounds, "MC", mode, opts.BaseAlpha)
-				cfg.Epochs = commVolumeEpochs
-				cfg.Params = wl.params
-				cfg.Wire = codec
-				tr, err := core.NewTrainer(cfg, wl.voc, wl.neg, wl.src, opts.Dim)
-				if err != nil {
-					return nil, fmt.Errorf("harness: comm-volume %s/%v/%v: %w", wl.name, mode, codec, err)
-				}
-				tr.SequentialCompute = true
-				res, err := tr.Run()
-				if err != nil {
-					return nil, fmt.Errorf("harness: comm-volume %s/%v/%v: %w", wl.name, mode, codec, err)
-				}
-				switch {
-				case codec == gluon.CodecRaw:
-					rawBytes = res.Comm.TotalBytes()
-					rawModel = res.Canonical
-				case codec.Lossless():
-					// The lossless claim, checked on every cell: only
-					// the bytes on the wire may change.
-					if !modelsIdentical(rawModel, res.Canonical) {
-						return nil, fmt.Errorf("harness: comm-volume %s/%v: codec %v diverged from raw (lossless codec changed the model)", wl.name, mode, codec)
-					}
-				}
-				rows = append(rows, CommVolumeRow{
+			cfg := distConfig(opts, opts.Hosts, wl.syncRounds, "MC", mode, opts.BaseAlpha)
+			cfg.Epochs = commVolumeEpochs
+			cfg.Params = wl.params
+			tr, err := core.NewTrainer(cfg, wl.voc, wl.neg, wl.src, opts.Dim)
+			if err != nil {
+				return nil, fmt.Errorf("harness: comm-volume %s/%v: %w", wl.name, mode, err)
+			}
+			tr.SequentialCompute = true
+			res, err := tr.Run()
+			if err != nil {
+				return nil, fmt.Errorf("harness: comm-volume %s/%v: %w", wl.name, mode, err)
+			}
+			comm := res.Comm
+			rawReduce, rawBcast := comm.RawBytes(opts.Hosts, opts.Dim)
+			rawTotal := rawReduce + rawBcast + comm.ControlBytes
+			row := func(encoding string, reduce, bcast int64) CommVolumeRow {
+				total := reduce + bcast + comm.ControlBytes
+				return CommVolumeRow{
 					Workload:       wl.name,
 					Mode:           mode.String(),
-					Codec:          codec.String(),
+					Encoding:       encoding,
 					Rounds:         rounds,
-					ReduceBytes:    res.Comm.ReduceBytes,
-					BroadcastBytes: res.Comm.BroadcastBytes,
-					ControlBytes:   res.Comm.ControlBytes,
-					TotalBytes:     res.Comm.TotalBytes(),
-					BytesPerRound:  res.Comm.TotalBytes() / rounds,
-					VsRaw:          float64(res.Comm.TotalBytes()) / float64(rawBytes),
-				})
+					ReduceBytes:    reduce,
+					BroadcastBytes: bcast,
+					ControlBytes:   comm.ControlBytes,
+					TotalBytes:     total,
+					BytesPerRound:  total / rounds,
+					VsRaw:          float64(total) / float64(rawTotal),
+				}
 			}
+			rows = append(rows, row("raw", rawReduce, rawBcast), row("packed", comm.ReduceBytes, comm.BroadcastBytes))
 		}
 	}
 
 	w := tabwriter.NewWriter(opts.out(), 0, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "Wire codecs: volume per sync round, %d hosts (scale=%s)\n", opts.Hosts, opts.Scale)
-	fmt.Fprintln(w, "Workload\tVariant\tCodec\tReduce\tBroadcast\tControl\tTotal\tPer round\tvs raw")
+	fmt.Fprintf(w, "Vector-frame volume per sync round vs raw, %d hosts (scale=%s)\n", opts.Hosts, opts.Scale)
+	fmt.Fprintln(w, "Workload\tVariant\tEncoding\tReduce\tBroadcast\tControl\tTotal\tPer round\tvs raw")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%.2fx\n",
-			r.Workload, r.Mode, r.Codec, cliutil.FormatBytes(float64(r.ReduceBytes)), cliutil.FormatBytes(float64(r.BroadcastBytes)),
+			r.Workload, r.Mode, r.Encoding, cliutil.FormatBytes(float64(r.ReduceBytes)), cliutil.FormatBytes(float64(r.BroadcastBytes)),
 			cliutil.FormatBytes(float64(r.ControlBytes)), cliutil.FormatBytes(float64(r.TotalBytes)), cliutil.FormatBytes(float64(r.BytesPerRound)), r.VsRaw)
 	}
 	if err := w.Flush(); err != nil {
@@ -261,17 +252,4 @@ func sparseGraphWorkload(opts Options) (commVolumeWorkload, error) {
 		params:     sgns.Params{Window: 2, Negatives: 2, MaxSentenceLength: wcfg.WalkLength},
 		syncRounds: 2 * core.SyncFrequencyRule(opts.Hosts),
 	}, nil
-}
-
-// modelsIdentical compares two models bit-for-bit.
-func modelsIdentical(a, b *model.Model) bool {
-	if a == nil || b == nil || a.VocabSize() != b.VocabSize() || a.Dim != b.Dim {
-		return false
-	}
-	for i := range a.Emb.Data {
-		if a.Emb.Data[i] != b.Emb.Data[i] || a.Ctx.Data[i] != b.Ctx.Data[i] {
-			return false
-		}
-	}
-	return true
 }

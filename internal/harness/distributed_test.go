@@ -143,59 +143,6 @@ func TestEnginesOverTCPMatchSimulation(t *testing.T) {
 	}
 }
 
-// TestEnginesOverTCPMatchSimulationFP16: the lossy fp16 codec is
-// excluded from bit-identity against lossless runs, but it must still
-// be deterministic — the simulated cluster and a real TCP mesh quantize
-// identically, so their models stay byte-identical to each other.
-func TestEnginesOverTCPMatchSimulationFP16(t *testing.T) {
-	opts := distTestOpts()
-	d, err := LoadDataset("1-billion", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := distTestConfig(opts, gluon.RepModelOpt)
-	cfg.Wire = gluon.CodecFP16
-	want := simulatedCanonical(t, d, opts, cfg)
-
-	// And it must actually be lossy-different from the packed run: if it
-	// matched bit-for-bit the quantizer would not be engaged at all.
-	lossless := distTestConfig(opts, gluon.RepModelOpt)
-	wantLossless := simulatedCanonical(t, d, opts, lossless)
-	same := true
-	for i := range want.Emb.Data {
-		if want.Emb.Data[i] != wantLossless.Emb.Data[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Error("fp16 model is bit-identical to the lossless run; quantizer not engaged")
-	}
-
-	trs, err := gluon.NewTCPCluster(cfg.Hosts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := make([]*core.DistributedResult, cfg.Hosts)
-	errs := make([]error, cfg.Hosts)
-	var wg sync.WaitGroup
-	for h := 0; h < cfg.Hosts; h++ {
-		wg.Add(1)
-		go func(h int) {
-			defer wg.Done()
-			defer trs[h].Close()
-			results[h], errs[h] = core.RunDistributed(cfg, h, trs[h], d.Vocab, d.Neg, d.Corp, opts.Dim, nil)
-		}(h)
-	}
-	wg.Wait()
-	for h, err := range errs {
-		if err != nil {
-			t.Fatalf("host %d: %v", h, err)
-		}
-	}
-	assertModelsIdentical(t, "fp16", want, results[0].Canonical)
-}
-
 // workerEnv are the variables the re-exec'd worker reads.
 const (
 	envWorkerRank   = "GW2V_WORKER_RANK"

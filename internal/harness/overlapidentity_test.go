@@ -26,45 +26,39 @@ func overlapTweak(tcp bool) func(*core.Trainer, *core.Config) {
 // TestOverlapBitIdentityPinned is the tentpole contract of the overlap
 // pipeline, pinned to the same seed-state hashes as the serialized
 // engine (TestSyncBitIdentityPinned): turning on Config.SyncOverlap must
-// be invisible in the trained bits across modes × codecs × transports.
-// Gating only delays row accesses until the in-flight round finalises
-// them; the fold order and every RNG stream are untouched, so the
-// overlapped run must land on the identical hash — not merely match a
-// fresh serialized twin. The -short lane runs a reduced slice.
+// be invisible in the trained bits across modes × transports. Gating
+// only delays row accesses until the in-flight round finalises them;
+// the fold order and every RNG stream are untouched, so the overlapped
+// run must land on the identical hash — not merely match a fresh
+// serialized twin. The -short lane runs a reduced slice.
 func TestOverlapBitIdentityPinned(t *testing.T) {
 	type cell struct {
 		workload string
 		mode     gluon.Mode
-		codec    gluon.Codec
 		tcp      bool
 	}
 	var cells []cell
 	if testing.Short() {
 		cells = []cell{
-			{"text", gluon.RepModelNaive, gluon.CodecPacked, false},
-			{"text", gluon.RepModelOpt, gluon.CodecPacked, false},
-			{"text", gluon.RepModelOpt, gluon.CodecPacked, true},
-			{"text", gluon.PullModel, gluon.CodecPacked, false},
-			{"text", gluon.RepModelOpt, gluon.CodecFP16, false},
-			{"graph", gluon.RepModelOpt, gluon.CodecPacked, true},
-			{"graph", gluon.RepModelNaive, gluon.CodecRaw, true},
+			{"text", gluon.RepModelNaive, false},
+			{"text", gluon.RepModelOpt, false},
+			{"text", gluon.RepModelOpt, true},
+			{"text", gluon.PullModel, false},
+			{"graph", gluon.RepModelOpt, true},
+			{"graph", gluon.RepModelNaive, true},
 		}
 	} else {
-		// Full mode × codec × transport diagonal on text; graph pins the
+		// Full mode × transport diagonal on text; graph pins the
 		// walk-workload slice on the dense scheme and on the sparse one
 		// the paper's rounds use.
 		for _, mode := range []gluon.Mode{gluon.RepModelNaive, gluon.RepModelOpt, gluon.PullModel} {
-			for _, codec := range []gluon.Codec{gluon.CodecRaw, gluon.CodecPacked, gluon.CodecFP16} {
-				for _, tcp := range []bool{false, true} {
-					cells = append(cells, cell{"text", mode, codec, tcp})
-				}
+			for _, tcp := range []bool{false, true} {
+				cells = append(cells, cell{"text", mode, tcp})
 			}
 		}
 		for _, mode := range []gluon.Mode{gluon.RepModelNaive, gluon.RepModelOpt} {
-			for _, codec := range []gluon.Codec{gluon.CodecRaw, gluon.CodecPacked, gluon.CodecFP16} {
-				for _, tcp := range []bool{false, true} {
-					cells = append(cells, cell{"graph", mode, codec, tcp})
-				}
+			for _, tcp := range []bool{false, true} {
+				cells = append(cells, cell{"graph", mode, tcp})
 			}
 		}
 	}
@@ -74,9 +68,9 @@ func TestOverlapBitIdentityPinned(t *testing.T) {
 		if c.tcp {
 			transport = "tcp"
 		}
-		t.Run(fmt.Sprintf("%s/%v/%v/%s", c.workload, c.mode, c.codec, transport), func(t *testing.T) {
-			got := trainForIdentity(t, c.workload, c.mode, c.codec, overlapTweak(c.tcp))
-			if want := wantHash(c.workload, c.codec); got != want {
+		t.Run(fmt.Sprintf("%s/%v/packed/%s", c.workload, c.mode, transport), func(t *testing.T) {
+			got := trainForIdentity(t, c.workload, c.mode, overlapTweak(c.tcp))
+			if want := wantHash(c.workload); got != want {
 				t.Errorf("overlap: model hash %s, want seed hash %s", got, want)
 			}
 		})

@@ -17,16 +17,16 @@ import (
 // Seed-state model hashes, recorded from the pre-concurrency serial sync
 // engine (PR 4 tree) on the tiny presets: 2 hosts, 2 epochs, MC, seed 1.
 // The concurrent zero-allocation sync engine must reproduce them bit for
-// bit — across all three modes, both transports, every worker setting,
-// and both lossless codecs; fp16 is lossy-but-deterministic and pins its
-// own pair of hashes. If a deliberate math change ever invalidates
-// these, regenerate them with the recipe in DESIGN.md §8.
+// bit — across all three modes, both transports and every worker
+// setting. If a deliberate math change ever invalidates these,
+// regenerate them with the recipe in DESIGN.md §8.
 const (
-	seedHashTextLossless  = "62469cbd1607912fc663b57176682cf19993851d336011f2002d7b11570f2b9b"
-	seedHashTextFP16      = "f787e6b4ba8d404b2e1029b5379078ea0bf1cf822e2582e8fa667aca973a6373"
-	seedHashGraphLossless = "ebc7c794022664bcbb989ff4d777a84db7d3365181b2a7514634280c72cf6336"
-	seedHashGraphFP16     = "3c469506cdc0430a0c0b5fc15e305df15ab8b057ff23916d59af0b39ed55c25c"
+	seedHashText  = "62469cbd1607912fc663b57176682cf19993851d336011f2002d7b11570f2b9b"
+	seedHashGraph = "ebc7c794022664bcbb989ff4d777a84db7d3365181b2a7514634280c72cf6336"
 )
+
+// Subtest names of the identity grids end in "packed", the name
+// comm-volume reports the one vector-frame encoding under.
 
 // syncIdentityOpts is the fixed tiny-scale configuration behind the
 // pinned hashes.
@@ -38,9 +38,9 @@ func syncIdentityOpts() Options {
 }
 
 // trainForIdentity runs one tiny distributed training and returns the
-// canonical model hash. tweak edits the config (codec, workers,
-// transport factory) before the run.
-func trainForIdentity(t *testing.T, workload string, mode gluon.Mode, codec gluon.Codec, tweak func(*core.Trainer, *core.Config)) string {
+// canonical model hash. tweak edits the config (overlap, transport
+// factory) before the run.
+func trainForIdentity(t *testing.T, workload string, mode gluon.Mode, tweak func(*core.Trainer, *core.Config)) string {
 	t.Helper()
 	opts := syncIdentityOpts()
 	var cfg core.Config
@@ -52,7 +52,6 @@ func trainForIdentity(t *testing.T, workload string, mode gluon.Mode, codec gluo
 			t.Fatal(derr)
 		}
 		cfg = distConfig(opts, opts.Hosts, 3, "MC", mode, opts.BaseAlpha)
-		cfg.Wire = codec
 		if tweak != nil {
 			tweak(nil, &cfg)
 		}
@@ -64,7 +63,6 @@ func trainForIdentity(t *testing.T, workload string, mode gluon.Mode, codec gluo
 		}
 		cfg = GraphTrainConfig(opts, opts.Hosts, mode)
 		cfg.Epochs = 2
-		cfg.Wire = codec
 		if tweak != nil {
 			tweak(nil, &cfg)
 		}
@@ -102,58 +100,29 @@ func tcpTransportFactory(hosts int) ([]gluon.Transport, func(), error) {
 	}, nil
 }
 
-// wantHash returns the pinned hash for a (workload, codec) cell.
-func wantHash(workload string, codec gluon.Codec) string {
-	switch {
-	case workload == "text" && codec.Lossless():
-		return seedHashTextLossless
-	case workload == "text":
-		return seedHashTextFP16
-	case codec.Lossless():
-		return seedHashGraphLossless
-	default:
-		return seedHashGraphFP16
+// wantHash returns the pinned hash for a workload.
+func wantHash(workload string) string {
+	if workload == "text" {
+		return seedHashText
 	}
+	return seedHashGraph
 }
 
 // TestSyncBitIdentityPinned is the end-to-end bit-identity contract of
 // the concurrent sync engine: full tiny-scale training must reproduce
-// the seed-state hashes across workloads × modes × codecs (the lossless
-// codecs share one hash per workload; fp16 pins its own). The -short
-// lane runs a reduced but representative slice.
+// the seed-state hashes across workloads × modes, in the -short lane
+// too.
 func TestSyncBitIdentityPinned(t *testing.T) {
-	type cell struct {
-		workload string
-		mode     gluon.Mode
-		codec    gluon.Codec
-	}
-	var cells []cell
-	if testing.Short() {
-		cells = []cell{
-			{"text", gluon.RepModelNaive, gluon.CodecPacked},
-			{"text", gluon.RepModelOpt, gluon.CodecPacked},
-			{"text", gluon.PullModel, gluon.CodecPacked},
-			{"text", gluon.RepModelOpt, gluon.CodecFP16},
-			{"graph", gluon.RepModelOpt, gluon.CodecPacked},
-			{"graph", gluon.PullModel, gluon.CodecRaw},
-		}
-	} else {
-		for _, wl := range []string{"text", "graph"} {
-			for _, mode := range []gluon.Mode{gluon.RepModelNaive, gluon.RepModelOpt, gluon.PullModel} {
-				for _, codec := range []gluon.Codec{gluon.CodecPacked, gluon.CodecRaw, gluon.CodecFP16} {
-					cells = append(cells, cell{wl, mode, codec})
+	for _, wl := range []string{"text", "graph"} {
+		for _, mode := range []gluon.Mode{gluon.RepModelNaive, gluon.RepModelOpt, gluon.PullModel} {
+			wl, mode := wl, mode
+			t.Run(fmt.Sprintf("%s/%v/packed", wl, mode), func(t *testing.T) {
+				got := trainForIdentity(t, wl, mode, nil)
+				if want := wantHash(wl); got != want {
+					t.Errorf("model hash %s, want seed hash %s", got, want)
 				}
-			}
+			})
 		}
-	}
-	for _, c := range cells {
-		c := c
-		t.Run(fmt.Sprintf("%s/%v/%v", c.workload, c.mode, c.codec), func(t *testing.T) {
-			got := trainForIdentity(t, c.workload, c.mode, c.codec, nil)
-			if want := wantHash(c.workload, c.codec); got != want {
-				t.Errorf("model hash %s, want seed hash %s", got, want)
-			}
-		})
 	}
 }
 
@@ -168,8 +137,8 @@ func TestSyncBitIdentityWorkers(t *testing.T) {
 			wl := wl
 			t.Run(fmt.Sprintf("%s/workers=%d", wl, workers), func(t *testing.T) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
-				got := trainForIdentity(t, wl, gluon.RepModelOpt, gluon.CodecPacked, nil)
-				if want := wantHash(wl, gluon.CodecPacked); got != want {
+				got := trainForIdentity(t, wl, gluon.RepModelOpt, nil)
+				if want := wantHash(wl); got != want {
 					t.Errorf("workers=%d: model hash %s, want seed hash %s", workers, got, want)
 				}
 			})
@@ -185,22 +154,16 @@ func TestSyncBitIdentityWorkers(t *testing.T) {
 func TestSyncBitIdentityTCP(t *testing.T) {
 	for _, wl := range []string{"text", "graph"} {
 		wl := wl
-		for _, codec := range []gluon.Codec{gluon.CodecPacked, gluon.CodecFP16} {
-			codec := codec
-			if testing.Short() && codec == gluon.CodecFP16 {
-				continue
-			}
-			t.Run(fmt.Sprintf("%s/%v", wl, codec), func(t *testing.T) {
-				got := trainForIdentity(t, wl, gluon.RepModelOpt, codec, func(tr *core.Trainer, _ *core.Config) {
-					if tr != nil {
-						tr.TransportFactory = tcpTransportFactory
-					}
-				})
-				if want := wantHash(wl, codec); got != want {
-					t.Errorf("tcp: model hash %s, want seed hash %s", got, want)
+		t.Run(wl+"/packed", func(t *testing.T) {
+			got := trainForIdentity(t, wl, gluon.RepModelOpt, func(tr *core.Trainer, _ *core.Config) {
+				if tr != nil {
+					tr.TransportFactory = tcpTransportFactory
 				}
 			})
-		}
+			if want := wantHash(wl); got != want {
+				t.Errorf("tcp: model hash %s, want seed hash %s", got, want)
+			}
+		})
 	}
 }
 

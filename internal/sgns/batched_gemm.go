@@ -8,7 +8,7 @@ import (
 // Batched-GEMM SGNS tier (`-sgns batched`, DESIGN.md §12). A window of
 // P consecutive training pairs shares ONE set of K negative samples, and
 // the P×K negative scores become a single small GEMM over packed row
-// panels instead of P·K row dots. Like `-wire fp16` this is explicitly
+// panels instead of P·K row dots. This is explicitly
 // lossy-but-deterministic: it is a different (coarser-grained) SGD
 // schedule than the pairwise path — scores read the panel values packed
 // at group start, negatives are shared, duplicate rows inside a group

@@ -43,14 +43,13 @@ type Flags struct {
 	Comm                        *cliutil.CommFlags
 	Perf                        *cliutil.PerfFlags
 	mode                        gluon.Mode // resolved by Validate
-	wire                        gluon.Codec
 }
 
 // Register installs the workload and training flags on fs. rankNote is
 // appended to the help of the flags every rank of a cluster must agree
 // on: ", identical on every rank" for gw2v-worker, "" otherwise.
 func Register(fs *flag.FlagSet, rankNote string) *Flags {
-	f := &Flags{Comm: cliutil.RegisterComm(fs, rankNote), Perf: cliutil.RegisterPerf(fs)}
+	f := &Flags{Comm: cliutil.RegisterComm(fs), Perf: cliutil.RegisterPerf(fs)}
 	fs.StringVar(&f.Name, "workload", "text", "training workload: text or graph")
 	fs.StringVar(&f.Corpus, "corpus", "", "text workload: training corpus path"+rankNote)
 	fs.StringVar(&f.Graph, "graph", "", "graph workload: edge-list path ('u v [weight]' per line, '#' comments)"+rankNote)
@@ -73,7 +72,7 @@ func Register(fs *flag.FlagSet, rankNote string) *Flags {
 
 // Validate checks the flags without reading any input.
 func (f *Flags) Validate() (err error) {
-	if f.mode, f.wire, err = f.Comm.Resolve(); err != nil {
+	if f.mode, err = f.Comm.Resolve(); err != nil {
 		return err
 	}
 	switch f.Name {
@@ -144,7 +143,7 @@ func (f *Flags) Load(hosts int) (*Workload, error) {
 	w := &Workload{Config: core.DefaultConfig(hosts), Dim: f.Dim}
 	c := &w.Config
 	c.Epochs, c.Alpha, c.Seed, c.ThreadsPerHost = f.Epochs, float32(f.Alpha), f.Seed, f.Threads
-	c.CombinerName, c.Mode, c.Wire = f.Comm.Combiner, f.mode, f.wire
+	c.CombinerName, c.Mode = f.Comm.Combiner, f.mode
 	c.SyncOverlap = f.Perf.SyncOverlap
 	c.Params = sgns.Params{Window: f.Window, Negatives: f.Negatives}
 	if f.SyncRounds > 0 {
