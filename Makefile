@@ -27,9 +27,9 @@ test-portable:
 # Sync-engine concurrency lane: the parallel encode/decode pipeline,
 # buffer-reuse overlap, free-running out-of-phase rounds and the
 # concurrent accumulator, all under the race detector with repetition.
-# gluon picks the serial or the concurrent round pipeline from
-# GOMAXPROCS, so the lane repeats at GOMAXPROCS=1: a 2-CPU runner would
-# otherwise never race-test the serial side (mirrored as a CI step).
+# The lane repeats at GOMAXPROCS=1, where the per-peer workers take
+# turns on one CPU instead of interleaving, and the zero-allocation pin
+# must hold there too (mirrored as a CI step).
 SYNC_RACE_TESTS = 'TestSync|TestAccumulatorConcurrent'
 test-sync-race:
 	$(GO) test -race -count=2 -run $(SYNC_RACE_TESTS) ./internal/gluon/ ./internal/combine/
@@ -60,36 +60,52 @@ serve-smoke:
 # runs the one membership negotiation. First its gluon unit surface —
 # the decision policy, decision checks, offer/decision codecs and their
 # fuzz seeds, range migration, and the rejection of undefined frame
-# kinds. Then the priority-1 diagonals of the fault-grid kill matrix
-# (every kill point, sync mode, transport and workload at least once)
-# and of the membership grid (every shape change likewise), the three
-# second-failure cells (another rank dies mid-recovery → clean
-# ErrPeerLost on every survivor) and the real-process peer-restart
-# test, all under the race detector and repeated at GOMAXPROCS 1 and 4:
-# which error a rank reports first must not depend on goroutine
-# scheduling. The peer-restart test then repeats 3× as a flake gate on
-# the redial path recovery leans on (mirrored as a CI step).
-RECOVERY_TESTS = 'TestFaultGridSmoke|TestMembershipGridSmoke|TestSecondFailure|TestMeshRedialAfterPeerRestart'
+# kinds. Then, under -short, the priority-1 diagonals of the fault-grid
+# kill matrix (every kill point, sync mode, transport and workload at
+# least once) and of the membership grid (every shape change likewise),
+# the three second-failure cells (another rank dies mid-recovery →
+# clean ErrPeerLost on every survivor) and the real-process
+# peer-restart test, all under the race detector and repeated at
+# GOMAXPROCS 1 and 4: which error a rank reports first must not depend
+# on goroutine scheduling. The peer-restart test then repeats 3× as a
+# flake gate on the redial path recovery leans on (mirrored as a CI
+# step). Every -run pattern is first checked to list tests
+# (scripts/require_tests.sh), so a stale name fails the lane instead of
+# matching nothing.
+RECOVERY_GLUON_TESTS = TestDecideMembership|TestCheckMembershipDecision|TestNegotiateMembership|TestNegotiateResume|TestMigrateRanges|TestMembershipOfferRoundTrip|FuzzParseMembership|TestUndefinedFrameKindRejected
+RECOVERY_TESTS = ^TestFaultGridSmoke$$|^TestMembershipGridSmoke$$|TestSecondFailure|TestMeshRedialAfterPeerRestart
 recovery-smoke:
-	$(GO) test -race -count=1 -run 'TestDecideMembership|TestCheckMembershipDecision|TestNegotiateMembership|TestNegotiateResume|TestMigrateRanges|TestMembershipOfferRoundTrip|FuzzParseMembership|TestUndefinedFrameKindRejected' ./internal/gluon/
-	$(GO) test -race -count=1 -run $(RECOVERY_TESTS) ./internal/harness/
-	GOMAXPROCS=1 $(GO) test -race -count=1 -run $(RECOVERY_TESTS) ./internal/harness/
-	GOMAXPROCS=4 $(GO) test -race -count=1 -run $(RECOVERY_TESTS) ./internal/harness/
+	@sh scripts/require_tests.sh ./internal/gluon/ '$(RECOVERY_GLUON_TESTS)'
+	@sh scripts/require_tests.sh ./internal/harness/ '$(RECOVERY_TESTS)'
+	$(GO) test -race -count=1 -run '$(RECOVERY_GLUON_TESTS)' ./internal/gluon/
+	$(GO) test -race -count=1 -short -run '$(RECOVERY_TESTS)' ./internal/harness/
+	GOMAXPROCS=1 $(GO) test -race -count=1 -short -run '$(RECOVERY_TESTS)' ./internal/harness/
+	GOMAXPROCS=4 $(GO) test -race -count=1 -short -run '$(RECOVERY_TESTS)' ./internal/harness/
 	$(GO) test -count=3 -run 'TestMeshRedialAfterPeerRestart' ./internal/harness/
 
 # Transient-fault resilience lane: the session layer's unit surface
 # (reconnect, replay, corrupt-frame rejection, budget escalation, the
-# retransmit limit), the heal-off error-class table, the mixed-heal
-# mesh and every gluon-level chaos class, then the priority-1 diagonal
+# retransmit limit, the budget-derived redial backoff, the WrapConn
+# seam), the heal-off error-class table and the mixed-heal mesh in
+# gluon; every fault class of the chaos injector (internal/chaos) over
+# a live healing cluster; then, under -short, the priority-1 diagonal
 # of the chaos grid (every fault class, sync mode and workload at least
-# once), all under the race detector (mirrored as a CI step; DESIGN.md
-# §13, PROTOCOL.md §12). The grid diagonal repeats at GOMAXPROCS 1 and
-# 4, like recovery-smoke.
+# once). All under the race detector (mirrored as a CI step; DESIGN.md
+# §13, PROTOCOL.md §12); the grid diagonal repeats at GOMAXPROCS 1 and
+# 4, like recovery-smoke. Every -run pattern is first checked to list
+# tests, as in recovery-smoke.
+CHAOS_GLUON_TESTS = TestSession|TestChaosReplayCountsFrames|TestWrapConn|TestRedialBounds|TestDialMeshSession|TestDialMeshMixedHeal|TestTCPDeadlineTable|TestTCPWriteDeadline
+CHAOS_TESTS = TestChaos
+CHAOS_GRID_TESTS = ^TestChaosGridSmoke$$
 chaos-smoke:
-	$(GO) test -race -count=1 -run 'TestSession|TestChaos[^G]|TestDialMeshSession|TestDialMeshMixedHeal|TestTCPDeadlineTable|TestTCPWriteDeadline' ./internal/gluon/
-	$(GO) test -race -count=1 -run 'TestChaosGridSmoke' ./internal/harness/
-	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestChaosGridSmoke' ./internal/harness/
-	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestChaosGridSmoke' ./internal/harness/
+	@sh scripts/require_tests.sh ./internal/gluon/ '$(CHAOS_GLUON_TESTS)'
+	@sh scripts/require_tests.sh ./internal/chaos/ '$(CHAOS_TESTS)'
+	@sh scripts/require_tests.sh ./internal/harness/ '$(CHAOS_GRID_TESTS)'
+	$(GO) test -race -count=1 -run '$(CHAOS_GLUON_TESTS)' ./internal/gluon/
+	$(GO) test -race -count=1 -run '$(CHAOS_TESTS)' ./internal/chaos/
+	$(GO) test -race -count=1 -short -run '$(CHAOS_GRID_TESTS)' ./internal/harness/
+	GOMAXPROCS=1 $(GO) test -race -count=1 -short -run '$(CHAOS_GRID_TESTS)' ./internal/harness/
+	GOMAXPROCS=4 $(GO) test -race -count=1 -short -run '$(CHAOS_GRID_TESTS)' ./internal/harness/
 
 # Fuzz lane: every Fuzz* target runs FUZZTIME past its seed corpus
 # (mirrored as a CI step). In internal/gluon those are the parsers that

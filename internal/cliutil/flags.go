@@ -41,9 +41,8 @@ func (c *CommFlags) Resolve() (gluon.Mode, error) {
 
 // PerfFlags holds the per-host performance knobs after parsing —
 // settings that change only when work happens, never what is computed.
-// Like the sync pipeline's worker count, which gluon picks from
-// GOMAXPROCS, they are excluded from the cluster checksum, so ranks of
-// one cluster may legitimately disagree.
+// They are excluded from the cluster checksum, so ranks of one cluster
+// may legitimately disagree.
 type PerfFlags struct {
 	// SyncOverlap double-buffers the BSP step (DESIGN.md §12).
 	SyncOverlap bool

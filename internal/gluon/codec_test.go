@@ -199,10 +199,3 @@ func TestRawVectorBytesMatchesRetiredGolden(t *testing.T) {
 		t.Fatalf("rawVectorBytes(1 frame, 3 entries, dim 2) = %d, want %d", got, retiredRawReduceBytes)
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -228,17 +228,14 @@ func TestRoundErrorNamesCause(t *testing.T) {
 	init := model.New(12, 4)
 	touched := allNodesBitset(12)
 	for _, tc := range cases {
-		for _, workers := range []int{1, 4} {
-			tr := splitFaultTransport{hosts: 4, sendErr: tc.sendErr, recvErr: tc.recvErr}
-			hs, err := NewHostSync(0, part, tr, 4, RepModelOpt, combine.Sum{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			hs.workers = workers
-			err = hs.Sync(0, init.Clone(), init.Clone(), touched, nil)
-			if !errors.Is(err, tc.want) || tc.want != ErrTransportClosed && errors.Is(err, ErrTransportClosed) {
-				t.Errorf("%s, %d workers: Sync = %v, want %v", tc.name, workers, err, tc.want)
-			}
+		tr := splitFaultTransport{hosts: 4, sendErr: tc.sendErr, recvErr: tc.recvErr}
+		hs, err := NewHostSync(0, part, tr, 4, RepModelOpt, combine.Sum{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = hs.Sync(0, init.Clone(), init.Clone(), touched, nil)
+		if !errors.Is(err, tc.want) || tc.want != ErrTransportClosed && errors.Is(err, ErrTransportClosed) {
+			t.Errorf("%s: Sync = %v, want %v", tc.name, err, tc.want)
 		}
 	}
 }

@@ -70,20 +70,23 @@ type SessionOptions struct {
 	// before the peer is declared lost (ErrPeerLost). Without Heal it
 	// is how long a dropped connection may linger before the peer is
 	// declared lost; a clean shutdown closes the transport well inside
-	// it. Zero means 10s with Heal and 5s without.
+	// it. Zero means 10s with Heal and 5s without. The redial backoff
+	// derives from it (redialBounds).
 	HealBudget time.Duration
-	// RetransmitLimit bounds a healing rank's per-peer retransmit
-	// buffer in bytes. A peer that persistently fails to acknowledge
-	// past this limit is declared lost immediately (it is either dead
-	// or unrecoverably slow, and buffering more would only defer the
-	// verdict while consuming memory). A single frame into an empty
-	// buffer is always accepted. A rank without Heal keeps no buffer,
-	// since nothing would replay it. Zero means 256 MiB.
-	RetransmitLimit int
-	// RedialMin / RedialMax bound the jittered exponential backoff
-	// between reconnect attempts. Zero means 10ms / 500ms.
-	RedialMin time.Duration
-	RedialMax time.Duration
+}
+
+// retransmitLimit bounds a healing rank's per-peer retransmit buffer in
+// bytes; a peer not acknowledging past it is declared lost at once (a
+// lone frame into an empty buffer is always accepted). A variable only
+// so tests can lower it, like maxFrameBytes.
+var retransmitLimit = 256 << 20
+
+// redialBounds derives the reconnect backoff from the healing budget:
+// the cap is budget/20, at most 500ms (so 10s keeps 10ms / 500ms), and
+// the floor a fiftieth of the cap.
+func redialBounds(budget time.Duration) (lo, hi time.Duration) {
+	hi = min(500*time.Millisecond, budget/20)
+	return hi / 50, hi
 }
 
 const (
@@ -102,15 +105,6 @@ func (o SessionOptions) withDefaults() SessionOptions {
 		if o.Heal {
 			o.HealBudget = 10 * time.Second
 		}
-	}
-	if o.RetransmitLimit <= 0 {
-		o.RetransmitLimit = 256 << 20
-	}
-	if o.RedialMin <= 0 {
-		o.RedialMin = 10 * time.Millisecond
-	}
-	if o.RedialMax <= 0 {
-		o.RedialMax = 500 * time.Millisecond
 	}
 	return o
 }
@@ -324,15 +318,22 @@ func jitterBackoff(attempt int, lo, hi time.Duration) time.Duration {
 	return half + time.Duration(mrand.Int63n(int64(half)+1))
 }
 
-// wrapConn applies the chaos-injection wrapper to a post-handshake
-// connection when a ChaosPlan is configured. The chaos state is
-// per-direction and persists across reconnects, so the injection
-// schedule is deterministic over the run, not per connection.
+// wrapConn applies TCPOptions.WrapConn, if set, to a connection to peer.
 func (t *TCPTransport) wrapConn(peer int, conn net.Conn) net.Conn {
-	if t.chaos == nil || t.chaos[peer] == nil {
+	if t.opts.WrapConn == nil {
 		return conn
 	}
-	return &chaosConn{Conn: conn, st: t.chaos[peer]}
+	return t.opts.WrapConn(t.host, peer, conn)
+}
+
+// SessionFrameWire splits a session frame as written to a connection into
+// its framing-prefix length and the wire payload behind its session
+// header (nil if none): a read-only seam for TCPOptions.WrapConn wrappers.
+func SessionFrameWire(frame []byte) (prefix int, wire []byte) {
+	if len(frame) > 8+sessionHeaderBytes {
+		wire = frame[8+sessionHeaderBytes:]
+	}
+	return 8, wire
 }
 
 // heartbeatLoop periodically writes an unsequenced (seq 0) heartbeat
@@ -576,6 +577,7 @@ func (t *TCPTransport) sessionBroken(peer, gen int, cause error) error {
 func (t *TCPTransport) healDial(peer int, since time.Time, cause error) {
 	ps := t.sess[peer]
 	deadline := since.Add(t.opts.Session.HealBudget)
+	lo, hi := redialBounds(t.opts.Session.HealBudget)
 	lastErr := cause
 	for attempt := 0; ; attempt++ {
 		select {
@@ -596,7 +598,7 @@ func (t *TCPTransport) healDial(peer int, since time.Time, cause error) {
 			return
 		}
 		lastErr = err
-		d := jitterBackoff(attempt, t.opts.Session.RedialMin, t.opts.Session.RedialMax)
+		d := jitterBackoff(attempt, lo, hi)
 		if remain := time.Until(deadline); d > remain {
 			d = remain
 		}

@@ -14,19 +14,14 @@ import (
 // sessionTestOpts are aggressive-but-stable failure-detection settings
 // for loopback session tests: fast heartbeats drive the ack-stall
 // detector, the short read deadline turns silence into a heal quickly,
-// and the redial backoff stays tight so heals finish well inside the
-// budget.
+// and the budget's derived redial backoff (5ms / 250ms) lets heals
+// finish well inside it.
 func sessionTestOpts() TCPOptions {
 	return TCPOptions{
 		HeartbeatInterval: 10 * time.Millisecond,
 		ReadTimeout:       250 * time.Millisecond,
 		WriteTimeout:      2 * time.Second,
-		Session: SessionOptions{
-			Heal:       true,
-			HealBudget: 5 * time.Second,
-			RedialMin:  2 * time.Millisecond,
-			RedialMax:  50 * time.Millisecond,
-		},
+		Session:           SessionOptions{Heal: true, HealBudget: 5 * time.Second},
 	}
 }
 
@@ -350,12 +345,7 @@ func TestDialMeshMixedHeal(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			cfg := MeshConfig{Rank: r, Peers: addrs, Checksum: 7, Timeout: 10 * time.Second}
-			cfg.TCP.Session = SessionOptions{
-				Heal:       r == 0,
-				HealBudget: 300 * time.Millisecond,
-				RedialMin:  2 * time.Millisecond,
-				RedialMax:  50 * time.Millisecond,
-			}
+			cfg.TCP.Session = SessionOptions{Heal: r == 0, HealBudget: 300 * time.Millisecond}
 			trs[r], errs[r] = DialMesh(cfg)
 		}(r)
 	}
@@ -408,6 +398,8 @@ func TestDialMeshMixedHeal(t *testing.T) {
 // applies: a frame past it that follows an unacknowledged one is
 // delivered too.
 func TestSessionRetransmitLimit(t *testing.T) {
+	defer func(old int) { retransmitLimit = old }(retransmitLimit)
+	retransmitLimit = 1024
 	big := make([]byte, 4096)
 	big[4095] = 7
 	chunk := make([]byte, 600)
@@ -419,7 +411,7 @@ func TestSessionRetransmitLimit(t *testing.T) {
 	}
 
 	t.Run("heal", func(t *testing.T) {
-		trs, err := NewTCPClusterOpts(2, TCPOptions{Session: SessionOptions{Heal: true, RetransmitLimit: 1024}})
+		trs, err := NewTCPClusterOpts(2, TCPOptions{Session: SessionOptions{Heal: true}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -448,7 +440,7 @@ func TestSessionRetransmitLimit(t *testing.T) {
 	})
 
 	t.Run("no-heal", func(t *testing.T) {
-		trs, err := NewTCPClusterOpts(2, TCPOptions{Session: SessionOptions{RetransmitLimit: 1024}})
+		trs, err := NewTCPClusterOpts(2, TCPOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -544,5 +536,48 @@ func TestJitterBackoffBounds(t *testing.T) {
 	// Degenerate inputs still return something positive.
 	if d := jitterBackoff(0, 0, 0); d <= 0 {
 		t.Fatalf("zero-config backoff = %v", d)
+	}
+}
+
+// TestChaosReplayCountsFrames: a heal after acknowledged traffic only
+// replays the unacked tail, not history. Force a reset after a settled
+// exchange and check the replay counter stays bounded.
+func TestChaosReplayCountsFrames(t *testing.T) {
+	opts := sessionTestOpts()
+	trs, err := NewTCPClusterOpts(2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeAll(trs)
+	// Settle 50 acknowledged messages.
+	for i := 0; i < 50; i++ {
+		if err := trs[1].Send(1, 0, barrierMessage(uint32(i))); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := trs[0].Recv(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Let acks (carried on heartbeats) land, then break and continue.
+	time.Sleep(50 * time.Millisecond)
+	breakConn(t, trs[1], 0)
+	for i := 0; i < 10; i++ {
+		payload := make([]byte, 4)
+		binary.LittleEndian.PutUint32(payload, uint32(i))
+		if err := trs[1].Send(1, 0, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		_, payload, err := trs[0].Recv(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := binary.LittleEndian.Uint32(payload); got != uint32(i) {
+			t.Fatalf("post-break message %d arrived as %d", i, got)
+		}
+	}
+	if replayed := trs[1].SessionStats().Replayed; replayed > 20 {
+		t.Fatalf("replayed %d frames after a settled exchange; acks are not evicting the stash", replayed)
 	}
 }

@@ -3,7 +3,6 @@ package gluon
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"graphword2vec/internal/bitset"
@@ -129,7 +128,7 @@ func (s *Stats) Add(other Stats) {
 // HostSync and reused across rounds. Determinism is untouched: the only
 // order-sensitive step, the combiner fold, still presents deltas in
 // ascending host order (combine.Accumulator.Fold), so models are
-// byte-identical to a serial round regardless of worker count.
+// byte-identical however the workers are scheduled.
 //
 // Frame buffers are reused across rounds even though Transport.Send
 // forbids modifying a payload after the call — the BSP round structure
@@ -153,13 +152,6 @@ type HostSync struct {
 	dim  int
 	mode Mode
 	comb combine.Combiner
-	// workers is GOMAXPROCS at construction: 1 runs every round phase
-	// serially on the round goroutine, more enables the concurrent
-	// pipeline (one worker per peer per phase, so the goroutine count is
-	// bounded by the cluster size). Models are byte-identical either
-	// way; the choice is purely a performance one, made from the CPUs
-	// the process may use.
-	workers int
 
 	// stats accumulates sent-side traffic.
 	stats Stats
@@ -331,7 +323,6 @@ func NewHostSync(host int, part *graph.Partition, tr Transport, dim int, mode Mo
 		dim:         dim,
 		mode:        mode,
 		comb:        comb,
-		workers:     runtime.GOMAXPROCS(0),
 		pending:     make(map[pendingKey]*pendingQueue),
 		acc:         combine.NewAccumulator(lo, hi, n, dim),
 		scratch:     make([]float32, 2*dim),
@@ -407,9 +398,6 @@ func (hs *HostSync) Stats() Stats { return hs.stats }
 // Mode returns the synchronisation scheme.
 func (hs *HostSync) Mode() Mode { return hs.mode }
 
-// parallel reports whether the round pipeline runs concurrently.
-func (hs *HostSync) parallel() bool { return hs.workers > 1 }
-
 // prepRound validates and stages one round's inputs: the shared cur*
 // fields the prebuilt closures read, per-peer dedup flags and error
 // slots, and the progress events. Runs on the caller's goroutine, before
@@ -473,18 +461,10 @@ func (hs *HostSync) runRound() error {
 			continue
 		}
 		hs.wg.Add(1)
-		if hs.parallel() {
-			go hs.peers[g].goReduce()
-		} else {
-			hs.reduceWorker(g)
-		}
+		go hs.peers[g].goReduce()
 	}
 	hs.wg.Add(1)
-	if hs.parallel() {
-		go hs.goOwnDelta()
-	} else {
-		hs.ownDeltaWorker()
-	}
+	go hs.goOwnDelta()
 	recvErr := hs.receiveFrames(kindReduce, round)
 	hs.wg.Wait()
 	if err := hs.roundError(recvErr); err != nil {
@@ -518,11 +498,7 @@ func (hs *HostSync) runRound() error {
 			}
 			hs.peers[g].sentBcastE = int64(len(nodes))
 			hs.wg.Add(1)
-			if hs.parallel() {
-				go hs.peers[g].goBcastSend()
-			} else {
-				hs.bcastSendWorker(g)
-			}
+			go hs.peers[g].goBcastSend()
 		}
 	} else {
 		for g := 0; g < nHosts; g++ {
@@ -530,11 +506,7 @@ func (hs *HostSync) runRound() error {
 				continue
 			}
 			hs.wg.Add(1)
-			if hs.parallel() {
-				go hs.peers[g].goPullBcast()
-			} else {
-				hs.pullBcastWorker(g)
-			}
+			go hs.peers[g].goPullBcast()
 		}
 		// PullModel phase D reads accessByHost, which the receive loop
 		// below may overwrite with next-round announcements from peers
@@ -691,9 +663,8 @@ func (hs *HostSync) decodeBcastWorker(g int) {
 }
 
 // receiveFrames collects one frame of the given kind from every peer,
-// dispatching each to that peer's decode worker (concurrently when the
-// worker setting allows). Returns the first receive-path error; decode
-// errors land in the per-peer error slots.
+// handing each to that peer's decode worker. Returns the first
+// receive-path error; decode errors land in the per-peer error slots.
 func (hs *HostSync) receiveFrames(kind byte, round uint32) error {
 	for need := hs.part.NumHosts() - 1; need > 0; need-- {
 		from, payload, err := hs.nextMessage(kind, round)
@@ -717,14 +688,6 @@ func (hs *HostSync) receiveFrames(kind byte, round uint32) error {
 		}
 		p.payload = payload
 		hs.wg.Add(1)
-		if !hs.parallel() {
-			if kind == kindReduce {
-				hs.decodeReduceWorker(from)
-			} else {
-				hs.decodeBcastWorker(from)
-			}
-			continue
-		}
 		if kind == kindReduce {
 			go p.goDecReduce()
 		} else {

@@ -2,6 +2,7 @@ package gluon
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"graphword2vec/internal/bitset"
@@ -111,21 +112,23 @@ func fixedTouched(c *cluster, perHost int, seed uint64) []*bitset.Bitset {
 
 // TestSyncRoundZeroAllocs pins the tentpole claim: after warm-up, a
 // steady-state synchronisation round performs zero heap allocations on
-// every host — across all three modes and both the serial and the
-// concurrent worker setting. The measurement covers the whole cluster
+// every host, in all three modes: the per-peer workers are spawned
+// through prebuilt thunks. The measurement covers the whole cluster
 // (AllocsPerRun counts process-wide mallocs), so the pin also proves
 // the in-process transport, the pending queues and the accumulator
-// allocate nothing per round. Subtest names end in "packed", the name
-// comm-volume reports the one vector-frame encoding under.
+// allocate nothing per round. "workers=N" builds and warms the cluster
+// at GOMAXPROCS=N, the CPUs the per-peer workers share, so the reusable
+// buffers grow under one-at-a-time or interleaved workers; AllocsPerRun
+// then counts at GOMAXPROCS=1, where spawning a worker reuses a parked
+// goroutine instead of allocating one. Subtest names end in "packed",
+// the name comm-volume reports the one vector-frame encoding under.
 func TestSyncRoundZeroAllocs(t *testing.T) {
 	const hosts, nodes, dim, perHost = 4, 2048, 16, 40
 	for _, workers := range []int{1, 4} {
 		for _, mode := range []Mode{RepModelNaive, RepModelOpt, PullModel} {
 			t.Run(fmt.Sprintf("workers=%d/%v/packed", workers, mode), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 				c := newCluster(t, hosts, nodes, dim, mode, "MC")
-				for _, hs := range c.syncs {
-					hs.workers = workers
-				}
 				touched := fixedTouched(c, perHost, 11)
 				var access []*bitset.Bitset
 				if mode == PullModel {
@@ -159,7 +162,7 @@ func TestSyncRoundZeroAllocs(t *testing.T) {
 // TestSyncConcurrentHammer drives many rounds with per-round-changing
 // sparse updates, free-running hosts (no lockstep between rounds, so
 // out-of-phase frames exercise the pending queues) and the concurrent
-// worker pipeline forced on. Replicas must agree after every host
+// worker pipeline. Replicas must agree after every host
 // finishes. Under -race this is the data-race proof for the parallel
 // encode/decode overlap and the send-buffer reuse contract. Subtest
 // names end in "packed", as in TestSyncRoundZeroAllocs.
@@ -168,9 +171,6 @@ func TestSyncConcurrentHammer(t *testing.T) {
 	for _, mode := range []Mode{RepModelNaive, RepModelOpt, PullModel} {
 		t.Run(fmt.Sprintf("%v/packed", mode), func(t *testing.T) {
 			c := newCluster(t, hosts, nodes, dim, mode, "MC")
-			for _, hs := range c.syncs {
-				hs.workers = 8
-			}
 			// Per-host free-running drivers: each host performs its
 			// compute perturbation and Sync for all rounds with no
 			// cross-host coordination beyond the protocol itself.
@@ -222,16 +222,16 @@ func TestSyncConcurrentHammer(t *testing.T) {
 	}
 }
 
-// TestSyncWorkersBitIdentical: the worker count must not change a single
-// bit of any replica — the deterministic host-ordered fold is the only
-// order-sensitive step in a round. (The end-to-end hash-pinned version
-// of this contract lives in the harness package.)
+// TestSyncWorkersBitIdentical: how the per-peer workers are scheduled
+// must not change a single bit of any replica — the deterministic
+// host-ordered fold is the only order-sensitive step in a round. One
+// CPU runs the workers one at a time, eight interleave them. (The
+// end-to-end hash-pinned version of this contract lives in the harness
+// package.)
 func TestSyncWorkersBitIdentical(t *testing.T) {
-	run := func(workers int) *cluster {
+	run := func(procs int) *cluster {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		c := newCluster(t, 3, 100, 8, RepModelOpt, "MC")
-		for _, hs := range c.syncs {
-			hs.workers = workers
-		}
 		for round := uint32(0); round < 4; round++ {
 			touched := make([]*bitset.Bitset, 3)
 			for h := 0; h < 3; h++ {
@@ -241,11 +241,11 @@ func TestSyncWorkersBitIdentical(t *testing.T) {
 		}
 		return c
 	}
-	serial, parallel := run(1), run(8)
-	for i := range serial.local[0].Emb.Data {
-		if serial.local[0].Emb.Data[i] != parallel.local[0].Emb.Data[i] ||
-			serial.local[0].Ctx.Data[i] != parallel.local[0].Ctx.Data[i] {
-			t.Fatalf("serial and parallel sync diverge at %d", i)
+	one, eight := run(1), run(8)
+	for i := range one.local[0].Emb.Data {
+		if one.local[0].Emb.Data[i] != eight.local[0].Emb.Data[i] ||
+			one.local[0].Ctx.Data[i] != eight.local[0].Ctx.Data[i] {
+			t.Fatalf("GOMAXPROCS 1 and 8 sync diverge at %d", i)
 		}
 	}
 }
@@ -259,9 +259,6 @@ func TestSyncWorkersBitIdentical(t *testing.T) {
 func TestSyncPendingQueueBounded(t *testing.T) {
 	const hosts, nodes, dim, roundsN = 3, 60, 4, 50
 	c := newCluster(t, hosts, nodes, dim, RepModelOpt, "MC")
-	for _, hs := range c.syncs {
-		hs.workers = 4
-	}
 	// Free-running hosts maximise out-of-phase arrivals.
 	errs := make([]error, hosts)
 	done := make(chan int, hosts)
@@ -341,9 +338,6 @@ func TestSyncBufferReuseAcrossTransports(t *testing.T) {
 		trs, cleanup := mk()
 		defer cleanup()
 		c := clusterOverTransports(t, trs, nodes, dim, RepModelOpt, "MC")
-		for _, hs := range c.syncs {
-			hs.workers = 6
-		}
 		for round := uint32(0); round < roundsN; round++ {
 			touched := make([]*bitset.Bitset, hosts)
 			for h := 0; h < hosts; h++ {

@@ -20,7 +20,7 @@ var ErrPeerLost = errors.New("gluon: peer lost")
 
 // TCPOptions tunes failure detection on a TCPTransport. The zero value
 // means no deadlines, no heartbeats, no healing, and the default
-// 10s budget before a dropped connection counts as a lost peer.
+// 5s budget before a dropped connection counts as a lost peer.
 type TCPOptions struct {
 	// HeartbeatInterval, when positive, emits a header-only heartbeat
 	// frame on every connection at this interval so long compute
@@ -47,11 +47,12 @@ type TCPOptions struct {
 	// (PROTOCOL.md §12). The framing is the same either way, so ranks
 	// may disagree. See session.go.
 	Session SessionOptions
-	// Chaos, when non-nil, wraps every post-handshake connection in a
-	// deterministic fault injector (drops, duplicates, reorders,
-	// corruption, delays, resets, blackholes) driven by the plan's
-	// seed. Meant for Session.Heal; see chaos.go.
-	Chaos *ChaosPlan
+	// WrapConn, when non-nil, wraps every connection the session
+	// installs after its handshake — bootstrap and healed, dialed or
+	// accepted — given this rank (host) and the other end's (peer).
+	// Each Write carries exactly one session frame (SessionFrameWire),
+	// so a wrapper such as a fault injector can act frame by frame.
+	WrapConn func(host, peer int, c net.Conn) net.Conn
 }
 
 // TCPTransport runs the synchronisation protocol over real TCP sockets,
@@ -99,7 +100,6 @@ type TCPTransport struct {
 	peerTokens  []uint64
 	resumeAddrs []string
 	ln          net.Listener
-	chaos       []*chaosState
 }
 
 // maxFrameBytes bounds a single frame to catch corrupted length
@@ -182,16 +182,9 @@ func newTCPTransport(host, n int, opts TCPOptions) *TCPTransport {
 		sessToken:  newSessionToken(),
 		peerTokens: make([]uint64, n),
 	}
-	if opts.Chaos != nil {
-		t.chaos = make([]*chaosState, n)
-	}
 	for g := 0; g < n; g++ {
-		if g == host {
-			continue
-		}
-		t.sess[g] = newPeerSession()
-		if t.chaos != nil {
-			t.chaos[g] = newChaosState(*opts.Chaos, host, g)
+		if g != host {
+			t.sess[g] = newPeerSession()
 		}
 	}
 	return t
@@ -325,10 +318,10 @@ func (t *TCPTransport) Send(from, to int, payload []byte) error {
 	if t.opts.Session.Heal {
 		// A lone frame always fits an empty stash (maxFrameBytes bounds
 		// it); the limit only refuses a backlog the peer is not acking.
-		if limit := t.opts.Session.RetransmitLimit; len(ps.stash) > 0 && ps.stashBytes+len(payload) > limit {
+		if len(ps.stash) > 0 && ps.stashBytes+len(payload) > retransmitLimit {
 			ps.mu.Unlock()
 			return t.declareLost(to, fmt.Errorf("%w: retransmit buffer for host %d exceeds %d bytes (peer not acknowledging)",
-				ErrPeerLost, to, limit))
+				ErrPeerLost, to, retransmitLimit))
 		}
 		ps.stash = append(ps.stash, sessionFrame{seq: seq, payload: append([]byte(nil), payload...)})
 		ps.stashBytes += len(payload)

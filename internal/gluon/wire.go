@@ -54,8 +54,8 @@ const (
 	headerBytes = 9
 )
 
-// Exported frame-kind values for InspectFrame consumers (currently the
-// fault-injection harness, which keys its kill points off frame kinds).
+// Exported frame-kind values for InspectFrame consumers (the recovery
+// grids key their kill points, the chaos injector its storm, off them).
 const (
 	FrameReduce     = kindReduce
 	FrameBarrier    = kindBarrier
@@ -65,8 +65,8 @@ const (
 
 // InspectFrame reports a wire frame's kind byte and round field (the
 // barrier tag, for barrier frames) without validating the payload — a
-// read-only diagnostic seam for tooling layered on Transport, such as
-// the fault-injection harness. It is NOT part of the decode path.
+// read-only diagnostic seam for fault injectors and other tooling. It
+// is NOT part of the decode path.
 func InspectFrame(payload []byte) (kind byte, round uint32) {
 	if len(payload) < headerBytes {
 		return 0, 0

@@ -3,19 +3,21 @@ package harness
 import (
 	"errors"
 	"fmt"
+	"net"
 	"time"
 
+	"graphword2vec/internal/chaos"
 	"graphword2vec/internal/core"
 	"graphword2vec/internal/gluon"
 )
 
 // The chaos grid is the transient-fault resilience experiment
 // (DESIGN.md §13): a priority-graded case matrix that runs a live
-// 3-host TCP cluster through every fault class the gluon chaos
-// injector can produce — drops, duplicates, reorders, corruption, slow
-// links, connection resets, one-way blackholes — across all three
-// communication schemes and both workloads, with the session layer
-// (PROTOCOL.md §12) healing each fault in place. Every healed cell
+// 3-host TCP cluster through every fault class the chaos injector
+// (internal/chaos) can produce — drops, duplicates, reorders,
+// corruption, slow links, connection resets, one-way blackholes —
+// across all three communication schemes and both workloads, with the
+// session layer (PROTOCOL.md §12) healing each fault in place. Every healed cell
 // must finish with a final model byte-identical to a fault-free run:
 // the network may misbehave arbitrarily within the healing budget
 // without perturbing a single bit of the result.
@@ -95,8 +97,8 @@ const (
 // tuned against the cell's traffic volume (heartbeats every 20ms plus
 // the sync rounds) so every cell injects many faults without starving
 // the link entirely.
-func (c ChaosClass) Plan(seed uint64) gluon.ChaosPlan {
-	p := gluon.ChaosPlan{Seed: seed}
+func (c ChaosClass) Plan(seed uint64) chaos.Plan {
+	p := chaos.Plan{Seed: seed}
 	switch c {
 	case ChaosDrop:
 		p.DropEvery = 6
@@ -196,7 +198,7 @@ type ChaosGridRow struct {
 	Workload string `json:"workload"`
 	Mode     string `json:"mode"`
 	Class    string `json:"class"`
-	// Injections counts faults the chaos wrapper actually fired,
+	// Injections counts faults the chaos injector actually fired,
 	// summed over every directed link of the cluster.
 	Injections int `json:"injections"`
 	// Heals counts successful session re-establishments, Dups the
@@ -218,9 +220,10 @@ type ChaosGridRow struct {
 
 // chaosGridTCPOpts builds a cell's transport options: tight deadlines
 // so faults are detected in milliseconds, the session layer healing
-// them, and the plan injecting them. The storm class gets a deliberately
-// tiny budget so escalation happens promptly.
-func chaosGridTCPOpts(class ChaosClass, plan *gluon.ChaosPlan) gluon.TCPOptions {
+// them, and wrap (nil for a clean network) injecting them. The storm
+// class gets a deliberately tiny budget so escalation happens promptly;
+// the redial backoff shrinks with the budget.
+func chaosGridTCPOpts(class ChaosClass, wrap func(host, peer int, c net.Conn) net.Conn) gluon.TCPOptions {
 	budget := chaosGridHealBudget
 	if class.escalates() {
 		budget = chaosGridStormBudget
@@ -229,20 +232,15 @@ func chaosGridTCPOpts(class ChaosClass, plan *gluon.ChaosPlan) gluon.TCPOptions 
 		HeartbeatInterval: 20 * time.Millisecond,
 		ReadTimeout:       200 * time.Millisecond,
 		WriteTimeout:      2 * time.Second,
-		Session: gluon.SessionOptions{
-			Heal:       true,
-			HealBudget: budget,
-			RedialMin:  2 * time.Millisecond,
-			RedialMax:  50 * time.Millisecond,
-		},
-		Chaos: plan,
+		Session:           gluon.SessionOptions{Heal: true, HealBudget: budget},
+		WrapConn:          wrap,
 	}
 }
 
 // runChaosCell executes one cell and renders its verdict.
 func runChaosCell(cell gridCell, c ChaosCase) (ChaosGridRow, error) {
 	cfg := cell.w.cfg(c.Mode)
-	plan := c.Class.Plan(cell.seed)
+	inj := chaos.New(c.Class.Plan(cell.seed))
 	row := ChaosGridRow{
 		ID: c.ID(), Priority: c.Priority, Workload: c.Workload,
 		Mode: c.Mode.String(), Class: c.Class.String(),
@@ -252,7 +250,7 @@ func runChaosCell(cell gridCell, c ChaosCase) (ChaosGridRow, error) {
 		return row, err
 	}
 
-	trs, gts, closeAll, err := tcpCluster(chaosGridHosts, chaosGridTCPOpts(c.Class, &plan))
+	trs, gts, closeAll, err := tcpCluster(chaosGridHosts, chaosGridTCPOpts(c.Class, inj.Wrap))
 	if err != nil {
 		return row, err
 	}
@@ -266,8 +264,8 @@ func runChaosCell(cell gridCell, c ChaosCase) (ChaosGridRow, error) {
 		}
 	}
 	results, errs := clusterRun(cell.w, cfg, gts, mkOpts)
+	row.Injections = inj.Injections()
 	for _, tr := range trs {
-		row.Injections += tr.ChaosInjections()
 		st := tr.SessionStats()
 		row.Heals += st.Heals
 		row.Dups += st.Dups

@@ -4,21 +4,7 @@ import (
 	"testing"
 )
 
-// chaosSmokeCases filters the grid down to the priority-1 diagonal —
-// every fault class, mode and workload covered at least once.
-func chaosSmokeCases(t *testing.T) []ChaosCase {
-	t.Helper()
-	var cases []ChaosCase
-	for _, c := range ChaosGridCases() {
-		if c.Priority == 1 {
-			cases = append(cases, c)
-		}
-	}
-	if len(cases) == 0 {
-		t.Fatal("no priority-1 cases in the chaos grid")
-	}
-	return cases
-}
+func chaosPriority(c ChaosCase) int { return c.Priority }
 
 // TestChaosGridCasesCoverAxes pins the matrix shape: the full grid is
 // classes × modes × workloads, and the P1 smoke slice still touches
@@ -35,7 +21,7 @@ func TestChaosGridCasesCoverAxes(t *testing.T) {
 		}
 		seen[c.ID()] = true
 	}
-	smoke := chaosSmokeCases(t)
+	smoke := priorityOne(t, all, chaosPriority)
 	if want := 2 * 3 * 2; len(smoke) != want {
 		t.Fatalf("P1 slice has %d cells, want %d", len(smoke), want)
 	}
@@ -52,13 +38,26 @@ func TestChaosGridCasesCoverAxes(t *testing.T) {
 	}
 }
 
-// TestChaosGridSmoke is the CI resilience lane: the priority-1 slice of
-// the fault matrix. Every healing cell must finish byte-identical to
-// the fault-free reference while the network drops, duplicates,
-// reorders, corrupts, delays, resets and partitions its frames; the
-// storm cells must escalate to ErrPeerLost and resume byte-identically.
+// TestChaosGridSmoke is the CI resilience lane: the priority-1 slice
+// of the fault matrix.
 func TestChaosGridSmoke(t *testing.T) {
-	rows, err := ChaosGrid(faultGridOpts(), chaosSmokeCases(t))
+	checkChaosGrid(t, priorityOne(t, ChaosGridCases(), chaosPriority))
+}
+
+// TestChaosGridFull runs the rest of the matrix (the EXPERIMENTS.md
+// case table), so the two tests together cover every cell once.
+func TestChaosGridFull(t *testing.T) {
+	checkChaosGrid(t, pastPriorityOne(t, ChaosGridCases(), chaosPriority))
+}
+
+// checkChaosGrid runs fault-matrix cells. Every healing cell must
+// finish byte-identical to the fault-free reference while the network
+// drops, duplicates, reorders, corrupts, delays, resets and partitions
+// its frames; the storm cells must escalate to ErrPeerLost and resume
+// byte-identically from a checkpointed round.
+func checkChaosGrid(t *testing.T, cases []ChaosCase) {
+	t.Helper()
+	rows, err := ChaosGrid(faultGridOpts(), cases)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,24 +70,6 @@ func TestChaosGridSmoke(t *testing.T) {
 		}
 		if r.Escalated && r.ResumedFrom == 0 {
 			t.Errorf("%s: escalated but resumed from round 0, want a checkpointed round", r.ID)
-		}
-	}
-}
-
-// TestChaosGridFull runs every cell of the matrix (the EXPERIMENTS.md
-// case table); the smoke lane covers the P1 diagonal, this covers the
-// rest.
-func TestChaosGridFull(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full 48-cell chaos matrix")
-	}
-	rows, err := ChaosGrid(faultGridOpts(), ChaosGridCases())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		if !r.Identical {
-			t.Errorf("%s: diverged from the fault-free reference (healed=%v escalated=%v)", r.ID, r.Healed, r.Escalated)
 		}
 	}
 }

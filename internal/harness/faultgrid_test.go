@@ -14,13 +14,14 @@ func faultGridOpts() Options {
 	return o.WithDefaults()
 }
 
-// smokeCases filters the grid down to the priority-1 diagonal — every
-// kill point, mode, transport and workload covered at least once.
-func smokeCases(t *testing.T) []FaultCase {
+// priorityOne filters a recovery grid's case table down to its
+// priority-1 diagonal, which covers every value of every axis at least
+// once.
+func priorityOne[C any](t *testing.T, all []C, priority func(C) int) []C {
 	t.Helper()
-	var cases []FaultCase
-	for _, c := range FaultGridCases() {
-		if c.Priority == 1 {
+	var cases []C
+	for _, c := range all {
+		if priority(c) == 1 {
 			cases = append(cases, c)
 		}
 	}
@@ -29,6 +30,25 @@ func smokeCases(t *testing.T) []FaultCase {
 	}
 	return cases
 }
+
+// pastPriorityOne is what a recovery grid's Full test runs: the cells
+// its Smoke test's priority-1 diagonal leaves out, so that a plain
+// `go test` runs every cell once. It skips under -short (the CI lanes).
+func pastPriorityOne[C any](t *testing.T, all []C, priority func(C) int) []C {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("the cells past the priority-1 diagonal")
+	}
+	var cases []C
+	for _, c := range all {
+		if priority(c) != 1 {
+			cases = append(cases, c)
+		}
+	}
+	return cases
+}
+
+func faultPriority(c FaultCase) int { return c.Priority }
 
 // TestFaultGridCasesCoverAxes pins the matrix shape: the full grid is
 // points × modes × transports × workloads, and the P1 smoke slice still
@@ -48,7 +68,7 @@ func TestFaultGridCasesCoverAxes(t *testing.T) {
 	axes := map[string]map[string]bool{
 		"point": {}, "mode": {}, "transport": {}, "workload": {},
 	}
-	for _, c := range smokeCases(t) {
+	for _, c := range priorityOne(t, all, faultPriority) {
 		axes["point"][c.Point.String()] = true
 		axes["mode"][c.Mode.String()] = true
 		axes["transport"][c.Transport] = true
@@ -62,10 +82,23 @@ func TestFaultGridCasesCoverAxes(t *testing.T) {
 }
 
 // TestFaultGridSmoke is the CI recovery lane: the priority-1 slice of
-// the kill matrix, every cell of which must recover from its injected
-// fault with a byte-identical model.
+// the kill matrix.
 func TestFaultGridSmoke(t *testing.T) {
-	rows, err := FaultGrid(faultGridOpts(), smokeCases(t))
+	checkFaultGrid(t, priorityOne(t, FaultGridCases(), faultPriority))
+}
+
+// TestFaultGridFull runs the rest of the matrix (the EXPERIMENTS.md
+// case table), so the two tests together cover every cell once.
+func TestFaultGridFull(t *testing.T) {
+	checkFaultGrid(t, pastPriorityOne(t, FaultGridCases(), faultPriority))
+}
+
+// checkFaultGrid runs kill-matrix cells, every one of which must
+// recover from its injected fault with a byte-identical model, resuming
+// from a checkpointed round.
+func checkFaultGrid(t *testing.T, cases []FaultCase) {
+	t.Helper()
+	rows, err := FaultGrid(faultGridOpts(), cases)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,24 +108,6 @@ func TestFaultGridSmoke(t *testing.T) {
 		}
 		if r.ResumedFrom == 0 {
 			t.Errorf("%s: resumed from round 0, want a checkpointed round", r.ID)
-		}
-	}
-}
-
-// TestFaultGridFull runs every cell of the matrix (the EXPERIMENTS.md
-// case table); the smoke lane covers the P1 diagonal, this covers the
-// rest.
-func TestFaultGridFull(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full 60-cell kill matrix")
-	}
-	rows, err := FaultGrid(faultGridOpts(), FaultGridCases())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		if !r.Recovered || !r.Identical {
-			t.Errorf("%s: recovered=%v identical=%v (resumed from %d)", r.ID, r.Recovered, r.Identical, r.ResumedFrom)
 		}
 	}
 }

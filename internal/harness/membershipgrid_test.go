@@ -6,20 +6,7 @@ import (
 	"graphword2vec/internal/gluon"
 )
 
-// membershipSmokeCases filters the grid down to the priority-1 slice.
-func membershipSmokeCases(t *testing.T) []MembershipCase {
-	t.Helper()
-	var cases []MembershipCase
-	for _, c := range MembershipGridCases() {
-		if c.Priority == 1 {
-			cases = append(cases, c)
-		}
-	}
-	if len(cases) == 0 {
-		t.Fatal("no priority-1 cases in the membership grid")
-	}
-	return cases
-}
+func membershipPriority(c MembershipCase) int { return c.Priority }
 
 // TestMembershipGridCasesCoverAxes pins the matrix shape: scenarios ×
 // modes × transports × workloads, with the P1 slice touching every
@@ -39,7 +26,7 @@ func TestMembershipGridCasesCoverAxes(t *testing.T) {
 	axes := map[string]map[string]bool{
 		"scenario": {}, "mode": {}, "transport": {}, "workload": {},
 	}
-	for _, c := range membershipSmokeCases(t) {
+	for _, c := range priorityOne(t, all, membershipPriority) {
 		axes["scenario"][c.Scenario.String()] = true
 		axes["mode"][c.Mode.String()] = true
 		axes["transport"][c.Transport] = true
@@ -53,39 +40,36 @@ func TestMembershipGridCasesCoverAxes(t *testing.T) {
 }
 
 // TestMembershipGridSmoke is the CI elasticity lane: the priority-1
-// slice of the shape-change matrix. Every cell must converge at its
-// expected cut and continue byte-identically to a cluster launched
-// directly from the re-sharded checkpoint.
+// slice of the shape-change matrix.
 func TestMembershipGridSmoke(t *testing.T) {
-	rows, err := MembershipGrid(faultGridOpts(), membershipSmokeCases(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		if !r.Recovered || !r.Identical {
-			t.Errorf("%s: converged=%v identical=%v (cut %d)", r.ID, r.Recovered, r.Identical, r.CutRound)
-		}
-		// The one legitimate round-0 verdict: a PullModel replacement,
-		// whose dead rank's master range has no surviving source.
-		if r.CutRound == 0 && !(r.Scenario == "replace" && r.Mode == gluon.PullModel.String()) {
-			t.Errorf("%s: negotiated a fresh start, want a checkpointed cut", r.ID)
-		}
-	}
+	checkMembershipGrid(t, priorityOne(t, MembershipGridCases(), membershipPriority))
 }
 
-// TestMembershipGridFull runs every cell of the matrix (the
-// EXPERIMENTS.md record); the smoke lane covers the P1 diagonal.
+// TestMembershipGridFull runs the rest of the matrix (the
+// EXPERIMENTS.md record), so the two tests together cover every cell
+// once.
 func TestMembershipGridFull(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full 36-cell membership matrix")
-	}
-	rows, err := MembershipGrid(faultGridOpts(), MembershipGridCases())
+	checkMembershipGrid(t, pastPriorityOne(t, MembershipGridCases(), membershipPriority))
+}
+
+// checkMembershipGrid runs shape-change cells, every one of which must
+// converge at its expected cut and continue byte-identically to a
+// cluster launched directly from the re-sharded checkpoint.
+func checkMembershipGrid(t *testing.T, cases []MembershipCase) {
+	t.Helper()
+	rows, err := MembershipGrid(faultGridOpts(), cases)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range rows {
 		if !r.Recovered || !r.Identical {
 			t.Errorf("%s: converged=%v identical=%v (cut %d)", r.ID, r.Recovered, r.Identical, r.CutRound)
+		}
+		// The one legitimate round-0 verdict, on either transport: a
+		// PullModel replacement, whose dead rank's master range has no
+		// surviving source.
+		if r.CutRound == 0 && !(r.Scenario == "replace" && r.Mode == gluon.PullModel.String()) {
+			t.Errorf("%s: negotiated a fresh start, want a checkpointed cut", r.ID)
 		}
 	}
 }

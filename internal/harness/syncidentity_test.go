@@ -126,10 +126,10 @@ func TestSyncBitIdentityPinned(t *testing.T) {
 	}
 }
 
-// TestSyncBitIdentityWorkers pins the serial and the concurrent sync
-// pipeline to the seed hash: gluon picks the pipeline from GOMAXPROCS
-// (1 worker = serial), and the choice must be invisible in the trained
-// bits.
+// TestSyncBitIdentityWorkers pins the sync pipeline to the seed hash at
+// GOMAXPROCS 1, where its per-peer workers take turns on one CPU, and
+// at 4, where they interleave: scheduling must be invisible in the
+// trained bits.
 func TestSyncBitIdentityWorkers(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		workers := workers
