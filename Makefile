@@ -60,9 +60,9 @@ serve-smoke:
 # runs the one membership negotiation. First its gluon unit surface —
 # the decision policy, decision checks, offer/decision codecs and their
 # fuzz seeds, range migration, and the rejection of undefined frame
-# kinds. Then, under -short, the priority-1 diagonals of the fault-grid
-# kill matrix (every kill point, sync mode, transport and workload at
-# least once) and of the membership grid (every shape change likewise),
+# kinds. Then, under -short, the priority-1 diagonals of the recovery
+# grid's kill cells (every kill point, sync mode, transport and workload
+# at least once) and of its shape-change cells (every change likewise),
 # the three second-failure cells (another rank dies mid-recovery →
 # clean ErrPeerLost on every survivor) and the real-process
 # peer-restart test, all under the race detector and repeated at
@@ -112,13 +112,14 @@ chaos-smoke:
 # face the wire (mesh hello, session frame, resume hello, membership
 # offer and decision, and the sync round's access bitmap and vector
 # frame: FuzzParseAccessInto, FuzzDecodeVectorFrame), seeded from the
-# golden frames and testdata/fuzz; in internal/model the model-file
+# golden frames (committed as testdata/fuzz/<Target>/golden-* by
+# TestWireGolden -update-golden) and testdata/fuzz; in internal/model the model-file
 # parser that faces the disk and gw2v-serve's hot reload
 # (FuzzModelLoad); in internal/checkpoint the snapshot parser every
 # resume reads (FuzzCheckpointLoad); in internal/vecmath and internal/xrand the exact SGNS
 # pair's two batch primitives (the fused UpdatePairDot kernel across
 # kernel sets, the batch negative draw against sequential draws). All
-# but the golden-seeded ones start from testdata/fuzz. A crasher lands
+# start from testdata/fuzz. A crasher lands
 # in the package's testdata/fuzz.
 FUZZTIME ?= 10s
 FUZZ_PKGS = ./internal/gluon/ ./internal/model/ ./internal/checkpoint/ ./internal/vecmath/ ./internal/xrand/

@@ -53,9 +53,7 @@ var experiments = []experiment{
 	{name: "ablation-threads", run: func(o harness.Options) (any, error) { _, err := harness.AblationIntraHost(o, nil); return nil, err }},
 	{name: "graph-sync", run: func(o harness.Options) (any, error) { _, err := harness.GraphSync(o); return nil, err }},
 	{name: "comm-volume", recordHosts: true, run: func(o harness.Options) (any, error) { return harness.CommVolume(o) }},
-	{name: "fault-grid", run: func(o harness.Options) (any, error) { return harness.FaultGrid(o, harness.FaultGridCases()) }},
-	{name: "membership-grid", run: func(o harness.Options) (any, error) { return harness.MembershipGrid(o, harness.MembershipGridCases()) }},
-	{name: "chaos-grid", run: func(o harness.Options) (any, error) { return harness.ChaosGrid(o, harness.ChaosGridCases()) }},
+	{name: "recovery-grid", run: func(o harness.Options) (any, error) { return harness.RecoveryGrid(o, harness.RecoveryCases()) }},
 }
 
 // experimentIDs lists every id -experiment accepts besides "all".
@@ -148,7 +146,7 @@ func main() {
 		epochs   = flag.Int("epochs", 0, "training epochs (0 = 16)")
 		dim      = flag.Int("dim", 0, "embedding dimensionality (0 = scale default)")
 		seed     = flag.Uint64("seed", 1, "random seed")
-		benchOut = flag.String("bench-json", "", "write the rows of comm-volume, fault-grid, membership-grid or chaos-grid as JSON to this path (e.g. BENCH_comm.json); when several run, the last writer wins")
+		benchOut = flag.String("bench-json", "", "write the rows of comm-volume or recovery-grid as JSON to this path (e.g. BENCH_comm.json, BENCH_recovery.json); when several run, the last writer wins")
 		profiles = cliutil.RegisterProfiles(flag.CommandLine)
 	)
 	flag.Parse()

@@ -12,15 +12,15 @@ import (
 func TestUnknownExperimentRunsNothing(t *testing.T) {
 	started := 0
 	stub := func(harness.Options) (any, error) { started++; return nil, nil }
-	table := []experiment{{name: "fault-grid", run: stub}, {name: "chaos-grid", run: stub}}
-	err := runExperiments(table, "fault-grid,chaos-gird", harness.Defaults(synth.ScaleTiny), "")
+	table := []experiment{{name: "comm-volume", run: stub}, {name: "recovery-grid", run: stub}}
+	err := runExperiments(table, "comm-volume,recovery-gird", harness.Defaults(synth.ScaleTiny), "")
 	if err == nil {
 		t.Fatal("unknown experiment id accepted")
 	}
 	if started != 0 {
 		t.Fatalf("%d experiments started before the unknown id was rejected", started)
 	}
-	if _, err := selectExperiments(experiments, "fault-grid,chaos-gird"); err == nil {
+	if _, err := selectExperiments(experiments, "comm-volume,recovery-gird"); err == nil {
 		t.Fatal("dispatch table accepts an unknown id")
 	}
 }

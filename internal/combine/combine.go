@@ -153,19 +153,6 @@ func (g *GramSchmidtCombiner) Combine(out []float32, deltas [][]float32) {
 	}
 }
 
-// ValidDirection reports whether h is a valid update direction with
-// respect to the true delta g in the paper's §3 sense:
-// (1) hᵀg ≥ 0 (moving along h does not increase the loss whose gradient
-// is g, to first order) and (2) ‖h‖ ≤ ‖g‖ (the step is no longer than the
-// sequential step). Used by the property-based tests.
-func ValidDirection(h, g []float32) bool {
-	const slack = 1.001 // float32 rounding headroom
-	if vecmath.Dot(h, g) < -1e-4*vecmath.Norm2(h)*vecmath.Norm2(g) {
-		return false
-	}
-	return vecmath.Norm2(h) <= vecmath.Norm2(g)*slack
-}
-
 // ByName returns the combiner registered under name ("SUM", "AVG", "MC",
 // "MC-GS"), or nil if unknown. dim sizes internal scratch.
 func ByName(name string, dim int) Combiner {

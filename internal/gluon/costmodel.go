@@ -1,7 +1,5 @@
 package gluon
 
-import "time"
-
 // CostModel converts counted communication (bytes, messages) into
 // simulated wall-clock time. The simulated cluster executes every
 // algorithmic code path for real but runs on one machine, so network time
@@ -34,9 +32,4 @@ func (c CostModel) CommSeconds(bytes, messages int64) float64 {
 		return 0
 	}
 	return float64(bytes)/c.BandwidthBytesPerSec + float64(messages)*c.LatencySec
-}
-
-// CommDuration is CommSeconds as a time.Duration.
-func (c CostModel) CommDuration(bytes, messages int64) time.Duration {
-	return time.Duration(c.CommSeconds(bytes, messages) * float64(time.Second))
 }

@@ -148,6 +148,73 @@ func goldenSessionHello(t *testing.T) []byte {
 	return hello
 }
 
+// goldenFuzzTargets maps golden frame names, by prefix, to the fuzz
+// target that parses them and the target's arguments after the frame,
+// in corpus-file syntax.
+var goldenFuzzTargets = []struct{ prefix, target, args string }{
+	{"access", "FuzzParseAccessInto", "uint16(17)\n"},
+	{"reduce", "FuzzDecodeVectorFrame", "uint8(1)\n"},
+	{"broadcast", "FuzzDecodeVectorFrame", "uint8(1)\n"},
+	{"gather", "FuzzDecodeVectorFrame", "uint8(1)\n"},
+	{"transfer", "FuzzDecodeVectorFrame", "uint8(1)\n"},
+	{"membership-offer", "FuzzParseMembershipOffer", ""},
+	{"membership-decision", "FuzzParseMembershipDecision", ""},
+	{"mesh-hello", "FuzzParseMeshHello", ""},
+	{"session-data", "FuzzParseSessionFrame", ""},
+	{"session-hello", "FuzzReadSessionHello", ""},
+}
+
+// goldenCorpus renders the golden frames as named seed-corpus files,
+// testdata/fuzz/<Target>/golden-<name> → contents, so each fuzz case
+// keeps its name whatever other golden lines come and go.
+func goldenCorpus(frames map[string][]byte) map[string]string {
+	out := map[string]string{}
+	for name, frame := range frames {
+		for _, g := range goldenFuzzTargets {
+			if !strings.HasPrefix(name, g.prefix) {
+				continue
+			}
+			var sb strings.Builder
+			sb.WriteString("go test fuzz v1\n[]byte(\"")
+			for _, b := range frame {
+				fmt.Fprintf(&sb, "\\x%02x", b)
+			}
+			sb.WriteString("\")\n" + g.args)
+			out[filepath.Join("testdata", "fuzz", g.target, "golden-"+name)] = sb.String()
+		}
+	}
+	return out
+}
+
+// goldenCorpusGlob matches every golden seed-corpus file on disk.
+const goldenCorpusGlob = "testdata/fuzz/*/golden-*"
+
+// readGolden parses the checked-in golden file: frame name → bytes.
+func readGolden(t *testing.T) map[string][]byte {
+	t.Helper()
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("golden file missing (run with -update-golden after a deliberate format change): %v", err)
+	}
+	golden := map[string][]byte{}
+	for _, line := range strings.Split(string(data), "\n") {
+		line = strings.TrimSpace(line)
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, hexStr, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("malformed golden line %q", line)
+		}
+		raw, err := hex.DecodeString(hexStr)
+		if err != nil {
+			t.Fatalf("golden %s: %v", name, err)
+		}
+		golden[name] = raw
+	}
+	return golden
+}
+
 func TestWireGolden(t *testing.T) {
 	frames := goldenFrames(t)
 
@@ -170,30 +237,29 @@ func TestWireGolden(t *testing.T) {
 		if err := os.WriteFile(goldenPath, []byte(sb.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s with %d frames", goldenPath, len(frames))
+		stale, err := filepath.Glob(goldenCorpusGlob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range stale {
+			if err := os.Remove(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		corpus := goldenCorpus(frames)
+		for p, contents := range corpus {
+			if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(p, []byte(contents), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		t.Logf("rewrote %s with %d frames and %d fuzz seeds", goldenPath, len(frames), len(corpus))
 		return
 	}
 
-	data, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("golden file missing (run with -update-golden after a deliberate format change): %v", err)
-	}
-	golden := map[string][]byte{}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		name, hexStr, ok := strings.Cut(line, " ")
-		if !ok {
-			t.Fatalf("malformed golden line %q", line)
-		}
-		raw, err := hex.DecodeString(hexStr)
-		if err != nil {
-			t.Fatalf("golden %s: %v", name, err)
-		}
-		golden[name] = raw
-	}
+	golden := readGolden(t)
 	for name, want := range golden {
 		got, ok := frames[name]
 		if !ok {
@@ -210,30 +276,32 @@ func TestWireGolden(t *testing.T) {
 			t.Errorf("frame %q not pinned in %s (add it with -update-golden)", name, goldenPath)
 		}
 	}
+
+	// The fuzz targets' golden seeds are the golden file's frames, one
+	// named corpus file each, and nothing else.
+	corpus := goldenCorpus(golden)
+	for p, want := range corpus {
+		got, err := os.ReadFile(p)
+		if err != nil || string(got) != want {
+			t.Errorf("fuzz seed %s does not match %s (regenerate with -update-golden): %v", p, goldenPath, err)
+		}
+	}
+	onDisk, err := filepath.Glob(goldenCorpusGlob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range onDisk {
+		if _, ok := corpus[p]; !ok {
+			t.Errorf("fuzz seed %s has no frame in %s", p, goldenPath)
+		}
+	}
 }
 
 // TestWireGoldenDecodes: the checked-in bytes must decode to the fixed
 // inputs — the decoder side of the compatibility pin.
 func TestWireGoldenDecodes(t *testing.T) {
-	data, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("golden file missing: %v", err)
-	}
 	const dim = 2
-	lookup := map[string][]byte{}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if name, hexStr, ok := strings.Cut(line, " "); ok {
-			raw, err := hex.DecodeString(hexStr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lookup[name] = raw
-		}
-	}
+	lookup := readGolden(t)
 
 	decodeAll := func(name string, flags byte) (nodes []int32, halves []byte, vecs [][]float32) {
 		t.Helper()

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/bits"
 
 	"graphword2vec/internal/model"
 )
@@ -508,7 +507,3 @@ func (hs *HostSync) MigrateRanges(d MembershipDecision, ranges func(q int) (lo, 
 	}
 	return nil
 }
-
-// SourceCount returns how many old ranges a mask can supply — a
-// diagnostic for offer construction and grid reporting.
-func SourceCount(mask uint64) int { return bits.OnesCount64(mask) }

@@ -15,9 +15,6 @@ import (
 // parsing it again sets exactly the same nodes. n is the receiver's node
 // count.
 func FuzzParseAccessInto(f *testing.F) {
-	for _, s := range goldenSeeds(f, "access") {
-		f.Add(s, uint16(17))
-	}
 	f.Fuzz(func(t *testing.T, payload []byte, n uint16) {
 		acc := bitset.New(int(n))
 		if err := parseAccessInto(payload, acc); err != nil {
@@ -69,11 +66,6 @@ func decodeEntries(payload []byte, dim int, flags byte) ([]vectorEntry, error) {
 // 2); the expected flag byte is the frame's own, so every byte value is
 // exercised.
 func FuzzDecodeVectorFrame(f *testing.F) {
-	for _, prefix := range []string{"reduce", "broadcast", "gather", "transfer"} {
-		for _, s := range goldenSeeds(f, prefix) {
-			f.Add(s, uint8(1))
-		}
-	}
 	f.Fuzz(func(t *testing.T, payload []byte, d uint8) {
 		dim := int(d%8) + 1
 		if len(payload) <= headerBytes {

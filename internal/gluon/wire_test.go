@@ -3,6 +3,7 @@ package gluon
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"graphword2vec/internal/bitset"
 )
@@ -201,4 +202,9 @@ func TestUndefinedFrameKindRejected(t *testing.T) {
 			}
 		}
 	}
+}
+
+// CommDuration is CommSeconds as a time.Duration.
+func (c CostModel) CommDuration(bytes, messages int64) time.Duration {
+	return time.Duration(c.CommSeconds(bytes, messages) * float64(time.Second))
 }

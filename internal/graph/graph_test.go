@@ -156,3 +156,34 @@ func TestReplicationFactor(t *testing.T) {
 		t.Errorf("ReplicationFactor = %v", p.ReplicationFactor())
 	}
 }
+
+// OwnedCount returns the number of nodes host owns.
+func (p *Partition) OwnedCount(host int) int {
+	lo, hi := p.MasterRange(host)
+	return hi - lo
+}
+
+// ReplicationFactor returns the average number of proxies per node under
+// the fully replicated model: every host holds a proxy for every node, so
+// the factor equals the host count. The paper cites replication factor as
+// one of the causes of communication volume growth (§5.5); PullModel
+// reduces the *materialised* replicas to the accessed set.
+func (p *Partition) ReplicationFactor() float64 { return float64(p.numHosts) }
+
+// TouchedPerOwner splits a host's touched-node bit-vector into per-owner
+// bit-vectors restricted to each owner's master range. This is the
+// routing step of the sparse reduce: host h sends node n's delta only to
+// MasterOf(n).
+func (p *Partition) TouchedPerOwner(touched *bitset.Bitset) []*bitset.Bitset {
+	if touched.Len() != p.numNodes {
+		panic("graph: touched bit-vector size mismatch")
+	}
+	out := make([]*bitset.Bitset, p.numHosts)
+	for h := range out {
+		out[h] = bitset.New(p.numNodes)
+	}
+	touched.ForEach(func(n int) {
+		out[p.MasterOf(n)].Set(n)
+	})
+	return out
+}

@@ -6,113 +6,213 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"text/tabwriter"
 	"time"
 
+	"graphword2vec/internal/chaos"
+	"graphword2vec/internal/checkpoint"
 	"graphword2vec/internal/core"
 	"graphword2vec/internal/gluon"
 	"graphword2vec/internal/model"
 )
 
-// The three recovery grids — fault (kills, faultgrid.go), membership
-// (shape changes, membershipgrid.go) and chaos (transient network
-// faults, chaosgrid.go) — share this driver, one kill wrapper and the
-// cluster plumbing below. Each grid keeps its own case table, row type
-// and table columns. Every cell that resumes does so through the one
-// recovery path, core's membership negotiation (PROTOCOL.md §10), whose
-// unchanged-cluster case is a plain restore of every rank's own
-// snapshot.
+// The recovery grid's runner. Every cell (recoverycases.go) goes
+// through three phases:
+//
+//   - disrupt: the old cluster is killed, paused or run through its
+//     chaos plan;
+//   - continue: unless it healed in place, the cluster relaunches at
+//     its new shape, each rank resuming under its old identity — the
+//     identity map when the shape is unchanged — through core's one
+//     recovery path, the membership negotiation (PROTOCOL.md §10);
+//   - verdict: the final model's hash must equal the memoised
+//     fault-free reference, or, after a shape change, that of a cluster
+//     launched straight from the cut checkpoint the change wrote. A
+//     second failure's verdict is each rank's error class instead.
 
-// gridCase is what the driver needs from a grid's cell.
-type gridCase interface {
-	ID() string
-	// axes names the cell's workload and sync mode, which select its
-	// dataset and its uninterrupted reference run.
-	axes() (workload string, mode gluon.Mode)
+// Cell shape: 2 epochs × 3 rounds on 3 hosts, a checkpoint every 2
+// rounds and kills (and the storm) aimed at round 3, so one complete
+// checkpoint generation (round 2) predates every fault. The grow
+// change pauses its 2-host cluster at the end of the first epoch.
+const (
+	gridEpochs       = 2
+	gridSyncRounds   = 3
+	gridHosts        = 3
+	gridCkptEvery    = 2
+	gridKillRound    = 3
+	gridGrowCut      = gridSyncRounds
+	gridVictim       = 1 // a non-root rank, so the negotiation's coordinator survives
+	chaosHealBudget  = 3 * time.Second
+	chaosStormBudget = 300 * time.Millisecond
+)
+
+// RecoveryRow is one executed cell's outcome.
+type RecoveryRow struct {
+	ID        string `json:"id"`
+	Priority  int    `json:"priority"`
+	Workload  string `json:"workload"`
+	Mode      string `json:"mode"`
+	Transport string `json:"transport"`
+	// The fault axes the cell sets; unset axes are omitted.
+	Kill   string `json:"kill,omitempty"`
+	Shape  string `json:"shape,omitempty"`
+	Chaos  string `json:"chaos,omitempty"`
+	Second string `json:"second,omitempty"`
+	// OldHosts and NewHosts are the cluster sizes before and after.
+	OldHosts int `json:"old_hosts"`
+	NewHosts int `json:"new_hosts"`
+	// FaultRound is the round the first kill lands in (0 without one).
+	FaultRound uint32 `json:"fault_round"`
+	// ResumedFrom is the checkpointed round the relaunched cluster
+	// resumed from — a shape change's cut. It is 0 for a cell that
+	// healed in place, and for one whose negotiation degraded to a
+	// fresh start (a PullModel replace: the dead rank's master range
+	// has no surviving source).
+	ResumedFrom uint32 `json:"resumed_from"`
+	// Injections counts the faults the chaos injector fired over every
+	// directed link and cluster attempt; Heals the session
+	// re-establishments, Dups the received frames discarded as
+	// duplicates.
+	Injections int `json:"injections"`
+	Heals      int `json:"heals"`
+	Dups       int `json:"dups"`
+	// Escalated is true when the chaos outlasted the healing budget and
+	// every rank degraded into gluon.ErrPeerLost (the storm class).
+	Escalated bool `json:"escalated"`
+	// RankErrors is a second failure's verdict: each relaunched rank's
+	// error class, "injected-kill" on the last rank (the victim) and
+	// "peer-lost" on every other.
+	RankErrors []string `json:"rank_errors,omitempty"`
+	// Recovered is true when training finished, in place or relaunched.
+	Recovered bool `json:"recovered"`
+	// Identical is true when the final model hashes equal to the
+	// cell's reference.
+	Identical bool   `json:"identical"`
+	Hash      string `json:"hash"`
 }
 
-// gridCell is what the driver hands a grid's cell runner.
-type gridCell struct {
-	w *faultWorkload
-	// dir is a fresh temporary directory, removed after the cell.
-	dir string
-	// seed is per cell: opts.Seed*1000 + the cell's index.
-	seed uint64
-	// ref returns the memoised hash of the uninterrupted 3-host run
-	// for the cell's (workload, mode).
-	ref func() (string, error)
+// ok is the cell's verdict.
+func (r RecoveryRow) ok() bool {
+	if r.Second == "" {
+		return r.Recovered && r.Identical
+	}
+	last := len(r.RankErrors) - 1
+	for h, class := range r.RankErrors {
+		want := "peer-lost"
+		if h == last {
+			want = "injected-kill"
+		}
+		if class != want {
+			return false
+		}
+	}
+	return last >= 0
 }
 
-// gridSpec describes one recovery grid to runGrid.
-type gridSpec[C gridCase, R any] struct {
-	// name labels errors and temporary directories ("fault-grid").
-	name string
-	// title and detail head the rendered table:
-	// "<title> (scale=<scale>, <detail>)".
-	title, detail string
-	// header is the tab-separated column row; line renders one row.
-	header string
-	line   func(R) string
-	// run executes one cell; ok is its verdict. fail completes "cells
-	// did not ..." in the error a failing grid returns.
-	run  func(cell gridCell, c C) (R, error)
-	ok   func(R) bool
-	fail string
-}
-
-// runGrid executes the given cells in order, renders the case table to
-// opts.Out, and returns the rows. A cell that errors stops the grid; a
-// cell whose verdict fails makes the grid return an error alongside
-// every row.
-func runGrid[C gridCase, R any](opts Options, cases []C, g gridSpec[C, R]) ([]R, error) {
+// RecoveryGrid runs the given cells (RecoveryCases for the whole
+// table) in order, renders the case table to opts.Out, and returns the
+// rows. A cell whose premise fails — the kill did not land, a chaos
+// class did not heal — stops the grid with an error; a cell whose
+// verdict fails makes the grid return an error alongside every row.
+func RecoveryGrid(opts Options, cases []RecoveryCase) ([]RecoveryRow, error) {
 	opts = opts.WithDefaults()
-	workloads, err := faultWorkloads(opts)
+	fx, err := recoveryFixture(opts)
 	if err != nil {
 		return nil, err
 	}
-	reference := gridReference(g.name)
-
-	var rows []R
+	var rows []RecoveryRow
 	var failed []string
-	for i, c := range cases {
-		name, mode := c.axes()
-		w, ok := workloads[name]
-		if !ok {
-			return rows, fmt.Errorf("harness: unknown %s workload %q", g.name, name)
-		}
-		dir, err := os.MkdirTemp("", "gw2v-"+g.name+"-*")
+	for _, c := range cases {
+		row, err := fx.run(c, c.seed(opts.Seed))
 		if err != nil {
-			return rows, err
-		}
-		row, err := g.run(gridCell{
-			w: w, dir: dir, seed: opts.Seed*1000 + uint64(i),
-			ref: func() (string, error) { return reference(w, mode) },
-		}, c)
-		os.RemoveAll(dir)
-		if err != nil {
-			return rows, err
+			return rows, fmt.Errorf("harness: %s: %w", c.ID(), err)
 		}
 		rows = append(rows, row)
-		if !g.ok(row) {
-			failed = append(failed, c.ID())
+		if !row.ok() {
+			failed = append(failed, row.ID)
 		}
 	}
 
 	tw := tabwriter.NewWriter(opts.out(), 0, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "%s (scale=%s, %s)\n", g.title, opts.Scale, g.detail)
-	fmt.Fprintln(tw, g.header)
+	fmt.Fprintf(tw, "Recovery grid (scale=%s, %d hosts, ckpt every %d rounds, kill rank %d, heal budget %v / storm %v)\n",
+		opts.Scale, gridHosts, gridCkptEvery, gridVictim, chaosHealBudget, chaosStormBudget)
+	fmt.Fprintln(tw, "P\tCell\tHosts\tFault@\tResume@\tInjected\tHeals\tDups\tEscalated\tRecovered\tVerdict")
 	for _, r := range rows {
-		fmt.Fprintln(tw, g.line(r))
+		verdict := fmt.Sprintf("identical=%v", r.Identical)
+		if r.Second != "" {
+			verdict = strings.Join(r.RankErrors, ",")
+		}
+		fmt.Fprintf(tw, "%d\t%s\t%d→%d\t%d\t%d\t%d\t%d\t%d\t%v\t%v\t%s\n", r.Priority, r.ID, r.OldHosts, r.NewHosts,
+			r.FaultRound, r.ResumedFrom, r.Injections, r.Heals, r.Dups, r.Escalated, r.Recovered, verdict)
 	}
 	if err := tw.Flush(); err != nil {
 		return rows, err
 	}
 	if len(failed) > 0 {
-		return rows, fmt.Errorf("harness: %d %s cells did not %s: %v", len(failed), g.name, g.fail, failed)
+		return rows, fmt.Errorf("harness: %d recovery cells failed their verdict: %v", len(failed), failed)
 	}
 	return rows, nil
+}
+
+// fixture is what every cell of one Options shares: the materialised
+// workloads and the fault-free reference hashes.
+type fixture struct {
+	workloads map[string]*faultWorkload
+	refs      map[string]string
+}
+
+var (
+	fixtureMu sync.Mutex
+	fixtures  = map[Options]*fixture{}
+	// referencesTrained counts fault-free reference runs: one per
+	// (Options, workload, mode) in a process.
+	referencesTrained atomic.Int64
+)
+
+// recoveryFixture returns the memoised fixture of opts.
+func recoveryFixture(opts Options) (*fixture, error) {
+	opts.Out = nil
+	fixtureMu.Lock()
+	defer fixtureMu.Unlock()
+	if fx := fixtures[opts]; fx != nil {
+		return fx, nil
+	}
+	workloads, err := faultWorkloads(opts)
+	if err != nil {
+		return nil, err
+	}
+	fx := &fixture{workloads: workloads, refs: map[string]string{}}
+	fixtures[opts] = fx
+	return fx, nil
+}
+
+// reference returns the hash of the uninterrupted 3-host run of
+// (workload, mode), trained once over the sim transport: transport
+// byte-identity is pinned separately (TestSyncBitIdentityTCP), so one
+// reference serves every transport.
+func (fx *fixture) reference(w *faultWorkload, mode gluon.Mode) (string, error) {
+	fixtureMu.Lock()
+	defer fixtureMu.Unlock()
+	key := w.name + "/" + mode.String()
+	if h, ok := fx.refs[key]; ok {
+		return h, nil
+	}
+	tr, err := gluon.NewInProcTransport(gridHosts)
+	if err != nil {
+		return "", err
+	}
+	defer tr.Close()
+	results, err := clusterRunAll(w, w.cfg(mode), []gluon.Transport{tr, tr, tr}, func(int) core.RunOptions { return core.RunOptions{} })
+	if err != nil {
+		return "", fmt.Errorf("reference %s: %w", key, err)
+	}
+	referencesTrained.Add(1)
+	fx.refs[key] = hashCanonical(results[0].Canonical)
+	return fx.refs[key], nil
 }
 
 // faultWorkload carries one materialised workload's constructors.
@@ -122,8 +222,8 @@ type faultWorkload struct {
 	run  func(cfg core.Config, rank int, tr gluon.Transport, opts core.RunOptions) (*core.DistributedResult, error)
 }
 
-// faultWorkloads materialises the text and graph datasets once, keyed
-// by workload name.
+// faultWorkloads materialises the text and graph datasets, keyed by
+// workload name, each configured to the grid's cell shape.
 func faultWorkloads(opts Options) (map[string]*faultWorkload, error) {
 	text, err := LoadDataset("1-billion", opts)
 	if err != nil {
@@ -134,15 +234,15 @@ func faultWorkloads(opts Options) (map[string]*faultWorkload, error) {
 		return nil, err
 	}
 	shape := func(cfg core.Config) core.Config {
-		cfg.Epochs = faultGridEpochs
-		cfg.SyncRounds = faultGridSyncRounds
+		cfg.Epochs = gridEpochs
+		cfg.SyncRounds = gridSyncRounds
 		return cfg
 	}
 	return map[string]*faultWorkload{
 		"text": {
 			name: "text",
 			cfg: func(mode gluon.Mode) core.Config {
-				return shape(distConfig(opts, faultGridHosts, faultGridSyncRounds, "MC", mode, opts.BaseAlpha))
+				return shape(distConfig(opts, gridHosts, gridSyncRounds, "MC", mode, opts.BaseAlpha))
 			},
 			run: func(cfg core.Config, rank int, tr gluon.Transport, ro core.RunOptions) (*core.DistributedResult, error) {
 				return core.RunDistributedOpts(cfg, rank, tr, text.Vocab, text.Neg, text.Corp, opts.Dim, ro)
@@ -151,7 +251,7 @@ func faultWorkloads(opts Options) (map[string]*faultWorkload, error) {
 		"graph": {
 			name: "graph",
 			cfg: func(mode gluon.Mode) core.Config {
-				return shape(GraphTrainConfig(opts, faultGridHosts, mode))
+				return shape(GraphTrainConfig(opts, gridHosts, mode))
 			},
 			run: func(cfg core.Config, rank int, tr gluon.Transport, ro core.RunOptions) (*core.DistributedResult, error) {
 				return core.RunDistributedOpts(cfg, rank, tr, graph.Vocab, graph.Neg, graph.Walker, opts.Dim, ro)
@@ -160,47 +260,252 @@ func faultWorkloads(opts Options) (map[string]*faultWorkload, error) {
 	}, nil
 }
 
-// gridTransports builds the per-rank transports for one cluster
-// attempt of the given size: "sim" (in-process channels) or "tcp"
-// (loopback sockets with tight failure-detection deadlines, so
-// survivors notice a kill in milliseconds, not the 10 s default budget).
-func gridTransports(kind string, hosts int) ([]gluon.Transport, func(), error) {
-	switch kind {
-	case "sim":
+// cellRun carries one cell through its phases.
+type cellRun struct {
+	c   RecoveryCase
+	w   *faultWorkload
+	dir string          // the cell's checkpoint directory; dir/ref holds the captured cut
+	inj *chaos.Injector // nil without a chaos axis
+	row RecoveryRow
+}
+
+// run executes one cell in a fresh temporary directory; seed drives
+// its chaos schedule.
+func (fx *fixture) run(c RecoveryCase, seed uint64) (RecoveryRow, error) {
+	w, ok := fx.workloads[c.Workload]
+	if !ok {
+		return RecoveryRow{}, fmt.Errorf("unknown workload %q", c.Workload)
+	}
+	dir, err := os.MkdirTemp("", "gw2v-recovery-*")
+	if err != nil {
+		return RecoveryRow{}, err
+	}
+	defer os.RemoveAll(dir)
+	x := &cellRun{c: c, w: w, dir: dir, row: RecoveryRow{
+		ID: c.ID(), Priority: c.Priority, Workload: c.Workload, Mode: c.Mode.String(), Transport: c.Transport,
+		Kill: label(c.Kill), Shape: label(c.Shape), Chaos: label(c.Chaos), Second: label(c.Second),
+	}}
+	if c.Chaos != nil {
+		x.inj = chaos.New(c.Chaos.Plan(seed))
+	}
+	oldHosts, oldRank := gridHosts, []int{0, 1, 2}
+	if c.Shape != nil {
+		oldHosts, oldRank = c.Shape.ranks()
+	}
+	oldCfg, newCfg := w.cfg(c.Mode), w.cfg(c.Mode)
+	oldCfg.Hosts, newCfg.Hosts = oldHosts, len(oldRank)
+	x.row.OldHosts, x.row.NewHosts = oldCfg.Hosts, newCfg.Hosts
+
+	results, err := x.disrupt(oldCfg)
+	if err == nil && results == nil {
+		results, err = x.relaunch(newCfg, oldRank)
+	}
+	if x.inj != nil {
+		x.row.Injections = x.inj.Injections()
+	}
+	switch {
+	case err != nil:
+		return x.row, err
+	case c.Second != nil:
+		return x.row, nil
+	case x.inj != nil && x.row.Injections == 0:
+		return x.row, errors.New("the chaos plan injected nothing")
+	case c.Chaos != nil && c.Chaos.forcesHeal() && x.row.Heals == 0:
+		return x.row, fmt.Errorf("%d injections forced zero heals", x.row.Injections)
+	}
+
+	x.row.Recovered = true
+	x.row.Hash = hashCanonical(results[0].Canonical)
+	var ref string
+	if c.Shape != nil && x.row.ResumedFrom > 0 {
+		ref, err = x.referenceFromCut(newCfg)
+	} else {
+		ref, err = fx.reference(w, c.Mode)
+	}
+	x.row.Identical = x.row.Hash == ref
+	return x.row, err
+}
+
+// disrupt runs the old cluster into its fault: it kills the victim (at
+// the kill point, or at compute to begin a depart or replace), pauses
+// at the grow cut, or runs the chaos plan. It returns the final results
+// when the cluster healed in place, and nil when it must relaunch.
+func (x *cellRun) disrupt(cfg core.Config) ([]*core.DistributedResult, error) {
+	trs, closeAll, err := x.cluster(cfg.Hosts, true)
+	if err != nil {
+		return nil, err
+	}
+	defer closeAll()
+	every, stop := gridCkptEvery, uint32(0)
+	var victim *faultTransport
+	point := FaultAtCompute
+	switch {
+	case x.c.Kill != nil || x.c.Shape != nil && *x.c.Shape != ShapeGrow:
+		if x.c.Kill != nil {
+			point = *x.c.Kill
+		}
+		x.row.FaultRound = point.round()
+		victim = &faultTransport{Transport: trs[gridVictim], trig: point.trigger()}
+		trs[gridVictim] = victim
+	case x.c.Shape != nil: // grow: train to the pause boundary and checkpoint exactly there
+		every, stop = gridGrowCut, gridGrowCut
+	}
+	results, errs := clusterRun(x.w, cfg, trs, func(rank int) core.RunOptions {
+		ro := core.RunOptions{Checkpoint: &core.CheckpointPolicy{Dir: x.dir, Every: every}, StopAfterRound: stop}
+		if rank == gridVictim && victim != nil && point == FaultMidCheckpoint {
+			ro.Sink = &tearingSink{store: checkpoint.NewStore(x.dir, rank), round: x.row.FaultRound, kill: victim.kill}
+		}
+		return ro
+	})
+	switch {
+	case victim != nil:
+		return nil, checkFailed(errs, gridVictim, nil)
+	case x.c.Chaos != nil && *x.c.Chaos == ChaosStorm:
+		x.row.Escalated = true
+		return nil, checkFailed(errs, -1, gluon.ErrPeerLost)
+	}
+	for h, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("rank %d did not finish: %w", h, err)
+		}
+	}
+	if stop == 0 {
+		return results, nil
+	}
+	for h, r := range results {
+		if !r.Engine.Paused {
+			return nil, fmt.Errorf("rank %d did not pause at round %d", h, stop)
+		}
+	}
+	return nil, nil
+}
+
+// relaunch continues at the new shape, every rank resuming as
+// oldRank[rank] and mirroring the cut generation into dir/ref. A
+// healing chaos class keeps injecting; a second failure arms its kill
+// on the last rank, a non-root survivor.
+func (x *cellRun) relaunch(cfg core.Config, oldRank []int) ([]*core.DistributedResult, error) {
+	cut := uint32(gridCkptEvery)
+	if x.c.Shape != nil && *x.c.Shape == ShapeReplace {
+		// The replacement host's disk is wiped: the dead rank's files
+		// are gone. Only the owner's master range is canonical in a
+		// PullModel snapshot, so its range has no surviving source.
+		for _, p := range []string{"rank0001.ckpt", "rank0001.ckpt.prev"} {
+			if err := os.Remove(filepath.Join(x.dir, p)); err != nil && !os.IsNotExist(err) {
+				return nil, err
+			}
+		}
+		if x.c.Mode == gluon.PullModel {
+			cut = 0
+		}
+	} else if x.c.Shape != nil && *x.c.Shape == ShapeGrow {
+		cut = gridGrowCut
+	}
+	trs, closeAll, err := x.cluster(cfg.Hosts, x.c.Chaos != nil && *x.c.Chaos != ChaosStorm)
+	if err != nil {
+		return nil, err
+	}
+	defer closeAll()
+	if x.c.Second != nil {
+		v := cfg.Hosts - 1
+		trs[v] = &faultTransport{Transport: trs[v], trig: x.c.Second.trigger()}
+	}
+	results, errs := clusterRun(x.w, cfg, trs, func(rank int) core.RunOptions {
+		return core.RunOptions{
+			Checkpoint: &core.CheckpointPolicy{Dir: x.dir, Every: gridCkptEvery, Resume: true, OldRank: oldRank[rank]},
+			Sink:       &captureSink{store: checkpoint.NewStore(x.dir, rank), ref: checkpoint.NewStore(filepath.Join(x.dir, "ref"), rank), round: cut},
+		}
+	})
+	if x.c.Second != nil {
+		for _, err := range errs {
+			x.row.RankErrors = append(x.row.RankErrors, errClass(err))
+		}
+		return nil, nil
+	}
+	for h, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("relaunched rank %d: %w", h, err)
+		}
+	}
+	x.row.ResumedFrom = results[0].ResumedFrom
+	for h, r := range results {
+		if x.c.Shape != nil && r.ResumedFrom != cut {
+			return nil, fmt.Errorf("rank %d resumed from %d, want the cut round %d", h, r.ResumedFrom, cut)
+		}
+	}
+	return results, nil
+}
+
+// referenceFromCut relaunches a cluster of the new shape straight from
+// the captured cut checkpoints, over a clean network, and returns its
+// final hash — the shape change's oracle: a membership change is
+// correct exactly when continuing through it equals launching a
+// brand-new cluster of the new shape from the checkpoint it wrote.
+func (x *cellRun) referenceFromCut(cfg core.Config) (string, error) {
+	trs, closeAll, err := x.cluster(cfg.Hosts, false)
+	if err != nil {
+		return "", err
+	}
+	defer closeAll()
+	results, err := clusterRunAll(x.w, cfg, trs, func(rank int) core.RunOptions {
+		return core.RunOptions{Checkpoint: &core.CheckpointPolicy{Dir: filepath.Join(x.dir, "ref"), Every: gridCkptEvery, Resume: true, OldRank: rank}}
+	})
+	if err != nil {
+		return "", fmt.Errorf("reference %w", err)
+	}
+	for h, r := range results {
+		if r.ResumedFrom != x.row.ResumedFrom {
+			return "", fmt.Errorf("reference rank %d resumed from %d, want the cut round %d", h, r.ResumedFrom, x.row.ResumedFrom)
+		}
+	}
+	return hashCanonical(results[0].Canonical), nil
+}
+
+// cluster builds the transports of one cluster attempt: in-process
+// channels ("sim"), or loopback TCP with tight failure-detection
+// deadlines, so survivors notice a kill in milliseconds, not the 10 s
+// default budget. A chaos cell's TCP heals in place (PROTOCOL.md §12),
+// through the injector when chaotic, and the storm gets a tiny budget
+// so escalation is prompt. closeAll adds the session counters to the
+// row.
+func (x *cellRun) cluster(hosts int, chaotic bool) ([]gluon.Transport, func(), error) {
+	out := make([]gluon.Transport, hosts)
+	if x.c.Transport == "sim" {
 		tr, err := gluon.NewInProcTransport(hosts)
 		if err != nil {
 			return nil, nil, err
 		}
-		out := make([]gluon.Transport, hosts)
 		for h := range out {
 			out[h] = tr
 		}
 		return out, func() { tr.Close() }, nil
-	case "tcp":
-		_, out, closeAll, err := tcpCluster(hosts, gluon.TCPOptions{
-			HeartbeatInterval: 20 * time.Millisecond,
-			Session:           gluon.SessionOptions{HealBudget: 100 * time.Millisecond},
-		})
-		return out, closeAll, err
-	default:
-		return nil, nil, fmt.Errorf("harness: unknown grid transport %q", kind)
 	}
-}
-
-// tcpCluster builds a loopback TCP cluster, returning both the concrete
-// transports (for their counters) and the interface slice clusterRun
-// takes.
-func tcpCluster(hosts int, opts gluon.TCPOptions) ([]*gluon.TCPTransport, []gluon.Transport, func(), error) {
+	opts := gluon.TCPOptions{
+		HeartbeatInterval: 20 * time.Millisecond,
+		Session:           gluon.SessionOptions{HealBudget: 100 * time.Millisecond},
+	}
+	if x.c.Chaos != nil {
+		opts.ReadTimeout, opts.WriteTimeout = 200*time.Millisecond, 2*time.Second
+		opts.Session = gluon.SessionOptions{Heal: true, HealBudget: chaosHealBudget}
+		if chaotic {
+			opts.WrapConn = x.inj.Wrap
+			if *x.c.Chaos == ChaosStorm {
+				opts.Session.HealBudget = chaosStormBudget
+			}
+		}
+	}
 	trs, err := gluon.NewTCPClusterOpts(hosts, opts)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	out := make([]gluon.Transport, hosts)
 	for h := range out {
 		out[h] = trs[h]
 	}
-	return trs, out, func() {
+	return out, func() {
 		for _, tr := range trs {
+			st := tr.SessionStats()
+			x.row.Heals += st.Heals
+			x.row.Dups += st.Dups
 			tr.Close()
 		}
 	}, nil
@@ -235,38 +540,35 @@ func clusterRunAll(w *faultWorkload, cfg core.Config, trs []gluon.Transport, mkO
 	return results, nil
 }
 
-// resumeOpts is the policy of a relaunched, unchanged cluster: every
-// rank resumes from dir under its own identity.
-func resumeOpts(dir string) func(rank int) core.RunOptions {
-	return func(rank int) core.RunOptions {
-		return core.RunOptions{Checkpoint: &core.CheckpointPolicy{Dir: dir, Every: faultGridCkptEvery, Resume: true, OldRank: rank}}
+// checkFailed verifies a disrupted attempt's premise: every rank
+// failed — a survivor means the fault did not land, or a rank finished
+// regardless — the victim (when ≥ 0) of the injected kill rather than a
+// peer's echo, and every other rank of want when want is non-nil.
+func checkFailed(errs []error, victim int, want error) error {
+	for h, err := range errs {
+		switch {
+		case err == nil:
+			return fmt.Errorf("rank %d survived the injected fault", h)
+		case h == victim && !errors.Is(err, errInjectedKill):
+			return fmt.Errorf("victim died of %v, not the injected fault", err)
+		case h != victim && want != nil && !errors.Is(err, want):
+			return fmt.Errorf("rank %d died of %v, want %v", h, err, want)
+		}
 	}
+	return nil
 }
 
-// gridReference returns a memoised lookup of the uninterrupted
-// reference model hash per (workload, mode) on a 3-host cluster,
-// computed on demand over the sim transport — transport byte-identity
-// is pinned separately (TestSyncBitIdentityTCP), so one reference
-// serves every transport. grid names the caller in errors.
-func gridReference(grid string) func(w *faultWorkload, mode gluon.Mode) (string, error) {
-	refs := map[string]string{}
-	return func(w *faultWorkload, mode gluon.Mode) (string, error) {
-		key := w.name + "/" + mode.String()
-		if h, ok := refs[key]; ok {
-			return h, nil
-		}
-		trs, closeAll, err := gridTransports("sim", faultGridHosts)
-		if err != nil {
-			return "", err
-		}
-		defer closeAll()
-		results, err := clusterRunAll(w, w.cfg(mode), trs, func(int) core.RunOptions { return core.RunOptions{} })
-		if err != nil {
-			return "", fmt.Errorf("harness: %s reference %s: %w", grid, key, err)
-		}
-		h := hashCanonical(results[0].Canonical)
-		refs[key] = h
-		return h, nil
+// errClass names a rank's error for a second failure's verdict.
+func errClass(err error) string {
+	switch {
+	case err == nil:
+		return "finished"
+	case errors.Is(err, errInjectedKill):
+		return "injected-kill"
+	case errors.Is(err, gluon.ErrPeerLost):
+		return "peer-lost"
+	default:
+		return err.Error()
 	}
 }
 
@@ -297,8 +599,8 @@ func (g *faultTrigger) fires(send bool, payload []byte) bool {
 	return g.seen == g.nth
 }
 
-// errInjectedKill marks faults the grids injected themselves, so cells
-// can verify the faulted run died of the intended cause.
+// errInjectedKill marks faults the grid injected itself, so cells can
+// verify the faulted run died of the intended cause.
 var errInjectedKill = errors.New("harness: injected kill")
 
 // faultTransport wraps the victim rank's transport and simulates a
@@ -345,42 +647,60 @@ func (f *faultTransport) Recv(host int) (int, []byte, error) {
 	return from, payload, nil
 }
 
-// faultGridVictim is the rank every kill run kills: a non-root rank, so
-// the negotiation's coordinator survives.
-const faultGridVictim = 1
+// tearingSink is the FaultMidCheckpoint victim's checkpoint sink: it
+// saves normally until the target generation, then simulates a crash
+// halfway through the store's write-new/rotate sequence — the old
+// current already demoted to .prev, the new current torn — and kills
+// the transport.
+type tearingSink struct {
+	store *checkpoint.Store
+	round uint32
+	kill  func() error
+}
 
-// killRun runs one checkpointing cluster attempt with the victim's
-// transport armed by trig, and checks that the kill landed. sink, when
-// non-nil, builds the victim's checkpoint sink from the kill function.
-func killRun(w *faultWorkload, cfg core.Config, transport, dir string, trig *faultTrigger, sink func(kill func() error) core.CheckpointSink) error {
-	trs, closeAll, err := gridTransports(transport, cfg.Hosts)
+func (s *tearingSink) Save(snap *checkpoint.Snapshot) error {
+	if snap.NextRound != s.round {
+		return s.store.Save(snap)
+	}
+	if err := os.MkdirAll(s.store.Dir, 0o755); err != nil {
+		return err
+	}
+	if _, err := os.Stat(s.store.Path()); err == nil {
+		if err := os.Rename(s.store.Path(), s.store.PrevPath()); err != nil {
+			return err
+		}
+	}
+	// A full snapshot cut off halfway: valid magic and header, torn
+	// body, no trailing hash — must be rejected on load.
+	if err := checkpoint.Save(s.store.Path(), snap); err != nil {
+		return err
+	}
+	fi, err := os.Stat(s.store.Path())
 	if err != nil {
 		return err
 	}
-	defer closeAll()
-	ft := &faultTransport{Transport: trs[faultGridVictim], trig: trig}
-	trs[faultGridVictim] = ft
-	_, errs := clusterRun(w, cfg, trs, func(rank int) core.RunOptions {
-		ro := core.RunOptions{Checkpoint: &core.CheckpointPolicy{Dir: dir, Every: faultGridCkptEvery}}
-		if rank == faultGridVictim && sink != nil {
-			ro.Sink = sink(ft.kill)
-		}
-		return ro
-	})
-	return checkKilled(errs, faultGridVictim)
+	if err := os.Truncate(s.store.Path(), fi.Size()/2); err != nil {
+		return err
+	}
+	return s.kill()
 }
 
-// checkKilled verifies a kill run's premise: every rank failed (a
-// survivor means the kill did not land, or a rank finished regardless),
-// and the victim died of the injected fault, not of a peer's echo.
-func checkKilled(errs []error, victim int) error {
-	for _, err := range errs {
-		if err == nil {
-			return errors.New("a rank survived the injected fault")
-		}
+// captureSink checkpoints to the live store and mirrors the cut-round
+// generation — the re-sharded snapshot a membership change writes —
+// into a reference directory, so a verification cluster can later be
+// launched directly from the membership change's own output.
+type captureSink struct {
+	store *checkpoint.Store
+	ref   *checkpoint.Store
+	round uint32
+}
+
+func (s *captureSink) Save(snap *checkpoint.Snapshot) error {
+	if err := s.store.Save(snap); err != nil {
+		return err
 	}
-	if !errors.Is(errs[victim], errInjectedKill) {
-		return fmt.Errorf("victim died of %v, not the injected fault", errs[victim])
+	if snap.NextRound == s.round {
+		return s.ref.Save(snap)
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"graphword2vec/internal/model"
@@ -92,4 +93,10 @@ func wantError(t *testing.T, w *httptest.ResponseRecorder, status int, code stri
 	if e.Message == "" {
 		t.Fatalf("error %q has empty message", code)
 	}
+}
+
+// NewSnapshot builds the query indexes over an in-memory model on every
+// processor.
+func NewSnapshot(id string, m *model.Model, voc *vocab.Vocabulary, cfg StoreConfig) *Snapshot {
+	return newSnapshot(id, m, voc, cfg, runtime.GOMAXPROCS(0))
 }

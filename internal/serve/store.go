@@ -105,12 +105,6 @@ func loadSnapshot(modelPath string, cfg StoreConfig, workers int) (*Snapshot, er
 	return snap, nil
 }
 
-// NewSnapshot builds the query indexes over an in-memory model on every
-// processor — the path tests use; LoadSnapshot routes through it too.
-func NewSnapshot(id string, m *model.Model, voc *vocab.Vocabulary, cfg StoreConfig) *Snapshot {
-	return newSnapshot(id, m, voc, cfg, runtime.GOMAXPROCS(0))
-}
-
 func newSnapshot(id string, m *model.Model, voc *vocab.Vocabulary, cfg StoreConfig, workers int) *Snapshot {
 	start := time.Now()
 	snap := &Snapshot{

@@ -202,9 +202,9 @@ func BenchmarkTrainBatchedGemm(b *testing.B) {
 	defer vecmath.SetSIMD(wasOn)
 	if vecmath.SIMDAvailable() {
 		vecmath.SetSIMD(true)
-		b.Run(vecmath.KernelName()+"/pairwise", func(b *testing.B) { run(b, 0) })
-		b.Run(vecmath.KernelName()+"/gemm16", func(b *testing.B) { run(b, 16) })
-		b.Run(vecmath.KernelName()+"/gemm64", func(b *testing.B) { run(b, 64) })
+		b.Run(kernelName()+"/pairwise", func(b *testing.B) { run(b, 0) })
+		b.Run(kernelName()+"/gemm16", func(b *testing.B) { run(b, 16) })
+		b.Run(kernelName()+"/gemm64", func(b *testing.B) { run(b, 64) })
 	}
 	vecmath.SetSIMD(false)
 	b.Run("generic/pairwise", func(b *testing.B) { run(b, 0) })

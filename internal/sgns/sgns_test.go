@@ -411,7 +411,7 @@ func benchTrainTokens(b *testing.B, dim int) {
 	defer vecmath.SetSIMD(wasOn)
 	if vecmath.SIMDAvailable() {
 		vecmath.SetSIMD(true)
-		b.Run(vecmath.KernelName(), run)
+		b.Run(kernelName(), run)
 	}
 	vecmath.SetSIMD(false)
 	b.Run("generic", run)
@@ -483,8 +483,16 @@ func BenchmarkTrainTokensText(b *testing.B) {
 	defer vecmath.SetSIMD(wasOn)
 	if vecmath.SIMDAvailable() {
 		vecmath.SetSIMD(true)
-		b.Run(vecmath.KernelName(), run)
+		b.Run(kernelName(), run)
 	}
 	vecmath.SetSIMD(false)
 	b.Run("generic", run)
+}
+
+// kernelName labels benchmarks by the installed vecmath kernel set.
+func kernelName() string {
+	if vecmath.SIMDEnabled() {
+		return "simd"
+	}
+	return "generic"
 }

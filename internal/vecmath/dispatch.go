@@ -74,14 +74,6 @@ func SIMDAvailable() bool { return arch != nil }
 // SIMDEnabled reports whether the SIMD kernels are currently installed.
 func SIMDEnabled() bool { return simdOn }
 
-// KernelName identifies the installed kernel set ("generic", "sse2").
-func KernelName() string {
-	if simdOn {
-		return arch.name
-	}
-	return "generic"
-}
-
 // SetSIMD installs (enabled=true) or removes (enabled=false) the SIMD
 // kernel set and reports whether SIMD kernels are now in use. Asking for
 // SIMD on a build without kernels leaves the generic set installed and

@@ -418,3 +418,11 @@ func BenchmarkSigmoid(b *testing.B) {
 	}
 	_ = sink
 }
+
+// KernelName identifies the installed kernel set ("generic", "sse2").
+func KernelName() string {
+	if simdOn {
+		return arch.name
+	}
+	return "generic"
+}

@@ -53,9 +53,6 @@ type Options struct {
 	Sample float64
 }
 
-// DefaultOptions mirrors the paper's settings (§5.1).
-func DefaultOptions() Options { return Options{MinCount: 5, Sample: 1e-4} }
-
 // Builder accumulates word counts from one or more token streams.
 // It is not safe for concurrent use; shard counts are merged with Merge.
 type Builder struct {
